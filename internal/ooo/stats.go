@@ -4,6 +4,7 @@ import (
 	"flywheel/internal/branch"
 	"flywheel/internal/mem"
 	"flywheel/internal/pipe"
+	"flywheel/internal/power"
 )
 
 // Stats reports one baseline run. Counters accumulate during Run;
@@ -91,3 +92,30 @@ func (c *Core) Stats() Stats { return c.stats }
 // Warmer exposes functional warming over this core's caches and predictor;
 // call before Run, then Warmer().Finish() to clear the warm-up statistics.
 func (c *Core) Warmer() *pipe.Warmer { return pipe.NewWarmer(c.pred, c.hier) }
+
+// Activity converts the run into the power model's event record. The
+// baseline is a single clock domain; its grid is modelled as global +
+// front-end + back-end local grids all ticking every cycle.
+func (s Stats) Activity() power.Activity {
+	return power.Activity{
+		TimePS:      s.TimePS,
+		FECycles:    s.Cycles,
+		BECycles:    s.Cycles,
+		FetchGroups: s.FetchGroups,
+		Fetched:     s.Fetched,
+		Renamed:     s.Dispatched,
+		BPLookups:   s.PredLookups,
+		BPUpdates:   s.PredUpdates,
+		IWInserts:   s.IWInserted,
+		IWSelects:   s.IWSelected,
+		RegReads:    s.RegReads,
+		RegWrites:   s.RegWrites,
+		FUOps:       s.FUIssued,
+		ROBWrites:   s.Dispatched,
+		Retires:     s.Retired,
+		LSQOps:      s.L1D.Accesses() + s.Forwards,
+		L1I:         s.L1I,
+		L1D:         s.L1D,
+		L2:          s.L2,
+	}
+}

@@ -3,15 +3,9 @@ package sim
 import (
 	"fmt"
 
-	"flywheel/internal/branch"
-	"flywheel/internal/cacti"
-	"flywheel/internal/core"
-	"flywheel/internal/mem"
-	"flywheel/internal/ooo"
 	"flywheel/internal/pipe"
 	"flywheel/internal/power"
 	"flywheel/internal/sample"
-	"flywheel/internal/workload"
 )
 
 // Sampling configures sampled execution (see package sample): the zero
@@ -33,156 +27,15 @@ type SampledStats struct {
 	EnergyRelCI95 float64 `json:"energy_rel_ci95"`
 }
 
-// sampledView is the architecture-independent cumulative counter view the
-// sampled runner differences at window marks. Every field is a plain
-// counter (or a struct of counters), so an interval's activity is the
-// fieldwise difference of two views.
-type sampledView struct {
-	Retired      uint64
-	Cycles       uint64
-	TimePS       int64
-	ReplayPS     int64
-	Act          power.Activity
-	Pred         branch.Stats
-	Mispredicts  uint64
-	Divergences  uint64
-	CondBranches uint64
-	Prefetch     mem.PrefetchStats
-	Demand       mem.DemandStats
-}
-
-// sampledCore adapts one timing core to the sampled runner: a single core
-// instance persists across all windows (so the Execution Cache, rename
-// pools, predictor, and caches warm once and stay warm), driven through an
-// instruction gate and resumed window by window.
-type sampledCore struct {
-	warmer *pipe.Warmer
-	shape  power.MachineShape
-	resume func(warmupInsts uint64) bool
-	run    func() error
-	view   func() sampledView
-	marks  func(ms []uint64, fn func(i int, v sampledView))
-}
-
-func baselineView(s ooo.Stats) sampledView {
-	return sampledView{
-		Retired:      s.Retired,
-		Cycles:       s.Cycles,
-		TimePS:       s.TimePS,
-		Act:          baselineActivity(s),
-		Pred:         s.Pred,
-		Mispredicts:  s.Mispredicts,
-		CondBranches: s.CondBranches,
-		Prefetch:     s.Prefetch,
-		Demand:       s.Demand,
-	}
-}
-
-func flywheelView(s core.Stats) sampledView {
-	return sampledView{
-		Retired:      s.Retired,
-		Cycles:       s.Cycles(),
-		TimePS:       s.TimePS,
-		ReplayPS:     s.ReplayTimePS,
-		Act:          s.Activity(),
-		Pred:         s.Pred,
-		Mispredicts:  s.Mispredicts,
-		Divergences:  s.Divergences,
-		CondBranches: s.CondBranches,
-		Prefetch:     s.Prefetch,
-		Demand:       s.Demand,
-	}
-}
-
-// runSampled is Run's sampled-execution path: same workload snapshotting
-// and trace-cache source acquisition, but the core runs only the detailed
-// windows of the sampling schedule; everything between them fast-forwards
-// through functional warming (and, beyond the warming horizon, the trace
-// reader's chunk-indexed seek).
-func runSampled(cfg RunConfig, w *workload.Workload, ws *warmSnapshot) (Result, error) {
-	stream, finish, err := acquireSource(w, ws, cfg.MaxInstructions)
-	if err != nil {
-		return Result{}, err
-	}
-	finished := false
-	defer func() {
-		if !finished {
-			finish(fmt.Errorf("sim %s/%s: sampled run aborted", cfg.Workload, cfg.Arch))
-		}
-	}()
-	period := cacti.BaselinePeriodPS(cfg.Node)
-	tech, err := power.Tech(cfg.Node)
-	if err != nil {
-		finish(err)
-		finished = true
-		return Result{}, err
-	}
-
-	gate := sample.NewGate(stream)
-	var sc sampledCore
-	switch cfg.Arch {
-	case ArchBaseline:
-		bc := baselineConfig(cfg, period)
-		c := ooo.New(bc, gate)
-		if err := ws.warm(c.Warmer(), w, bc.Mem, bc.Branch); err != nil {
-			finish(err)
-			finished = true
-			return Result{}, err
-		}
-		sc = sampledCore{
-			warmer: c.Warmer(),
-			shape:  power.BaselineShape(),
-			resume: func(uint64) bool { return c.Resume() },
-			run:    func() error { _, err := c.Run(); return err },
-			view:   func() sampledView { return baselineView(c.StatsSnapshot()) },
-			marks: func(ms []uint64, fn func(int, sampledView)) {
-				c.SetMarks(ms, func(i int, s ooo.Stats) { fn(i, baselineView(s)) })
-			},
-		}
-	case ArchFlywheel, ArchRegAlloc:
-		fc := flywheelConfig(cfg, period)
-		c := core.New(fc, gate)
-		if err := ws.warm(c.Warmer(), w, fc.Mem, fc.Branch); err != nil {
-			finish(err)
-			finished = true
-			return Result{}, err
-		}
-		sc = sampledCore{
-			warmer: c.Warmer(),
-			shape:  power.FlywheelShape(),
-			resume: c.Resume,
-
-			run:  func() error { _, err := c.Run(); return err },
-			view: func() sampledView { return flywheelView(c.StatsSnapshot()) },
-			marks: func(ms []uint64, fn func(int, sampledView)) {
-				c.SetMarks(ms, func(i int, s core.Stats) { fn(i, flywheelView(s)) })
-			},
-		}
-	default:
-		err := fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
-		finish(err)
-		finished = true
-		return Result{}, err
-	}
-
-	res, runErr := sampleLoop(cfg, stream, gate, sc, tech)
-	finish(runErr)
-	finished = true
-	if runErr != nil {
-		return Result{}, fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, runErr)
-	}
-	return res, nil
-}
-
 // sampleLoop drives the alternation and aggregates the estimates.
-func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, sc sampledCore, tech power.TechParams) (Result, error) {
+func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, m *machine, tech power.TechParams) (Result, error) {
 	sp := cfg.Sampling
 	span := sp.Span()
 	pos := uint64(0)         // stream position: records delivered or fast-forwarded
 	detailed := uint64(0)    // records run through the timing core
 	nextStart := sp.Offset() // stream position where the next detailed span begins
 	var acc sample.Accumulator
-	var m sampledView // summed per-window measurement deltas
+	var total counters // summed per-window measurement deltas
 	var sumEnergyPJ, sumLeakPJ float64
 
 	// Bootstrap: run the first sample.BootstrapInsts of the stream in
@@ -195,7 +48,7 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, sc sam
 	// variants built mid-stream under different pipeline conditions.
 	boot := uint64(sample.BootstrapInsts)
 	gate.Open(boot)
-	if err := sc.run(); err != nil {
+	if err := m.run(); err != nil {
 		return Result{}, err
 	}
 	delivered := gate.TakeDelivered()
@@ -214,24 +67,24 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, sc sam
 	for !streamDry {
 		if nextStart > pos {
 			gap := nextStart - pos
-			n := sample.FastForward(stream, sc.warmer, gap)
+			n := sample.FastForward(stream, m.warmer, gap)
 			pos += n
 			if n < gap {
 				break // stream ended during the fast-forward
 			}
 		}
-		if !sc.resume(sp.WarmupInsts) {
+		if !m.resume(sp.WarmupInsts) {
 			break // the program retired HALT inside an earlier window
 		}
-		start := sc.view()
-		var mk [2]sampledView
+		start := m.counters().Act.Retires
+		var mk [2]counters
 		var got [2]bool
-		sc.marks(
-			[]uint64{start.Retired + sp.WarmupInsts, start.Retired + sp.WarmupInsts + sp.WindowInsts},
-			func(i int, v sampledView) { mk[i], got[i] = v, true },
+		m.marks(
+			[]uint64{start + sp.WarmupInsts, start + sp.WarmupInsts + sp.WindowInsts},
+			func(i int, c counters) { mk[i], got[i] = c, true },
 		)
 		gate.Open(span)
-		if err := sc.run(); err != nil {
+		if err := m.run(); err != nil {
 			return Result{}, err
 		}
 		delivered := gate.TakeDelivered()
@@ -244,19 +97,14 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, sc sam
 		if !got[0] || !got[1] {
 			continue // truncated before the measurement completed: discard
 		}
-		o := sample.Obs{
-			Insts:  mk[1].Retired - mk[0].Retired,
-			Cycles: mk[1].Cycles - mk[0].Cycles,
-			TimePS: mk[1].TimePS - mk[0].TimePS,
-		}
+		d := diff(mk[1], mk[0])
 		// The power model is linear in the activity record, so the energy
 		// of a window is exactly the energy of its activity delta.
-		rep := power.Compute(subActivity(mk[1].Act, mk[0].Act), sc.shape, tech)
-		o.EnergyPJ = rep.TotalPJ
-		acc.Observe(o)
+		rep := power.Compute(d.Act, m.shape, tech)
+		acc.Observe(sample.Obs{Insts: d.Act.Retires, Cycles: d.Act.BECycles, TimePS: d.Act.TimePS, EnergyPJ: rep.TotalPJ})
 		sumEnergyPJ += rep.TotalPJ
 		sumLeakPJ += rep.TotalPJ * rep.LeakageFrac
-		addView(&m, subView(mk[1], mk[0]))
+		total = sum(total, d)
 	}
 	if acc.Windows() == 0 {
 		return Result{}, fmt.Errorf("sampling produced no complete windows (period %d, window span %d, stream ended at %d instructions)",
@@ -266,7 +114,11 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, sc sam
 	est := acc.Estimate()
 	n := float64(pos)
 	scale := n / float64(est.MeasuredInsts)
-	res := Result{Config: cfg}
+	// Ratios (accuracy, coverage, hit rates, residency) come straight from
+	// the summed measurement-window counters; time, cycles and energy are
+	// the per-instruction estimates scaled to the whole stream, and volume
+	// counters extrapolate from the measured fraction.
+	res := resultFrom(cfg, total)
 	res.Retired = pos
 	res.Cycles = uint64(est.CPI*n + 0.5)
 	res.TimePS = int64(est.TPI*n + 0.5)
@@ -280,20 +132,10 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, sc sam
 	if sumEnergyPJ > 0 {
 		res.LeakageFrac = sumLeakPJ / sumEnergyPJ
 	}
-	if m.TimePS > 0 {
-		res.ECResidency = float64(m.ReplayPS) / float64(m.TimePS)
+	for _, v := range []*uint64{&res.Mispredicts, &res.Divergences, &res.CondBranches,
+		&res.PrefetchIssued, &res.PrefetchUseful, &res.PrefetchLate} {
+		*v = uint64(float64(*v)*scale + 0.5)
 	}
-	// Ratios (accuracy, coverage, hit rates) come straight from the summed
-	// measurement-window counters; volume counters extrapolate from the
-	// measured fraction to the whole stream.
-	res.BranchAccuracy = m.Pred.Accuracy()
-	res.fillFrontend(m.CondBranches, m.Prefetch, m.Demand)
-	res.Mispredicts = extrapolate(m.Mispredicts, scale)
-	res.Divergences = extrapolate(m.Divergences, scale)
-	res.CondBranches = extrapolate(m.CondBranches, scale)
-	res.PrefetchIssued = extrapolate(m.Prefetch.Issued, scale)
-	res.PrefetchUseful = extrapolate(m.Prefetch.Useful, scale)
-	res.PrefetchLate = extrapolate(m.Prefetch.Late, scale)
 	res.Sampled = &SampledStats{
 		Windows:       est.Windows,
 		MeasuredInsts: est.MeasuredInsts,
@@ -304,145 +146,4 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, sc sam
 		EnergyRelCI95: sample.RelCI95(est.EPI, est.EPIErr),
 	}
 	return res, nil
-}
-
-func extrapolate(v uint64, scale float64) uint64 {
-	return uint64(float64(v)*scale + 0.5)
-}
-
-// subView differences two cumulative views fieldwise (a - b).
-func subView(a, b sampledView) sampledView {
-	return sampledView{
-		Retired:      a.Retired - b.Retired,
-		Cycles:       a.Cycles - b.Cycles,
-		TimePS:       a.TimePS - b.TimePS,
-		ReplayPS:     a.ReplayPS - b.ReplayPS,
-		Act:          subActivity(a.Act, b.Act),
-		Pred:         subBranch(a.Pred, b.Pred),
-		Mispredicts:  a.Mispredicts - b.Mispredicts,
-		Divergences:  a.Divergences - b.Divergences,
-		CondBranches: a.CondBranches - b.CondBranches,
-		Prefetch:     subPrefetch(a.Prefetch, b.Prefetch),
-		Demand:       subDemand(a.Demand, b.Demand),
-	}
-}
-
-// addView accumulates d into m (Act is not accumulated; per-window energy
-// is computed before summing).
-func addView(m *sampledView, d sampledView) {
-	m.Retired += d.Retired
-	m.Cycles += d.Cycles
-	m.TimePS += d.TimePS
-	m.ReplayPS += d.ReplayPS
-	m.Pred = addBranch(m.Pred, d.Pred)
-	m.Mispredicts += d.Mispredicts
-	m.Divergences += d.Divergences
-	m.CondBranches += d.CondBranches
-	m.Prefetch = addPrefetch(m.Prefetch, d.Prefetch)
-	m.Demand = addDemand(m.Demand, d.Demand)
-}
-
-func subActivity(a, b power.Activity) power.Activity {
-	d := power.Activity{
-		TimePS:      a.TimePS - b.TimePS,
-		FECycles:    a.FECycles - b.FECycles,
-		BECycles:    a.BECycles - b.BECycles,
-		FetchGroups: a.FetchGroups - b.FetchGroups,
-		Fetched:     a.Fetched - b.Fetched,
-		Renamed:     a.Renamed - b.Renamed,
-		BPLookups:   a.BPLookups - b.BPLookups,
-		BPUpdates:   a.BPUpdates - b.BPUpdates,
-		IWInserts:   a.IWInserts - b.IWInserts,
-		IWSelects:   a.IWSelects - b.IWSelects,
-		RegReads:    a.RegReads - b.RegReads,
-		RegWrites:   a.RegWrites - b.RegWrites,
-		ROBWrites:   a.ROBWrites - b.ROBWrites,
-		Retires:     a.Retires - b.Retires,
-		LSQOps:      a.LSQOps - b.LSQOps,
-		L1I:         subCache(a.L1I, b.L1I),
-		L1D:         subCache(a.L1D, b.L1D),
-		L2:          subCache(a.L2, b.L2),
-
-		ECTagLookups:  a.ECTagLookups - b.ECTagLookups,
-		ECBlockReads:  a.ECBlockReads - b.ECBlockReads,
-		ECBlockWrites: a.ECBlockWrites - b.ECBlockWrites,
-		UpdateOps:     a.UpdateOps - b.UpdateOps,
-		Checkpoints:   a.Checkpoints - b.Checkpoints,
-	}
-	for i := range d.FUOps {
-		d.FUOps[i] = a.FUOps[i] - b.FUOps[i]
-	}
-	return d
-}
-
-func subCache(a, b mem.CacheStats) mem.CacheStats {
-	return mem.CacheStats{
-		Reads:      a.Reads - b.Reads,
-		Writes:     a.Writes - b.Writes,
-		ReadMiss:   a.ReadMiss - b.ReadMiss,
-		WriteMiss:  a.WriteMiss - b.WriteMiss,
-		Writebacks: a.Writebacks - b.Writebacks,
-	}
-}
-
-func subBranch(a, b branch.Stats) branch.Stats {
-	return branch.Stats{
-		Lookups:       a.Lookups - b.Lookups,
-		CondBranches:  a.CondBranches - b.CondBranches,
-		CondWrong:     a.CondWrong - b.CondWrong,
-		IndirectJumps: a.IndirectJumps - b.IndirectJumps,
-		IndirectWrong: a.IndirectWrong - b.IndirectWrong,
-		ReturnsRight:  a.ReturnsRight - b.ReturnsRight,
-		Updates:       a.Updates - b.Updates,
-	}
-}
-
-func addBranch(a, b branch.Stats) branch.Stats {
-	return branch.Stats{
-		Lookups:       a.Lookups + b.Lookups,
-		CondBranches:  a.CondBranches + b.CondBranches,
-		CondWrong:     a.CondWrong + b.CondWrong,
-		IndirectJumps: a.IndirectJumps + b.IndirectJumps,
-		IndirectWrong: a.IndirectWrong + b.IndirectWrong,
-		ReturnsRight:  a.ReturnsRight + b.ReturnsRight,
-		Updates:       a.Updates + b.Updates,
-	}
-}
-
-func subPrefetch(a, b mem.PrefetchStats) mem.PrefetchStats {
-	return mem.PrefetchStats{
-		Trains:       a.Trains - b.Trains,
-		Issued:       a.Issued - b.Issued,
-		Useful:       a.Useful - b.Useful,
-		Late:         a.Late - b.Late,
-		DemandMisses: a.DemandMisses - b.DemandMisses,
-	}
-}
-
-func addPrefetch(a, b mem.PrefetchStats) mem.PrefetchStats {
-	return mem.PrefetchStats{
-		Trains:       a.Trains + b.Trains,
-		Issued:       a.Issued + b.Issued,
-		Useful:       a.Useful + b.Useful,
-		Late:         a.Late + b.Late,
-		DemandMisses: a.DemandMisses + b.DemandMisses,
-	}
-}
-
-func subDemand(a, b mem.DemandStats) mem.DemandStats {
-	return mem.DemandStats{
-		DataAccesses: a.DataAccesses - b.DataAccesses,
-		DataCycles:   a.DataCycles - b.DataCycles,
-		L2Lookups:    a.L2Lookups - b.L2Lookups,
-		L2Hits:       a.L2Hits - b.L2Hits,
-	}
-}
-
-func addDemand(a, b mem.DemandStats) mem.DemandStats {
-	return mem.DemandStats{
-		DataAccesses: a.DataAccesses + b.DataAccesses,
-		DataCycles:   a.DataCycles + b.DataCycles,
-		L2Lookups:    a.L2Lookups + b.L2Lookups,
-		L2Hits:       a.L2Hits + b.L2Hits,
-	}
 }

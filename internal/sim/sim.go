@@ -15,7 +15,9 @@ import (
 	"flywheel/internal/emu"
 	"flywheel/internal/mem"
 	"flywheel/internal/ooo"
+	"flywheel/internal/pipe"
 	"flywheel/internal/power"
+	"flywheel/internal/sample"
 	"flywheel/internal/workload"
 )
 
@@ -114,7 +116,6 @@ type Result struct {
 	// Flywheel-specific observables (zero for the baseline).
 	ECResidency float64
 	Divergences uint64
-	TraceStats  core.ECStats
 
 	Mispredicts    uint64
 	BranchAccuracy float64
@@ -130,12 +131,6 @@ type Result struct {
 	PrefetchCoverage float64
 	AvgDataCycles    float64
 	DemandL2HitRate  float64
-
-	// Full per-core statistics for detailed reporting. Nil for sampled
-	// runs: cumulative core counters mix warm-up and measurement intervals
-	// there, so only the window-delta aggregates above are meaningful.
-	Baseline *ooo.Stats
-	Flywheel *core.Stats
 
 	// Sampled is present only for sampled runs (RunConfig.Sampling
 	// enabled): window coverage and per-metric confidence intervals.
@@ -175,9 +170,6 @@ func Run(cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Sampling.Enabled() {
-		return runSampled(cfg, w, ws)
-	}
 	// The instruction stream comes from the trace cache: the first run of a
 	// workload records the functional emulator's output while consuming it,
 	// later runs replay the recording (see tracecache.go).
@@ -195,79 +187,125 @@ func Run(cfg RunConfig) (Result, error) {
 			finish(fmt.Errorf("sim %s/%s: run aborted", cfg.Workload, cfg.Arch))
 		}
 	}()
-	period := cacti.BaselinePeriodPS(cfg.Node)
-
-	tech, err := power.Tech(cfg.Node)
+	res, err := runStream(cfg, w, ws, stream)
+	finish(err)
+	finished = true
 	if err != nil {
-		finish(err)
-		finished = true
 		return Result{}, err
 	}
+	return res, nil
+}
 
+// runStream runs cfg's machine over the workload's instruction stream,
+// exact or sampled.
+func runStream(cfg RunConfig, w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) (Result, error) {
+	tech, err := power.Tech(cfg.Node)
+	if err != nil {
+		return Result{}, err
+	}
+	// A sampled run feeds the core through a gate that admits only the
+	// detailed windows; the runner fast-forwards the stream between them.
+	src := stream
+	var gate *sample.Gate
+	if cfg.Sampling.Enabled() {
+		gate = sample.NewGate(stream)
+		src = gate
+	}
+	m, err := newMachine(cfg, cacti.BaselinePeriodPS(cfg.Node), src)
+	if err != nil {
+		return Result{}, err
+	}
 	// Functional warming: seed the core's caches and branch predictor with
 	// the initialization phase's recorded observations so measurement
 	// starts from realistic state (the paper fast-forwards 500M
 	// instructions).
-	res := Result{Config: cfg}
-	runErr := func() error {
-		switch cfg.Arch {
-		case ArchBaseline:
-			bc := baselineConfig(cfg, period)
-			c := ooo.New(bc, stream)
-			if err := ws.warm(c.Warmer(), w, bc.Mem, bc.Branch); err != nil {
-				return err
-			}
-			stats, err := c.Run()
-			if err != nil {
-				return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
-			}
-			rep := power.Compute(baselineActivity(stats), power.BaselineShape(), tech)
-			res.TimePS = stats.TimePS
-			res.Cycles = stats.Cycles
-			res.Retired = stats.Retired
-			res.IPC = stats.IPC
-			res.Mispredicts = stats.Mispredicts
-			res.BranchAccuracy = stats.BranchAccuracy
-			res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-			res.EnergyPJ = rep.TotalPJ
-			res.PowerW = rep.AvgPowerW
-			res.LeakageFrac = rep.LeakageFrac
-			res.Baseline = &stats
-		case ArchFlywheel, ArchRegAlloc:
-			fc := flywheelConfig(cfg, period)
-			c := core.New(fc, stream)
-			if err := ws.warm(c.Warmer(), w, fc.Mem, fc.Branch); err != nil {
-				return err
-			}
-			stats, err := c.Run()
-			if err != nil {
-				return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
-			}
-			rep := power.Compute(stats.Activity(), power.FlywheelShape(), tech)
-			res.TimePS = stats.TimePS
-			res.Cycles = stats.Cycles()
-			res.Retired = stats.Retired
-			res.IPC = stats.IPC
-			res.Mispredicts = stats.Mispredicts
-			res.BranchAccuracy = stats.BranchAccuracy
-			res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-			res.ECResidency = stats.ECResidency
-			res.Divergences = stats.Divergences
-			res.TraceStats = stats.EC
-			res.EnergyPJ = rep.TotalPJ
-			res.PowerW = rep.AvgPowerW
-			res.LeakageFrac = rep.LeakageFrac
-			res.Flywheel = &stats
-		default:
-			return fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
-		}
-		return nil
-	}()
-	finish(runErr)
-	finished = true
-	if runErr != nil {
-		return Result{}, runErr
+	if err := m.warm(ws, w); err != nil {
+		return Result{}, err
 	}
+	if gate == nil {
+		return m.runExact(cfg, cfg.Workload, tech)
+	}
+	res, err := sampleLoop(cfg, stream, gate, m, tech)
+	if err != nil {
+		return Result{}, fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
+	}
+	return res, nil
+}
+
+// machine adapts one timing core to the runners. A sampled run keeps one
+// machine for all its windows, so the Execution Cache, rename pools,
+// predictor and caches warm once and stay warm; it drives the core through
+// an instruction gate and resumes it window by window.
+type machine struct {
+	shape power.MachineShape
+	// warm seeds the core from the workload's initialization phase;
+	// warmer keeps its caches and predictor warm across fast-forwards.
+	warm     func(ws *warmSnapshot, w *workload.Workload) error
+	warmer   *pipe.Warmer
+	resume   func(warmupInsts uint64) bool
+	run      func() error
+	counters func() counters
+	// marks calls fn with the counters as of each retirement count in ms.
+	marks func(ms []uint64, fn func(i int, c counters))
+}
+
+// newMachine builds the core cfg.Arch selects, clocked from period and fed
+// by src. It is the only place that dispatches on the architecture.
+func newMachine(cfg RunConfig, period int64, src pipe.InstSource) (*machine, error) {
+	switch cfg.Arch {
+	case ArchBaseline:
+		bc := baselineConfig(cfg, period)
+		c := ooo.New(bc, src)
+		read := func(s ooo.Stats) counters {
+			return counters{Act: s.Activity(), Mispredicts: s.Mispredicts, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
+		}
+		return &machine{
+			shape: power.BaselineShape(),
+			warm: func(ws *warmSnapshot, w *workload.Workload) error {
+				return ws.warm(c.Warmer(), w, bc.Mem, bc.Branch)
+			},
+			warmer:   c.Warmer(),
+			resume:   func(uint64) bool { return c.Resume() },
+			run:      func() error { _, err := c.Run(); return err },
+			counters: func() counters { return read(c.StatsSnapshot()) },
+			marks: func(ms []uint64, fn func(int, counters)) {
+				c.SetMarks(ms, func(i int, s ooo.Stats) { fn(i, read(s)) })
+			},
+		}, nil
+	case ArchFlywheel, ArchRegAlloc:
+		fc := flywheelConfig(cfg, period)
+		c := core.New(fc, src)
+		read := func(s core.Stats) counters {
+			return counters{Act: s.Activity(), ReplayPS: s.ReplayTimePS, Mispredicts: s.Mispredicts,
+				Divergences: s.Divergences, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
+		}
+		return &machine{
+			shape: power.FlywheelShape(),
+			warm: func(ws *warmSnapshot, w *workload.Workload) error {
+				return ws.warm(c.Warmer(), w, fc.Mem, fc.Branch)
+			},
+			warmer:   c.Warmer(),
+			resume:   c.Resume,
+			run:      func() error { _, err := c.Run(); return err },
+			counters: func() counters { return read(c.StatsSnapshot()) },
+			marks: func(ms []uint64, fn func(int, counters)) {
+				c.SetMarks(ms, func(i int, s core.Stats) { fn(i, read(s)) })
+			},
+		}, nil
+	}
+	return nil, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
+}
+
+// runExact runs the machine to the end of its source and builds the
+// result from its final counters. name labels errors.
+func (m *machine) runExact(cfg RunConfig, name string, tech power.TechParams) (Result, error) {
+	if err := m.run(); err != nil {
+		return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
+	}
+	c := m.counters()
+	res := resultFrom(cfg, c)
+	rep := power.Compute(c.Act, m.shape, tech)
+	res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
 	return res, nil
 }
 
@@ -304,45 +342,6 @@ func frontendFor(cfg RunConfig) (direction string, pf mem.PrefetchConfig) {
 	return direction, mem.DefaultPrefetchConfig(cfg.Prefetcher)
 }
 
-// fillFrontend copies the frontend observables into the result.
-func (r *Result) fillFrontend(cond uint64, pf mem.PrefetchStats, dm mem.DemandStats) {
-	r.CondBranches = cond
-	r.PrefetchIssued = pf.Issued
-	r.PrefetchUseful = pf.Useful
-	r.PrefetchLate = pf.Late
-	r.PrefetchAccuracy = pf.Accuracy()
-	r.PrefetchCoverage = pf.Coverage()
-	r.AvgDataCycles = dm.AvgDataCycles()
-	r.DemandL2HitRate = dm.L2HitRate()
-}
-
-// baselineActivity converts baseline statistics into the power model's
-// event record. The baseline is a single clock domain; its grid is modelled
-// as global + front-end + back-end local grids all ticking every cycle.
-func baselineActivity(s ooo.Stats) power.Activity {
-	return power.Activity{
-		TimePS:      s.TimePS,
-		FECycles:    s.Cycles,
-		BECycles:    s.Cycles,
-		FetchGroups: s.FetchGroups,
-		Fetched:     s.Fetched,
-		Renamed:     s.Dispatched,
-		BPLookups:   s.PredLookups,
-		BPUpdates:   s.PredUpdates,
-		IWInserts:   s.IWInserted,
-		IWSelects:   s.IWSelected,
-		RegReads:    s.RegReads,
-		RegWrites:   s.RegWrites,
-		FUOps:       s.FUIssued,
-		ROBWrites:   s.Dispatched,
-		Retires:     s.Retired,
-		LSQOps:      s.L1D.Accesses() + s.Forwards,
-		L1I:         s.L1I,
-		L1D:         s.L1D,
-		L2:          s.L2,
-	}
-}
-
 // RunSource assembles the given program text and runs it like Run does for
 // a registered workload (no warm-up: the whole program is measured). The
 // Workload field of cfg is used only for labeling. Assembly and image
@@ -362,43 +361,14 @@ func RunSource(name, source string, cfg RunConfig) (Result, error) {
 	if cfg.Sampling.Enabled() {
 		return Result{}, fmt.Errorf("sim: sampled execution needs the trace-cache path; RunSource is exact-only")
 	}
-	m := ws.machine()
-	limit := cfg.MaxInstructions
-	stream := emu.NewStream(m, limit)
-	period := cacti.BaselinePeriodPS(cfg.Node)
 	tech, err := power.Tech(cfg.Node)
 	if err != nil {
 		return Result{}, err
 	}
-	res := Result{Config: cfg}
-	switch cfg.Arch {
-	case ArchBaseline:
-		c := ooo.New(baselineConfig(cfg, period), stream)
-		stats, err := c.Run()
-		if err != nil {
-			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
-		}
-		rep := power.Compute(baselineActivity(stats), power.BaselineShape(), tech)
-		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles, stats.Retired, stats.IPC
-		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
-		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-		res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
-		res.Baseline = &stats
-	case ArchFlywheel, ArchRegAlloc:
-		c := core.New(flywheelConfig(cfg, period), stream)
-		stats, err := c.Run()
-		if err != nil {
-			return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
-		}
-		rep := power.Compute(stats.Activity(), power.FlywheelShape(), tech)
-		res.TimePS, res.Cycles, res.Retired, res.IPC = stats.TimePS, stats.Cycles(), stats.Retired, stats.IPC
-		res.Mispredicts, res.BranchAccuracy = stats.Mispredicts, stats.BranchAccuracy
-		res.fillFrontend(stats.CondBranches, stats.Prefetch, stats.Demand)
-		res.ECResidency, res.Divergences, res.TraceStats = stats.ECResidency, stats.Divergences, stats.EC
-		res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
-		res.Flywheel = &stats
-	default:
-		return Result{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
+	stream := emu.NewStream(ws.machine(), cfg.MaxInstructions)
+	m, err := newMachine(cfg, cacti.BaselinePeriodPS(cfg.Node), stream)
+	if err != nil {
+		return Result{}, err
 	}
-	return res, nil
+	return m.runExact(cfg, name, tech)
 }
