@@ -14,6 +14,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"flywheel/internal/cacti"
@@ -66,7 +67,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	want := map[string]bool{}
 	for _, f := range strings.Split(*fig, ",") {
-		want[strings.TrimSpace(f)] = true
+		f = strings.TrimSpace(f)
+		if !slices.Contains(figures, f) {
+			fmt.Fprintf(stderr, "experiments: unknown figure %q (valid: %s)\n", f, strings.Join(figures, ", "))
+			return 2
+		}
+		want[f] = true
 	}
 	if err := emitFigures(opt, want, *markdown, stdout); err != nil {
 		fmt.Fprintln(stderr, "experiments:", err)
@@ -78,6 +84,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	return 0
 }
+
+// figures are the names -fig accepts.
+var figures = []string{"1", "2", "t1", "t2", "11", "12", "13", "14", "15", "residency", "all"}
 
 // emitFigures renders every requested experiment to w.
 func emitFigures(opt experiments.Options, want map[string]bool, markdown bool, w io.Writer) error {

@@ -71,3 +71,18 @@ func TestRunBadNode(t *testing.T) {
 		t.Errorf("exit %d, want 1 for an unsupported node", code)
 	}
 }
+
+func TestRunUnknownFigure(t *testing.T) {
+	var out, errb bytes.Buffer
+	if code := run([]string{"-fig", "t1,fig99"}, &out, &errb); code != 2 {
+		t.Errorf("exit %d, want 2", code)
+	}
+	if out.Len() != 0 {
+		t.Errorf("unknown figure still printed output: %q", out.String())
+	}
+	for _, want := range []string{`"fig99"`, "residency", "all"} {
+		if !strings.Contains(errb.String(), want) {
+			t.Errorf("stderr %q lacks %s", errb.String(), want)
+		}
+	}
+}
