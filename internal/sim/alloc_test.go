@@ -12,7 +12,8 @@ import (
 // instruction. The flywheel and regalloc budgets cover the trace-creation
 // and replay machinery, which recycles builders, block storage and
 // traceRuns instead of allocating per trace; a regression here shows up
-// long before it costs measurable wall-clock in cmd/bench.
+// long before it costs measurable wall-clock in the repository benchmark
+// (bash perfbench/run.sh).
 func TestAllocsPerInstBudget(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("allocation budgets are measured without -short/-race")
