@@ -123,12 +123,8 @@ func TestGate(t *testing.T) {
 	}
 }
 
-func testWarmer() *pipe.Warmer {
-	return pipe.NewWarmer(branch.New(branch.DefaultConfig()), mem.NewHierarchy(mem.DefaultHierarchyConfig(500)))
-}
-
 func TestFastForward(t *testing.T) {
-	w := testWarmer()
+	w := pipe.NewWarmer(branch.New(branch.DefaultConfig()), mem.NewHierarchy(mem.DefaultHierarchyConfig(500)))
 	if n := FastForward(&seqSource{end: 10}, w, 0); n != 0 {
 		t.Errorf("zero gap consumed %d", n)
 	}

@@ -190,10 +190,7 @@ func Run(cfg RunConfig) (Result, error) {
 	res, err := runStream(cfg, w, ws, stream)
 	finish(err)
 	finished = true
-	if err != nil {
-		return Result{}, err
-	}
-	return res, nil
+	return res, err
 }
 
 // runStream runs cfg's machine over the workload's instruction stream,
