@@ -2,7 +2,7 @@
 // replayed mix of sweep and frontier requests and reports what the paper's
 // users actually feel: request latency (p50/p95/p99), error rate, and how
 // the lab's cache tiers absorbed the load (memory hits vs disk hits vs
-// fresh simulations).
+// fresh simulations vs results priced from a shared timing record).
 //
 // Popularity is Zipf-skewed — a handful of configurations dominate, the
 // long tail trickles — which is both how real sweep traffic looks and the
@@ -249,9 +249,11 @@ func report(w io.Writer, samples []sample, elapsed time.Duration, shed uint64, b
 	hits := after.Hits - before.Hits
 	disk := after.DiskHits - before.DiskHits
 	miss := after.Misses - before.Misses
-	if tot := hits + disk + miss; tot > 0 {
-		fmt.Fprintf(w, "cache tiers: memory %.1f%%  disk %.1f%%  sim %.1f%%  (%d lookups)\n",
-			100*float64(hits)/float64(tot), 100*float64(disk)/float64(tot), 100*float64(miss)/float64(tot), tot)
+	repriced := after.Repriced - before.Repriced
+	if tot := hits + disk + miss + repriced; tot > 0 {
+		fmt.Fprintf(w, "cache tiers: memory %.1f%%  disk %.1f%%  sim %.1f%%  repriced %.1f%%  (%d lookups)\n",
+			100*float64(hits)/float64(tot), 100*float64(disk)/float64(tot), 100*float64(miss)/float64(tot),
+			100*float64(repriced)/float64(tot), tot)
 	}
 }
 

@@ -5,9 +5,11 @@
 //
 // Every figure builds its complete job list up front and submits it to the
 // lab (package lab), which fans the independent simulations across a worker
-// pool and memoizes results by configuration — the baseline runs shared
-// between Figures 11-14 simulate once per process, and a sweep renders
-// byte-identically at any worker count.
+// pool and memoizes results by configuration in its cache — the baseline
+// runs shared between Figures 11-14 simulate once per cache, Figure 15's
+// node variants are priced from the 130 nm timing wherever their clock
+// plans scale alike, and a sweep renders byte-identically at any worker
+// count.
 //
 // Reproduction contract (see DESIGN.md): absolute numbers differ from the
 // paper — the workloads are proxies and the substrate is a from-scratch
@@ -36,7 +38,7 @@ type Options struct {
 	Parallel int
 	// Cache memoizes runs. Nil uses a process-wide cache shared by every
 	// experiment, so e.g. the baseline column common to Figures 11-14
-	// simulates exactly once per process.
+	// simulates exactly once per cache.
 	Cache *lab.Cache
 	// Progress, when non-nil, is called after each completed simulation.
 	Progress func(done, total int, j lab.Job)

@@ -5,11 +5,14 @@ package experiments
 // and Table 1, so a future refactor cannot silently flip a conclusion.
 
 import (
+	"bytes"
+	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
 
 	"flywheel/internal/lab"
+	"flywheel/internal/sim"
 )
 
 // parseCell reads the numeric (possibly %-suffixed) cell at row, col.
@@ -182,7 +185,9 @@ func TestTablesByteIdenticalAcrossWorkerCounts(t *testing.T) {
 // TestSuiteSharesBaselinesThroughCache pins the memoization win: the
 // Figure 11-15 suite submits 150 jobs but fewer distinct configurations —
 // the 0.13um baseline repeats across Figures 11, 12-14 and 15, and the
-// sweep's (FE+100%, BE+50%) point reappears in Figure 15.
+// sweep's (FE+100%, BE+50%) point reappears in Figure 15. Of the distinct
+// configurations, Figure 15's 90 and 60 nm baselines and 60 nm Flywheel
+// cells are priced from the 130 nm timing records instead of simulated.
 func TestSuiteSharesBaselinesThroughCache(t *testing.T) {
 	opt := tinyOptions()
 	opt.Cache = lab.NewCache()
@@ -197,13 +202,48 @@ func TestSuiteSharesBaselinesThroughCache(t *testing.T) {
 	if _, err := lab.Run(jobs, lab.Options{Workers: 4, Cache: opt.Cache}); err != nil {
 		t.Fatal(err)
 	}
-	if got := opt.Cache.Misses(); got != uint64(len(distinct)) {
-		t.Errorf("misses = %d, want %d distinct configurations", got, len(distinct))
+	st := opt.Cache.Stats()
+	if st.Repriced != 30 {
+		t.Errorf("repriced = %d, want 30 (20 baselines at 90/60 nm, 10 Flywheel cells at 60 nm)", st.Repriced)
+	}
+	if got := st.Misses + st.Repriced; got != uint64(len(distinct)) {
+		t.Errorf("misses + repriced = %d, want %d distinct configurations", got, len(distinct))
 	}
 	if got := opt.Cache.Hits(); got != uint64(len(jobs)-len(distinct)) {
 		t.Errorf("hits = %d, want %d duplicate submissions", got, len(jobs)-len(distinct))
 	}
 	if len(jobs)-len(distinct) < 20 {
 		t.Errorf("only %d duplicate submissions in the suite; expected the baseline columns to repeat", len(jobs)-len(distinct))
+	}
+}
+
+// TestPaperPassPricesNodeVariants: a fresh cache over the four simulated
+// figures' job lists (Figure 2, Figure 11, the Figure 12-14 sweep and
+// Figure 15) simulates each distinct timing once, and every result —
+// simulated or priced from a shared record — is JSON-identical to a plain
+// sim.Run of its job.
+func TestPaperPassPricesNodeVariants(t *testing.T) {
+	opt := tinyOptions()
+	opt.Instructions = 3_000
+	jobs := append(figure2Jobs(opt), SuiteJobs(opt)...)
+	cache := lab.NewCache()
+	res, err := lab.Run(jobs, lab.Options{Workers: 2, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := cache.Stats()
+	if st.Hits != 40 || st.Misses != 110 || st.Repriced != 30 || st.DiskHits != 0 {
+		t.Errorf("stats %+v, want 40 hits, 110 misses, 30 repriced", st)
+	}
+	for i, j := range jobs {
+		want, err := sim.Run(j.Config())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := json.Marshal(res[i])
+		exp, _ := json.Marshal(want)
+		if !bytes.Equal(got, exp) {
+			t.Fatalf("job %d (%s): cached result differs from sim.Run:\n cache %s\n run   %s", i, j.Key(), got, exp)
+		}
 	}
 }

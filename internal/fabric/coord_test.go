@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"flywheel/internal/cacti"
 	"flywheel/internal/lab"
 	"flywheel/internal/labd"
 	"flywheel/internal/sim"
@@ -321,6 +322,11 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	jobs := testBatch(8)
+	// One baseline at three nodes on two workers: at least two of them
+	// land on one worker, which prices the second from the first's timing.
+	for _, node := range []cacti.Node{cacti.Node130, cacti.Node90, cacti.Node60} {
+		jobs = append(jobs, lab.Job{Workload: "gcc", Arch: sim.ArchBaseline, Node: node, MaxInstructions: 20000})
+	}
 	if _, err := labd.NewClient(ts.URL).Sweep(labd.SweepRequest{Jobs: jobs}); err != nil {
 		t.Fatal(err)
 	}
@@ -333,12 +339,16 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
 		t.Fatal(err)
 	}
-	var wantMisses uint64
+	var wantMisses, wantRepriced uint64
 	for _, cache := range tc.caches {
 		wantMisses += cache.Misses()
+		wantRepriced += cache.Stats().Repriced
 	}
 	if stats.Cache.Misses != wantMisses {
 		t.Fatalf("aggregated misses %d, want %d", stats.Cache.Misses, wantMisses)
+	}
+	if stats.Cache.Repriced != wantRepriced || wantRepriced == 0 {
+		t.Fatalf("aggregated repriced %d, want %d (and at least 1)", stats.Cache.Repriced, wantRepriced)
 	}
 	if stats.Coord.Jobs != uint64(len(jobs)) || len(stats.Workers) != 2 {
 		t.Fatalf("coord stats: %+v", stats.Coord)

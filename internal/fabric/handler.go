@@ -172,6 +172,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			reply.Cache.Hits += st.Cache.Hits
 			reply.Cache.DiskHits += st.Cache.DiskHits
 			reply.Cache.Misses += st.Cache.Misses
+			reply.Cache.Repriced += st.Cache.Repriced
 			reply.Cache.InFlight += st.Cache.InFlight
 			reply.Cache.Entries += st.Cache.Entries
 			reply.AnalyticCells += st.AnalyticCells

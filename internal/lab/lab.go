@@ -4,7 +4,9 @@
 // list across a worker pool sized to the machine and memoizes results by a
 // canonical configuration key: the many experiments that share a
 // configuration (e.g. the baseline column repeated across Figures 11-14)
-// simulate exactly once. Results always come back in job order, independent
+// simulate exactly once, and exact runs that differ only in node share one
+// timing simulation where their clock plans scale alike (see Cache).
+// Results always come back in job order, independent
 // of completion order and worker count, so a sweep renders byte-identically
 // whether it ran on one core or sixty-four.
 package lab
@@ -120,36 +122,44 @@ func (j Job) Config() sim.RunConfig {
 // memory misses consult the disk store before simulating, and fresh
 // results are written through, so the memoization survives process death.
 //
+// Beside its results the cache keeps the timing records of the exact runs
+// it simulated (sim.Timing). Exact jobs that differ only in technology
+// node often share one cycle-level timing — the node changes the power
+// model and the picosecond length of the clock plan, and whenever two
+// plans are equal up to a common scale the cores tick alike. Such a job
+// is priced from the shared record instead of simulated again. Sampled
+// jobs bypass the records. The records live exactly as long as the cache.
+//
 // Failed runs are never cached beyond their own flight: the waiters that
 // piled onto an in-flight run all receive its error, but the entry is
 // evicted before they are released, so the next request retries — a
 // transient failure (say, a workload registered later) does not poison the
 // key for the process lifetime. A panicking run is converted into an error
 // result with the same eviction semantics; waiters can never deadlock on
-// an abandoned entry.
+// an abandoned entry. Results and timing records follow these rules
+// through one implementation (flights).
 type Cache struct {
 	mu       sync.Mutex
-	entries  map[string]*entry
-	hits     uint64
+	entries  flights[string, sim.Result]
+	timings  flights[sim.TimingID, sim.Timing]
 	misses   uint64
 	diskHits uint64
-	inflight int
 
 	disk *store.Store
-	// run is the simulation entry point; tests substitute it to inject
-	// failures and panics.
-	run func(sim.RunConfig) (sim.Result, error)
-}
-
-type entry struct {
-	done chan struct{} // closed once res/err are filled
-	res  sim.Result
-	err  error
+	// run, when set, simulates every job whole and bypasses the timing
+	// records; tests substitute it to inject failures and panics, or set
+	// it to sim.Run for an unshared reference. simulate produces an exact
+	// job's timing record.
+	run      func(sim.RunConfig) (sim.Result, error)
+	simulate func(sim.RunConfig) (sim.Timing, error)
 }
 
 // NewCache returns an empty in-memory run cache.
 func NewCache() *Cache {
-	return &Cache{entries: map[string]*entry{}, run: sim.Run}
+	c := &Cache{simulate: sim.Simulate}
+	c.entries = newFlights[string, sim.Result](&c.mu)
+	c.timings = newFlights[sim.TimingID, sim.Timing](&c.mu)
+	return c
 }
 
 // NewCacheWithStore returns a run cache layered over a persistent store:
@@ -186,88 +196,145 @@ func (c *Cache) Do(j Job) (sim.Result, error) {
 // retry, taking over the computation themselves.
 func (c *Cache) DoContext(ctx context.Context, j Job) (sim.Result, error) {
 	key := j.Key()
-	for {
-		if err := ctx.Err(); err != nil {
-			return sim.Result{}, err
-		}
-		c.mu.Lock()
-		if e, ok := c.entries[key]; ok {
-			c.hits++
-			c.mu.Unlock()
-			select {
-			case <-e.done:
-			case <-ctx.Done():
-				return sim.Result{}, ctx.Err()
-			}
-			if isContextErr(e.err) && ctx.Err() == nil {
-				// The filler's request was canceled before its run began;
-				// the entry has been evicted. Our context is live, so take
-				// over the computation instead of surfacing a stranger's
-				// cancellation.
-				continue
-			}
-			return e.res, e.err
-		}
-		e := &entry{done: make(chan struct{})}
-		c.entries[key] = e
-		c.inflight++
-		c.mu.Unlock()
-
-		c.fill(ctx, e, key, j)
-		return e.res, e.err
-	}
+	return c.entries.do(ctx, key, func() (sim.Result, error) { return c.fill(ctx, key, j) })
 }
 
 func isContextErr(err error) bool {
 	return err != nil && (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded))
 }
 
-// fill computes the entry's result — disk tier first, then simulation —
-// and releases the waiters. It is panic-safe: entry.done is closed via
-// defer no matter how the run ends, and a panic inside the simulator
-// becomes an ordinary error result. Error entries (including recovered
-// panics and pre-run cancellations) are evicted before the waiters are
-// released.
-func (c *Cache) fill(ctx context.Context, e *entry, key string, j Job) {
-	defer func() {
-		if p := recover(); p != nil {
-			e.err = fmt.Errorf("lab: run %s panicked: %v", key, p)
-		}
-		c.mu.Lock()
-		c.inflight--
-		if e.err != nil {
-			delete(c.entries, key)
-		}
-		c.mu.Unlock()
-		close(e.done)
-	}()
-
+// fill computes a result: disk tier first, then a shared timing record or
+// a simulation. Fresh results are written through to the disk tier.
+func (c *Cache) fill(ctx context.Context, key string, j Job) (sim.Result, error) {
 	if c.disk != nil {
 		if res, ok := c.disk.Get(key); ok {
 			c.mu.Lock()
 			c.diskHits++
 			c.mu.Unlock()
-			e.res = res
-			return
+			return res, nil
 		}
 	}
-	// Last cancellation point: beyond here the simulation runs to
-	// completion and is cached even if the requester has gone away.
-	// Checking before the miss counter keeps Misses an exact count of
-	// simulations actually started.
+	res, err := c.compute(ctx, key, j.Config())
+	if err == nil && c.disk != nil {
+		// A write-through failure (disk full, permissions) degrades the
+		// store to a smaller cache; the computed result is still good.
+		_ = c.disk.Put(key, res)
+	}
+	return res, err
+}
+
+// compute runs cfg, or prices it from the timing record it shares with
+// an exact job the cache has already simulated.
+func (c *Cache) compute(ctx context.Context, key string, cfg sim.RunConfig) (sim.Result, error) {
+	if c.run != nil || cfg.Sampling.Enabled() {
+		if err := c.start(ctx, key); err != nil {
+			return sim.Result{}, err
+		}
+		if c.run != nil {
+			return c.run(cfg)
+		}
+		return sim.Run(cfg)
+	}
+	id, err := sim.TimingOf(cfg)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	t, err := c.timings.do(ctx, id, func() (sim.Timing, error) {
+		if err := c.start(ctx, key); err != nil {
+			return sim.Timing{}, err
+		}
+		return c.simulate(cfg)
+	})
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return t.Price(cfg)
+}
+
+// start is the last cancellation point before a simulation: beyond it the
+// simulation runs to completion and is cached even if the requester has
+// gone away. Checking before the miss counter keeps Misses an exact count
+// of simulations actually started.
+func (c *Cache) start(ctx context.Context, key string) error {
 	if err := ctx.Err(); err != nil {
-		e.err = fmt.Errorf("lab: run %s: %w", key, err)
-		return
+		return fmt.Errorf("lab: run %s: %w", key, err)
 	}
 	c.mu.Lock()
 	c.misses++
 	c.mu.Unlock()
-	e.res, e.err = c.run(j.Config())
-	if e.err == nil && c.disk != nil {
-		// A write-through failure (disk full, permissions) degrades the
-		// store to a smaller cache; the computed result is still good.
-		_ = c.disk.Put(key, e.res)
+	return nil
+}
+
+// flights is a single-flight memo table under its owner's lock. The
+// first request for a key runs the fill; concurrent requests join its
+// flight and wait. A fill that fails, panics (the panic becomes an error)
+// or is canceled before it starts is evicted before its waiters are
+// released, and waiters whose own context is still live retry a canceled
+// flight instead of surfacing a stranger's cancellation.
+type flights[K comparable, V any] struct {
+	mu       *sync.Mutex
+	m        map[K]*flight[V]
+	joins    uint64 // requests served by another request's flight
+	inflight int
+}
+
+type flight[V any] struct {
+	done chan struct{} // closed once val/err are filled
+	val  V
+	err  error
+}
+
+func newFlights[K comparable, V any](mu *sync.Mutex) flights[K, V] {
+	return flights[K, V]{mu: mu, m: map[K]*flight[V]{}}
+}
+
+// do returns the value memoized under key, running fill on first request.
+func (t *flights[K, V]) do(ctx context.Context, key K, fill func() (V, error)) (V, error) {
+	var zero V
+	for {
+		if err := ctx.Err(); err != nil {
+			return zero, err
+		}
+		t.mu.Lock()
+		if f, ok := t.m[key]; ok {
+			t.joins++
+			t.mu.Unlock()
+			select {
+			case <-f.done:
+			case <-ctx.Done():
+				return zero, ctx.Err()
+			}
+			if isContextErr(f.err) && ctx.Err() == nil {
+				continue // the filler was canceled before its run began
+			}
+			return f.val, f.err
+		}
+		f := &flight[V]{done: make(chan struct{})}
+		t.m[key] = f
+		t.inflight++
+		t.mu.Unlock()
+
+		t.run(f, key, fill)
+		return f.val, f.err
 	}
+}
+
+// run fills f and releases its waiters. f.done is closed via defer no
+// matter how the fill ends; error flights are evicted first.
+func (t *flights[K, V]) run(f *flight[V], key K, fill func() (V, error)) {
+	defer func() {
+		if p := recover(); p != nil {
+			f.err = fmt.Errorf("lab: run %v panicked: %v", key, p)
+		}
+		t.mu.Lock()
+		t.inflight--
+		if f.err != nil {
+			delete(t.m, key)
+		}
+		t.mu.Unlock()
+		close(f.done)
+	}()
+	f.val, f.err = fill()
 }
 
 // do is the internal spelling kept for the package's call sites.
@@ -277,13 +344,18 @@ func (c *Cache) do(j Job) (sim.Result, error) { return c.Do(j) }
 type Stats struct {
 	// Hits counts requests served from memory, including waits on
 	// in-flight runs. DiskHits counts memory misses served by the
-	// persistent store. Misses counts requests that had to simulate.
+	// persistent store. Misses counts simulations started. Repriced
+	// counts memory misses that took their timing record from another
+	// request's simulation (of an exact job differing only in node)
+	// instead of simulating, including waits on in-flight records.
 	// For a job list on a fresh in-memory cache,
-	// Hits+DiskHits+Misses == len(jobs) and DiskHits+Misses == the number
-	// of distinct keys, regardless of worker count.
+	// Hits+DiskHits+Misses+Repriced == len(jobs) and
+	// DiskHits+Misses+Repriced == the number of distinct keys, regardless
+	// of worker count.
 	Hits     uint64
 	DiskHits uint64
 	Misses   uint64
+	Repriced uint64
 	// InFlight is the number of computations currently running; Entries
 	// the number of memoized configurations.
 	InFlight int
@@ -295,11 +367,12 @@ func (c *Cache) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return Stats{
-		Hits:     c.hits,
+		Hits:     c.entries.joins,
 		DiskHits: c.diskHits,
 		Misses:   c.misses,
-		InFlight: c.inflight,
-		Entries:  len(c.entries),
+		Repriced: c.timings.joins,
+		InFlight: c.entries.inflight,
+		Entries:  len(c.entries.m),
 	}
 }
 
@@ -308,13 +381,13 @@ func (c *Cache) Stats() Stats {
 // check (the second pass over a warm store must report "0 sim runs").
 func (c *Cache) StatsLine() string {
 	s := c.Stats()
-	total := s.Hits + s.DiskHits + s.Misses
+	lookups := s.DiskHits + s.Misses + s.Repriced
 	diskPct := 0.0
-	if s.DiskHits+s.Misses > 0 {
-		diskPct = 100 * float64(s.DiskHits) / float64(s.DiskHits+s.Misses)
+	if lookups > 0 {
+		diskPct = 100 * float64(s.DiskHits) / float64(lookups)
 	}
-	line := fmt.Sprintf("store: %d requests, %d memory hits, %d disk hits, %d sim runs (%.1f%% disk)",
-		total, s.Hits, s.DiskHits, s.Misses, diskPct)
+	line := fmt.Sprintf("store: %d requests, %d memory hits, %d disk hits, %d sim runs (%.1f%% disk), %d repriced",
+		s.Hits+lookups, s.Hits, s.DiskHits, s.Misses, diskPct, s.Repriced)
 	if c.disk != nil {
 		entries, bytes := c.disk.Size()
 		line += fmt.Sprintf("; %d entries, %d bytes on disk", entries, bytes)
@@ -324,33 +397,18 @@ func (c *Cache) StatsLine() string {
 
 // Hits counts requests served from memory (including waits on in-flight
 // runs).
-func (c *Cache) Hits() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits
-}
+func (c *Cache) Hits() uint64 { return c.Stats().Hits }
 
-// Misses counts requests that had to simulate. Requests served by the
-// persistent store count as DiskHits, not misses.
-func (c *Cache) Misses() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.misses
-}
+// Misses counts simulations started. Requests served by the persistent
+// store count as DiskHits, and requests priced from a shared timing
+// record as Repriced, not misses.
+func (c *Cache) Misses() uint64 { return c.Stats().Misses }
 
 // DiskHits counts memory misses that were served by the persistent store.
-func (c *Cache) DiskHits() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.diskHits
-}
+func (c *Cache) DiskHits() uint64 { return c.Stats().DiskHits }
 
 // Len reports the number of cached configurations.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *Cache) Len() int { return c.Stats().Entries }
 
 // Options configures a batch run.
 type Options struct {

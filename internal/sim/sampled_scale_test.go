@@ -18,8 +18,9 @@ import (
 // The 5x claim is asserted on the deterministic detailed-work ratio
 // (instructions simulated in detail versus stream length) — wall-clock in
 // a shared CI container is too noisy to gate tightly, so elapsed time only
-// has to clear a generous 3x floor per cell; the measured speedups are
-// logged for the record.
+// has to clear a generous 3x floor per cell, each side timed as the best of
+// three interleaved repeats; the measured speedups are logged for the
+// record.
 func TestSampledScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("scale measurement runs without -short/-race")
@@ -44,22 +45,30 @@ func TestSampledScale(t *testing.T) {
 		if _, err := Run(cfg); err != nil { // prime snapshot + trace caches
 			t.Fatal(err)
 		}
-		start := time.Now()
-		exact, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		exactDur := time.Since(start)
-
 		scfg := cfg
 		// The shipped default schedule — the one -tier sampled runs.
 		scfg.Sampling = Sampling{Period: sample.DefaultPeriod}
-		start = time.Now()
-		sampled, err := Run(scfg)
-		if err != nil {
-			t.Fatal(err)
+		// Each side's time is the best of three interleaved repeats, so a
+		// burst of contention from other test processes cannot land on one
+		// side only.
+		var exact, sampled Result
+		var exactDur, sampledDur time.Duration
+		for rep := 0; rep < 3; rep++ {
+			var d time.Duration
+			var err error
+			if exact, d, err = timedRun(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if rep == 0 || d < exactDur {
+				exactDur = d
+			}
+			if sampled, d, err = timedRun(scfg); err != nil {
+				t.Fatal(err)
+			}
+			if rep == 0 || d < sampledDur {
+				sampledDur = d
+			}
 		}
-		sampledDur := time.Since(start)
 
 		st := sampled.Sampled
 		if st == nil || st.Windows < 3 {
@@ -92,4 +101,11 @@ func TestSampledScale(t *testing.T) {
 	if mean := sumEErr / n; mean > 3 {
 		t.Errorf("suite-mean |energy error| %.2f%% exceeds 3%%", mean)
 	}
+}
+
+// timedRun runs cfg and reports how long it took.
+func timedRun(cfg RunConfig) (Result, time.Duration, error) {
+	start := time.Now()
+	res, err := Run(cfg)
+	return res, time.Since(start), err
 }

@@ -150,32 +150,60 @@ func (r Result) Speedup(other Result) float64 {
 // initialization phase once and caches the result as a copy-on-write warm
 // snapshot; every later run — any architecture, boost, node or instruction
 // budget — clones the snapshot and replays the recorded warm observations
-// instead of re-executing initialization (see snapshot.go).
+// instead of re-executing initialization (see snapshot.go). An exact run
+// is Simulate followed by Price at its own node (see timing.go).
 func Run(cfg RunConfig) (Result, error) {
-	w, err := workload.Get(cfg.Workload)
+	cfg, err := cfg.normalize()
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Node == 0 {
-		cfg.Node = cacti.Node130
+	if !cfg.Sampling.Enabled() {
+		t, err := Simulate(cfg)
+		if err != nil {
+			return Result{}, err
+		}
+		return t.Price(cfg)
 	}
-	if err := cfg.normalizeFrontend(); err != nil {
-		return Result{}, err
+	var res Result
+	err = replay(cfg, func(w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) error {
+		res, err = runSampled(cfg, w, ws, stream)
+		return err
+	})
+	return res, err
+}
+
+// normalize fills cfg's defaults and rejects configurations that cannot
+// run.
+func (c RunConfig) normalize() (RunConfig, error) {
+	if c.Node == 0 {
+		c.Node = cacti.Node130
 	}
-	cfg.Sampling = cfg.Sampling.Normalize()
-	if err := cfg.Sampling.Validate(); err != nil {
-		return Result{}, err
+	if _, err := power.Tech(c.Node); err != nil {
+		return c, err
+	}
+	if err := c.normalizeFrontend(); err != nil {
+		return c, err
+	}
+	c.Sampling = c.Sampling.Normalize()
+	return c, c.Sampling.Validate()
+}
+
+// replay calls fn with the workload's measured instruction stream. The
+// stream comes from the trace cache: the first run of a workload records
+// the functional emulator's output while consuming it, later runs replay
+// the recording (see tracecache.go).
+func replay(cfg RunConfig, fn func(w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) error) error {
+	w, err := workload.Get(cfg.Workload)
+	if err != nil {
+		return err
 	}
 	ws, err := workloadSnapshot(w)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
-	// The instruction stream comes from the trace cache: the first run of a
-	// workload records the functional emulator's output while consuming it,
-	// later runs replay the recording (see tracecache.go).
 	stream, finish, err := acquireSource(w, ws, cfg.MaxInstructions)
 	if err != nil {
-		return Result{}, err
+		return err
 	}
 	// finish must run exactly once on every exit — including a panic in a
 	// timing core (the lab recovers panics into error results, so without
@@ -187,40 +215,28 @@ func Run(cfg RunConfig) (Result, error) {
 			finish(fmt.Errorf("sim %s/%s: run aborted", cfg.Workload, cfg.Arch))
 		}
 	}()
-	res, err := runStream(cfg, w, ws, stream)
+	err = fn(w, ws, stream)
 	finish(err)
 	finished = true
-	return res, err
+	return err
 }
 
-// runStream runs cfg's machine over the workload's instruction stream,
-// exact or sampled.
-func runStream(cfg RunConfig, w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) (Result, error) {
+// runSampled runs cfg's machine in sampled mode over the workload's
+// instruction stream: the core is fed through a gate that admits only the
+// detailed windows, and the runner fast-forwards the stream between them.
+func runSampled(cfg RunConfig, w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) (Result, error) {
 	tech, err := power.Tech(cfg.Node)
 	if err != nil {
 		return Result{}, err
 	}
-	// A sampled run feeds the core through a gate that admits only the
-	// detailed windows; the runner fast-forwards the stream between them.
-	src := stream
-	var gate *sample.Gate
-	if cfg.Sampling.Enabled() {
-		gate = sample.NewGate(stream)
-		src = gate
-	}
-	m, err := newMachine(cfg, cacti.BaselinePeriodPS(cfg.Node), src)
+	d, err := newDesign(cfg, cacti.BaselinePeriodPS(cfg.Node))
 	if err != nil {
 		return Result{}, err
 	}
-	// Functional warming: seed the core's caches and branch predictor with
-	// the initialization phase's recorded observations so measurement
-	// starts from realistic state (the paper fast-forwards 500M
-	// instructions).
-	if err := m.warm(ws, w); err != nil {
+	gate := sample.NewGate(stream)
+	m, err := d.warmed(gate, ws, w)
+	if err != nil {
 		return Result{}, err
-	}
-	if gate == nil {
-		return m.runExact(cfg, cfg.Workload, tech)
 	}
 	res, err := sampleLoop(cfg, stream, gate, m, tech)
 	if err != nil {
@@ -246,64 +262,83 @@ type machine struct {
 	marks func(ms []uint64, fn func(i int, c counters))
 }
 
-// newMachine builds the core cfg.Arch selects, clocked from period and fed
-// by src. It is the only place that dispatches on the architecture.
-func newMachine(cfg RunConfig, period int64, src pipe.InstSource) (*machine, error) {
+// design is one core's configuration, built but not yet instantiated: its
+// clock plan is known before any simulation state is allocated.
+type design struct {
+	plan  clockPlan
+	build func(src pipe.InstSource) *machine
+}
+
+// newDesign builds the configuration of the core cfg.Arch selects, clocked
+// from period. It is the only place that dispatches on the architecture.
+func newDesign(cfg RunConfig, period int64) (design, error) {
 	switch cfg.Arch {
 	case ArchBaseline:
 		bc := baselineConfig(cfg, period)
-		c := ooo.New(bc, src)
-		read := func(s ooo.Stats) counters {
-			return counters{Act: s.Activity(), Mispredicts: s.Mispredicts, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
-		}
-		return &machine{
-			shape: power.BaselineShape(),
-			warm: func(ws *warmSnapshot, w *workload.Workload) error {
-				return ws.warm(c.Warmer(), w, bc.Mem, bc.Branch)
-			},
-			warmer:   c.Warmer(),
-			resume:   func(uint64) bool { return c.Resume() },
-			run:      func() error { _, err := c.Run(); return err },
-			counters: func() counters { return read(c.StatsSnapshot()) },
-			marks: func(ms []uint64, fn func(int, counters)) {
-				c.SetMarks(ms, func(i int, s ooo.Stats) { fn(i, read(s)) })
-			},
-		}, nil
+		return design{plan: planOf(bc), build: func(src pipe.InstSource) *machine {
+			c := ooo.New(bc, src)
+			read := func(s ooo.Stats) counters {
+				return counters{Act: s.Activity(), Mispredicts: s.Mispredicts, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
+			}
+			return &machine{
+				shape: power.BaselineShape(),
+				warm: func(ws *warmSnapshot, w *workload.Workload) error {
+					return ws.warm(c.Warmer(), w, bc.Mem, bc.Branch)
+				},
+				warmer:   c.Warmer(),
+				resume:   func(uint64) bool { return c.Resume() },
+				run:      func() error { _, err := c.Run(); return err },
+				counters: func() counters { return read(c.StatsSnapshot()) },
+				marks: func(ms []uint64, fn func(int, counters)) {
+					c.SetMarks(ms, func(i int, s ooo.Stats) { fn(i, read(s)) })
+				},
+			}
+		}}, nil
 	case ArchFlywheel, ArchRegAlloc:
 		fc := flywheelConfig(cfg, period)
-		c := core.New(fc, src)
-		read := func(s core.Stats) counters {
-			return counters{Act: s.Activity(), ReplayPS: s.ReplayTimePS, Mispredicts: s.Mispredicts,
-				Divergences: s.Divergences, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
-		}
-		return &machine{
-			shape: power.FlywheelShape(),
-			warm: func(ws *warmSnapshot, w *workload.Workload) error {
-				return ws.warm(c.Warmer(), w, fc.Mem, fc.Branch)
-			},
-			warmer:   c.Warmer(),
-			resume:   c.Resume,
-			run:      func() error { _, err := c.Run(); return err },
-			counters: func() counters { return read(c.StatsSnapshot()) },
-			marks: func(ms []uint64, fn func(int, counters)) {
-				c.SetMarks(ms, func(i int, s core.Stats) { fn(i, read(s)) })
-			},
-		}, nil
+		return design{plan: planOf(fc), build: func(src pipe.InstSource) *machine {
+			c := core.New(fc, src)
+			read := func(s core.Stats) counters {
+				return counters{Act: s.Activity(), ReplayPS: s.ReplayTimePS, Mispredicts: s.Mispredicts,
+					Divergences: s.Divergences, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
+			}
+			return &machine{
+				shape: power.FlywheelShape(),
+				warm: func(ws *warmSnapshot, w *workload.Workload) error {
+					return ws.warm(c.Warmer(), w, fc.Mem, fc.Branch)
+				},
+				warmer:   c.Warmer(),
+				resume:   c.Resume,
+				run:      func() error { _, err := c.Run(); return err },
+				counters: func() counters { return read(c.StatsSnapshot()) },
+				marks: func(ms []uint64, fn func(int, counters)) {
+					c.SetMarks(ms, func(i int, s core.Stats) { fn(i, read(s)) })
+				},
+			}
+		}}, nil
 	}
-	return nil, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
+	return design{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
 }
 
-// runExact runs the machine to the end of its source and builds the
-// result from its final counters. name labels errors.
-func (m *machine) runExact(cfg RunConfig, name string, tech power.TechParams) (Result, error) {
-	if err := m.run(); err != nil {
-		return Result{}, fmt.Errorf("sim %s/%s: %w", name, cfg.Arch, err)
+// warmed builds the core over src and functionally warms it: the core's
+// caches and branch predictor are seeded with the initialization phase's
+// recorded observations so measurement starts from realistic state (the
+// paper fast-forwards 500M instructions).
+func (d design) warmed(src pipe.InstSource, ws *warmSnapshot, w *workload.Workload) (*machine, error) {
+	m := d.build(src)
+	if err := m.warm(ws, w); err != nil {
+		return nil, err
 	}
-	c := m.counters()
-	res := resultFrom(cfg, c)
-	rep := power.Compute(c.Act, m.shape, tech)
-	res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
-	return res, nil
+	return m, nil
+}
+
+// runExact runs the machine to the end of its source and returns its final
+// counters. name and arch label errors.
+func (m *machine) runExact(name string, arch Arch) (counters, error) {
+	if err := m.run(); err != nil {
+		return counters{}, fmt.Errorf("sim %s/%s: %w", name, arch, err)
+	}
+	return m.counters(), nil
 }
 
 func baselineConfig(cfg RunConfig, period int64) ooo.Config {
@@ -349,23 +384,21 @@ func RunSource(name, source string, cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	if cfg.Node == 0 {
-		cfg.Node = cacti.Node130
-	}
-	if err := cfg.normalizeFrontend(); err != nil {
-		return Result{}, err
-	}
 	if cfg.Sampling.Enabled() {
 		return Result{}, fmt.Errorf("sim: sampled execution needs the trace-cache path; RunSource is exact-only")
 	}
-	tech, err := power.Tech(cfg.Node)
+	cfg, err = cfg.normalize()
 	if err != nil {
 		return Result{}, err
 	}
-	stream := emu.NewStream(ws.machine(), cfg.MaxInstructions)
-	m, err := newMachine(cfg, cacti.BaselinePeriodPS(cfg.Node), stream)
+	d, err := newDesign(cfg, cacti.BaselinePeriodPS(cfg.Node))
 	if err != nil {
 		return Result{}, err
 	}
-	return m.runExact(cfg, name, tech)
+	m := d.build(emu.NewStream(ws.machine(), cfg.MaxInstructions))
+	c, err := m.runExact(name, cfg.Arch)
+	if err != nil {
+		return Result{}, err
+	}
+	return price(cfg, c, m.shape)
 }

@@ -1,0 +1,201 @@
+package sim
+
+import (
+	"fmt"
+	"reflect"
+	"strconv"
+	"strings"
+
+	"flywheel/internal/cacti"
+	"flywheel/internal/pipe"
+	"flywheel/internal/power"
+	"flywheel/internal/workload"
+)
+
+// Node-invariant timing. A technology node changes two things about an
+// exact run: the power model, and the picosecond length of every clock
+// period and memory latency. The cores count time in edges of their clock
+// domains and convert latencies to cycles by ratios of those quantities,
+// so two runs whose clock plans are equal up to a common scale retire the
+// same instructions on the same edges: their counter records are equal
+// except for the picosecond fields, which scale with the plan. An exact
+// run therefore splits into Simulate, which produces the node-independent
+// counter record, and Price, which turns a record into a Result at any node
+// that shares the record's timing.
+
+// TimingID identifies the cycle-level timing of an exact run: its
+// configuration without the node, plus its reduced clock plan. Runs with
+// equal identities share one Timing.
+type TimingID struct {
+	cfg  RunConfig // normalized, Node zero
+	plan string    // the clock plan divided by its grain
+}
+
+// String labels the identity for messages.
+func (id TimingID) String() string {
+	return fmt.Sprintf("%s/%s fe=%d be=%d n=%d fes=%d pws=%t pred=%s pf=%s plan=%s",
+		id.cfg.Workload, id.cfg.Arch, id.cfg.FEBoostPct, id.cfg.BEBoostPct, id.cfg.MaxInstructions,
+		id.cfg.ExtraFrontEndStages, id.cfg.PipelinedWakeupSelect, id.cfg.Predictor, id.cfg.Prefetcher, id.plan)
+}
+
+// Timing is the counter record of one exact run, before pricing at a node.
+type Timing struct {
+	id    TimingID
+	grain int64 // picoseconds per clock-plan unit in the simulated run
+	shape power.MachineShape
+	c     counters
+}
+
+// TimingOf returns the timing identity of the exact run cfg.
+func TimingOf(cfg RunConfig) (TimingID, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return TimingID{}, err
+	}
+	id, _, err := timingOf(cfg)
+	return id, err
+}
+
+// timingOf builds the normalized exact run cfg's design and identity.
+func timingOf(cfg RunConfig) (TimingID, design, error) {
+	if cfg.Sampling.Enabled() {
+		return TimingID{}, design{}, fmt.Errorf("sim %s/%s: a sampled run has no timing record", cfg.Workload, cfg.Arch)
+	}
+	d, err := newDesign(cfg, cacti.BaselinePeriodPS(cfg.Node))
+	if err != nil {
+		return TimingID{}, design{}, err
+	}
+	cfg.Node = 0
+	return TimingID{cfg: cfg, plan: d.plan.reduced}, d, nil
+}
+
+// Simulate runs the exact run cfg and returns its counter record, ready to
+// be priced at cfg's node or at any other node with the same TimingID.
+func Simulate(cfg RunConfig) (Timing, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return Timing{}, err
+	}
+	id, d, err := timingOf(cfg)
+	if err != nil {
+		return Timing{}, err
+	}
+	t := Timing{id: id, grain: d.plan.grain}
+	err = replay(cfg, func(w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) error {
+		m, err := d.warmed(stream, ws, w)
+		if err != nil {
+			return err
+		}
+		t.shape = m.shape
+		t.c, err = m.runExact(cfg.Workload, cfg.Arch)
+		return err
+	})
+	if err != nil {
+		return Timing{}, err
+	}
+	return t, nil
+}
+
+// Price returns the Result of the exact run cfg from t, which must carry
+// cfg's TimingID. The record's picosecond fields are rescaled from t's
+// grain to cfg's; every other counter carries over unchanged.
+func (t Timing) Price(cfg RunConfig) (Result, error) {
+	cfg, err := cfg.normalize()
+	if err != nil {
+		return Result{}, err
+	}
+	id, d, err := timingOf(cfg)
+	if err != nil {
+		return Result{}, err
+	}
+	if id != t.id {
+		return Result{}, fmt.Errorf("sim: timing record %v cannot price %v", t.id, id)
+	}
+	c := t.c
+	c.Act.TimePS = rescale(c.Act.TimePS, t.grain, d.plan.grain)
+	c.ReplayPS = rescale(c.ReplayPS, t.grain, d.plan.grain)
+	return price(cfg, c, t.shape)
+}
+
+// price builds cfg's Result from an exact run's final counters, with the
+// energy of the machine shape at cfg's node.
+func price(cfg RunConfig, c counters, shape power.MachineShape) (Result, error) {
+	tech, err := power.Tech(cfg.Node)
+	if err != nil {
+		return Result{}, err
+	}
+	res := resultFrom(cfg, c)
+	rep := power.Compute(c.Act, shape, tech)
+	res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
+	return res, nil
+}
+
+// rescale converts ps from a grain of from to a grain of to picoseconds.
+// Every simulated time is a whole number of grains, so the result is
+// exact; it is split so the product cannot overflow.
+func rescale(ps, from, to int64) int64 {
+	return ps/from*to + ps%from*to/from
+}
+
+// clockPlan is every period and picosecond latency of a built core
+// configuration, divided by their greatest common divisor, the grain. Two
+// configurations whose plans reduce alike clock the same cycle-level
+// schedule; only the picoseconds per grain differ.
+type clockPlan struct {
+	grain   int64
+	reduced string
+}
+
+// planOf reads the clock plan from a core configuration: by this
+// codebase's convention, every int64 field or method whose name ends in
+// "PS" (nested structs included). Reading the built configuration rather
+// than the node means a future absolute-time parameter can only make two
+// plans differ, never make two runs share a record they should not.
+func planOf(cfg any) clockPlan {
+	var ps []int64
+	collectPS(reflect.ValueOf(cfg), &ps)
+	var g int64
+	for _, v := range ps {
+		g = gcd(g, v)
+	}
+	if g == 0 {
+		g = 1
+	}
+	parts := make([]string, len(ps))
+	for i, v := range ps {
+		parts[i] = strconv.FormatInt(v/g, 10)
+	}
+	return clockPlan{grain: g, reduced: strings.Join(parts, ",")}
+}
+
+func collectPS(v reflect.Value, ps *[]int64) {
+	t := v.Type()
+	for i := range t.NumMethod() {
+		if !v.CanInterface() {
+			break // a method of an unexported field cannot be called
+		}
+		m := t.Method(i).Type
+		if strings.HasSuffix(t.Method(i).Name, "PS") && m.NumIn() == 1 && m.NumOut() == 1 && m.Out(0).Kind() == reflect.Int64 {
+			*ps = append(*ps, v.Method(i).Call(nil)[0].Int())
+		}
+	}
+	for i := range t.NumField() {
+		f := v.Field(i)
+		switch {
+		case f.Kind() == reflect.Struct:
+			collectPS(f, ps)
+		case f.Kind() == reflect.Int64 && strings.HasSuffix(t.Field(i).Name, "PS"):
+			*ps = append(*ps, f.Int())
+		}
+	}
+}
+
+func gcd(a, b int64) int64 {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	if a < 0 {
+		return -a
+	}
+	return a
+}

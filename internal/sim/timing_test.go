@@ -1,0 +1,165 @@
+package sim
+
+import (
+	"bytes"
+	"encoding/json"
+	"testing"
+
+	"flywheel/internal/cacti"
+	"flywheel/internal/workload"
+)
+
+// timingVariants are the machine configurations the node-invariance test
+// covers: the baseline and its Figure 2 variants, the Register Allocation
+// configuration, and the Flywheel at two clock ratios.
+var timingVariants = []struct {
+	name string
+	cfg  RunConfig
+}{
+	{"baseline", RunConfig{Arch: ArchBaseline}},
+	{"baseline+fes", RunConfig{Arch: ArchBaseline, ExtraFrontEndStages: 1}},
+	{"baseline+pws", RunConfig{Arch: ArchBaseline, PipelinedWakeupSelect: true}},
+	{"regalloc/fe0/be0", RunConfig{Arch: ArchRegAlloc}},
+	{"flywheel/fe100/be50", RunConfig{Arch: ArchFlywheel, FEBoostPct: 100, BEBoostPct: 50}},
+	{"flywheel/fe50/be50", RunConfig{Arch: ArchFlywheel, FEBoostPct: 50, BEBoostPct: 50}},
+}
+
+var timingNodes = []cacti.Node{cacti.Node130, cacti.Node90, cacti.Node60}
+
+// inGrains returns t's counter record with its picosecond fields in units
+// of t's grain, failing if a field is not a whole number of grains.
+func inGrains(t *testing.T, tm Timing) counters {
+	t.Helper()
+	c := tm.c
+	for _, ps := range []*int64{&c.Act.TimePS, &c.ReplayPS} {
+		if *ps%tm.grain != 0 {
+			t.Fatalf("%v: %d ps is not a whole number of %d ps grains", tm.id, *ps, tm.grain)
+		}
+		*ps /= tm.grain
+	}
+	return c
+}
+
+// TestTimingNodeInvariance: for every paper workload and machine variant
+// across the Figure 15 nodes, runs with equal timing identities have equal
+// counter records once the picosecond fields are scaled to a common grain,
+// and pricing a run's own record reproduces Run byte for byte.
+func TestTimingNodeInvariance(t *testing.T) {
+	const insts = 8_000
+	shared := map[string]int{}
+	for _, wl := range workload.Names() {
+		for _, v := range timingVariants {
+			var recs []Timing
+			for _, node := range timingNodes {
+				cfg := v.cfg
+				cfg.Workload, cfg.Node, cfg.MaxInstructions = wl, node, insts
+				tm, err := Simulate(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if id, err := TimingOf(cfg); err != nil || id != tm.id {
+					t.Fatalf("%s/%s@%v: TimingOf = %v, %v; Simulate recorded %v", wl, v.name, node, id, err, tm.id)
+				}
+				priced, err := tm.Price(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				run, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pj, _ := json.Marshal(priced)
+				rj, _ := json.Marshal(run)
+				if !bytes.Equal(pj, rj) {
+					t.Fatalf("%s/%s@%v: pricing the run's own record differs from Run:\n price %s\n run   %s", wl, v.name, node, pj, rj)
+				}
+				for k, prev := range recs {
+					if prev.id != tm.id {
+						continue
+					}
+					shared[v.name+"@"+node.String()]++
+					if inGrains(t, prev) != inGrains(t, tm) || prev.shape != tm.shape {
+						t.Errorf("%s/%s: %v and %v share a timing identity but their records differ",
+							wl, v.name, timingNodes[k], node)
+					}
+				}
+				recs = append(recs, tm)
+			}
+		}
+	}
+	// The baseline and regalloc variants share across all three nodes (at
+	// 60 nm with both 130 and 90 nm). The Flywheel variants share between
+	// 130 and 60 nm only: their 90 nm back-end periods round (434 ps =
+	// 652 ps / 1.5).
+	n := len(workload.Names())
+	want := map[string]int{
+		"baseline@0.09um": n, "baseline@0.06um": 2 * n,
+		"baseline+fes@0.09um": n, "baseline+fes@0.06um": 2 * n,
+		"baseline+pws@0.09um": n, "baseline+pws@0.06um": 2 * n,
+		"regalloc/fe0/be0@0.09um": n, "regalloc/fe0/be0@0.06um": 2 * n,
+		"flywheel/fe100/be50@0.06um": n,
+		"flywheel/fe50/be50@0.06um":  n,
+	}
+	for k, w := range want {
+		if shared[k] != w {
+			t.Errorf("%s: %d shared records, want %d", k, shared[k], w)
+		}
+	}
+	if len(shared) != len(want) {
+		t.Errorf("shared records %v, want exactly %v", shared, want)
+	}
+}
+
+// TestTimingPlanRounding pins the case the reduced plan exists for: the
+// Flywheel at (FE+100%, BE+50%) shares its timing between 130 and 60 nm,
+// whose periods are both (6, 3, 4) grains, but not with 90 nm, whose
+// 434 ps back-end period is 652 ps / 1.5 rounded down.
+func TestTimingPlanRounding(t *testing.T) {
+	id := func(node cacti.Node) TimingID {
+		t.Helper()
+		id, err := TimingOf(RunConfig{Workload: "gcc", Arch: ArchFlywheel, Node: node, FEBoostPct: 100, BEBoostPct: 50})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	if id(cacti.Node90) == id(cacti.Node130) {
+		t.Errorf("90 nm shares the 130 nm timing: %v", id(cacti.Node90))
+	}
+	if id(cacti.Node60) != id(cacti.Node130) {
+		t.Errorf("60 nm %v does not share the 130 nm timing %v", id(cacti.Node60), id(cacti.Node130))
+	}
+	cfg := RunConfig{Arch: ArchFlywheel, FEBoostPct: 100, BEBoostPct: 50}
+	for _, c := range []struct {
+		node  cacti.Node
+		grain int64
+		plan  string
+	}{
+		// Order: back-end and front-end periods, base period, memory latency.
+		{cacti.Node130, 139, "4,3,6,600"},
+		{cacti.Node90, 2, "217,163,326,32600"},
+		{cacti.Node60, 86, "4,3,6,600"},
+	} {
+		d, err := newDesign(cfg, cacti.BaselinePeriodPS(c.node))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.plan.grain != c.grain || d.plan.reduced != c.plan {
+			t.Errorf("%v: plan %+v, want grain %d plan %s", c.node, d.plan, c.grain, c.plan)
+		}
+	}
+}
+
+// TestPriceRejectsForeignRecord: a record prices only runs with its own
+// timing identity.
+func TestPriceRejectsForeignRecord(t *testing.T) {
+	cfg := RunConfig{Workload: "gcc", Arch: ArchFlywheel, FEBoostPct: 100, BEBoostPct: 50, MaxInstructions: 2_000}
+	tm, err := Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Node = cacti.Node90
+	if _, err := tm.Price(cfg); err == nil {
+		t.Fatal("a 130 nm record priced the rounded 90 nm plan")
+	}
+}
