@@ -228,3 +228,26 @@ func TestRunRejectsBadSamplingSchedule(t *testing.T) {
 		t.Fatalf("exit %d, want 2 (stderr: %s)", code, errb.String())
 	}
 }
+
+// TestRunSampledRegAllocSharesTimings: the Register Allocation machine has
+// no fast back-end clock, so its sampled cells at BE 0/50/100 share one
+// timing record per (profile, FE) and price the other two from it: 2
+// baselines and 4 regalloc records simulate, the other 8 cells reprice.
+func TestRunSampledRegAllocSharesTimings(t *testing.T) {
+	args := []string{
+		"-ilp", "2,4", "-entropy", "0", "-arch", "regalloc", "-fe", "0,50", "-be", "0,50,100",
+		"-tier", "sampled", "-n", "100000", "-storestats", "-csv",
+	}
+	var out, errb bytes.Buffer
+	if code := run(args, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	want := "14 requests, 0 memory hits, 0 disk hits, 6 sim runs (0.0% disk), 8 repriced"
+	if !strings.Contains(errb.String(), want) {
+		t.Errorf("stderr lacks %q:\n%s", want, errb.String())
+	}
+	// 2 profiles × 2 FE × 3 BE = 12 data rows.
+	if lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n"); len(lines) != 13 {
+		t.Errorf("CSV has %d lines, want 13", len(lines))
+	}
+}

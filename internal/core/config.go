@@ -53,7 +53,7 @@ type Config struct {
 	// baseline clock (period halves).
 	FEBoostPct int
 	// BEBoostPct speeds up the back-end in trace-execution mode: 50 means
-	// 1.5x the baseline clock.
+	// 1.5x the baseline clock. Without the EC it has no effect.
 	BEBoostPct int
 
 	// ECEnabled false gives the "Register Allocation" configuration of
@@ -124,7 +124,13 @@ func (c Config) FEPeriodPS() int64 {
 	return c.BasePeriodPS * 100 / int64(100+c.FEBoostPct)
 }
 
-// BEFastPeriodPS returns the trace-execution back-end clock period.
+// BEFastPeriodPS returns the trace-execution back-end clock period. A
+// machine without the Execution Cache never enters trace-execution mode,
+// so it has no fast clock: its back-end always runs at the base period and
+// BEBoostPct is never read.
 func (c Config) BEFastPeriodPS() int64 {
+	if !c.ECEnabled {
+		return c.BasePeriodPS
+	}
 	return c.BasePeriodPS * 100 / int64(100+c.BEBoostPct)
 }

@@ -274,3 +274,60 @@ func TestFlywheelECDisabledNeverGatesFE(t *testing.T) {
 		t.Errorf("mode switched %d times with EC disabled", stats.ModeSwitches)
 	}
 }
+
+// recordedSource replays a recorded instruction stream.
+type recordedSource struct {
+	recs []emu.Trace
+	next int
+}
+
+func (s *recordedSource) Next() (emu.Trace, bool) {
+	if s.next == len(s.recs) {
+		return emu.Trace{}, false
+	}
+	s.next++
+	return s.recs[s.next-1], true
+}
+
+// TestRegAllocIgnoresBEBoost: without the Execution Cache the machine
+// never enters trace-execution mode, so it has no fast back-end clock. Its
+// BEFastPeriodPS is the base period at any BEBoostPct, and a Register
+// Allocation core run over one recorded stream reports identical Stats at
+// BE+0% and BE+100%.
+func TestRegAllocIgnoresBEBoost(t *testing.T) {
+	cfg := testConfig()
+	cfg.ECEnabled = false
+	cfg.FEBoostPct = 50
+	for _, be := range []int{0, 50, 100, 250} {
+		cfg.BEBoostPct = be
+		if got := cfg.BEFastPeriodPS(); got != cfg.BasePeriodPS {
+			t.Errorf("BE+%d%%: BEFastPeriodPS %d, want the base period %d", be, got, cfg.BasePeriodPS)
+		}
+	}
+	p, err := asm.Assemble("test.s", loopSrc(3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []emu.Trace
+	for s := emu.NewStream(emu.New(p), 0); ; {
+		tr, ok := s.Next()
+		if !ok {
+			break
+		}
+		recs = append(recs, tr)
+	}
+	var stats [2]Stats
+	for i, be := range []int{0, 100} {
+		cfg.BEBoostPct = be
+		stats[i], err = New(cfg, &recordedSource{recs: recs}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if stats[0].Retired != uint64(len(recs)) {
+		t.Fatalf("retired %d of %d recorded instructions", stats[0].Retired, len(recs))
+	}
+	if stats[0] != stats[1] {
+		t.Errorf("BE+0%% and BE+100%% differ:\n be0   %+v\n be100 %+v", stats[0], stats[1])
+	}
+}

@@ -4,11 +4,11 @@
 // list across a worker pool sized to the machine and memoizes results by a
 // canonical configuration key: the many experiments that share a
 // configuration (e.g. the baseline column repeated across Figures 11-14)
-// simulate exactly once, and exact runs that differ only in node share one
-// timing simulation where their clock plans scale alike (see Cache).
-// Results always come back in job order, independent
-// of completion order and worker count, so a sweep renders byte-identically
-// whether it ran on one core or sixty-four.
+// simulate exactly once, and runs that differ only in node or in a boost
+// their machine absorbs share one timing simulation where their clock
+// plans scale alike (see Cache). Results always come back in job order,
+// independent of completion order and worker count, so a sweep renders
+// byte-identically whether it ran on one core or sixty-four.
 package lab
 
 import (
@@ -122,13 +122,16 @@ func (j Job) Config() sim.RunConfig {
 // memory misses consult the disk store before simulating, and fresh
 // results are written through, so the memoization survives process death.
 //
-// Beside its results the cache keeps the timing records of the exact runs
-// it simulated (sim.Timing). Exact jobs that differ only in technology
-// node often share one cycle-level timing — the node changes the power
-// model and the picosecond length of the clock plan, and whenever two
-// plans are equal up to a common scale the cores tick alike. Such a job
-// is priced from the shared record instead of simulated again. Sampled
-// jobs bypass the records. The records live exactly as long as the cache.
+// Beside its results the cache keeps the timing records of the runs it
+// simulated (sim.Timing), and every job, exact or sampled, gets its result
+// by pricing one. Jobs that differ only in technology node or in a clock
+// boost often share one cycle-level timing — the node changes the power
+// model and the picosecond length of the clock plan, the boosts change
+// periods the plan already carries (or, for the back-end boost of a
+// machine without the Execution Cache, nothing at all), and whenever two
+// plans are equal up to a common scale the cores tick alike. Such a job is
+// priced from the shared record instead of simulated again. The records
+// live exactly as long as the cache.
 //
 // Failed runs are never cached beyond their own flight: the waiters that
 // piled onto an in-flight run all receive its error, but the entry is
@@ -148,8 +151,8 @@ type Cache struct {
 	disk *store.Store
 	// run, when set, simulates every job whole and bypasses the timing
 	// records; tests substitute it to inject failures and panics, or set
-	// it to sim.Run for an unshared reference. simulate produces an exact
-	// job's timing record.
+	// it to sim.Run for an unshared reference. simulate produces a job's
+	// timing record.
 	run      func(sim.RunConfig) (sim.Result, error)
 	simulate func(sim.RunConfig) (sim.Timing, error)
 }
@@ -223,17 +226,14 @@ func (c *Cache) fill(ctx context.Context, key string, j Job) (sim.Result, error)
 	return res, err
 }
 
-// compute runs cfg, or prices it from the timing record it shares with
-// an exact job the cache has already simulated.
+// compute prices cfg from its timing record, simulating the record first
+// unless another job that shares it already has.
 func (c *Cache) compute(ctx context.Context, key string, cfg sim.RunConfig) (sim.Result, error) {
-	if c.run != nil || cfg.Sampling.Enabled() {
+	if c.run != nil {
 		if err := c.start(ctx, key); err != nil {
 			return sim.Result{}, err
 		}
-		if c.run != nil {
-			return c.run(cfg)
-		}
-		return sim.Run(cfg)
+		return c.run(cfg)
 	}
 	id, err := sim.TimingOf(cfg)
 	if err != nil {
@@ -346,8 +346,9 @@ type Stats struct {
 	// in-flight runs. DiskHits counts memory misses served by the
 	// persistent store. Misses counts simulations started. Repriced
 	// counts memory misses that took their timing record from another
-	// request's simulation (of an exact job differing only in node)
-	// instead of simulating, including waits on in-flight records.
+	// request's simulation (of a job differing only in node or in a boost
+	// its machine's clock plan absorbs) instead of simulating, including
+	// waits on in-flight records.
 	// For a job list on a fresh in-memory cache,
 	// Hits+DiskHits+Misses+Repriced == len(jobs) and
 	// DiskHits+Misses+Repriced == the number of distinct keys, regardless
@@ -426,9 +427,12 @@ type Options struct {
 
 // Run executes the jobs on a worker pool and returns their results in job
 // order. Identical jobs — within the list or against a shared cache from
-// earlier calls — simulate exactly once. If any job fails, Run finishes the
-// batch and returns the error of the lowest-indexed failing job, so the
-// error too is deterministic under concurrency.
+// earlier calls — simulate exactly once, and jobs that share a timing
+// record simulate it once (see Cache). The workers take the first job of
+// each distinct timing before any job that repeats one (see
+// dispatchOrder). If any job fails, Run finishes the batch and returns the
+// error of the lowest-indexed failing job, so the error too is
+// deterministic under concurrency.
 func Run(jobs []Job, opt Options) ([]sim.Result, error) {
 	results := make([]sim.Result, len(jobs))
 	if len(jobs) == 0 {
@@ -466,7 +470,7 @@ func Run(jobs []Job, opt Options) ([]sim.Result, error) {
 			}
 		}()
 	}
-	for i := range jobs {
+	for _, i := range dispatchOrder(jobs) {
 		idx <- i
 	}
 	close(idx)
@@ -478,4 +482,28 @@ func Run(jobs []Job, opt Options) ([]sim.Result, error) {
 		}
 	}
 	return results, nil
+}
+
+// dispatchOrder lists the job indices with the first job of each distinct
+// timing identity ahead of every job that repeats one, each group in job
+// order. A repeat is only pricing once its record exists; dispatched next
+// to the job it shares a record with, it would hold a worker waiting on
+// that simulation while jobs with timings of their own queue behind it.
+// Jobs whose identity cannot be formed go first: they fail fast.
+func dispatchOrder(jobs []Job) []int {
+	seen := make(map[sim.TimingID]bool, len(jobs))
+	order := make([]int, 0, len(jobs))
+	var repeats []int
+	for i, j := range jobs {
+		id, err := sim.TimingOf(j.Config())
+		if err == nil && seen[id] {
+			repeats = append(repeats, i)
+			continue
+		}
+		if err == nil {
+			seen[id] = true
+		}
+		order = append(order, i)
+	}
+	return append(order, repeats...)
 }

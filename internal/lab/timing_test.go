@@ -1,8 +1,9 @@
 package lab
 
-// Tests for the cache's timing records: exact jobs that differ only in
-// node share one simulation, priced per node; the records follow the same
-// failure, panic and cancellation rules as the result entries.
+// Tests for the cache's timing records: jobs that differ only in node, or
+// in a boost their machine's clock plan absorbs, share one simulation,
+// priced per job; the records follow the same failure, panic and
+// cancellation rules as the result entries.
 
 import (
 	"bytes"
@@ -44,12 +45,12 @@ func countingSimulate(calls *atomic.Int64) func(sim.RunConfig) (sim.Timing, erro
 	}
 }
 
-// TestTimingRecordsPriceNodeVariants: per workload the baseline simulates
-// once for all three nodes and the Flywheel twice (its 90 nm plan rounds),
-// at any worker count, and every result is JSON-identical to a cache that
-// simulates every job whole with sim.Run.
-func TestTimingRecordsPriceNodeVariants(t *testing.T) {
-	jobs := nodeJobs("gzip", "vpr")
+// checkSharing runs jobs on a fresh cache at each worker count and fails
+// unless the cache ran misses timing simulations and repriced the other
+// jobs, and every result is JSON-identical to a cache that simulates every
+// job whole with sim.Run.
+func checkSharing(t *testing.T, jobs []Job, misses uint64, workerCounts ...int) {
+	t.Helper()
 	ref := NewCache()
 	ref.run = sim.Run
 	want, err := Run(jobs, Options{Workers: 2, Cache: ref})
@@ -59,7 +60,8 @@ func TestTimingRecordsPriceNodeVariants(t *testing.T) {
 	if s := ref.Stats(); s.Misses != uint64(len(jobs)) || s.Repriced != 0 {
 		t.Fatalf("reference cache stats %+v, want every job simulated", s)
 	}
-	for _, workers := range []int{1, 4} {
+	repriced := uint64(len(jobs)) - misses
+	for _, workers := range workerCounts {
 		c := NewCache()
 		var calls atomic.Int64
 		c.simulate = countingSimulate(&calls)
@@ -67,9 +69,9 @@ func TestTimingRecordsPriceNodeVariants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := c.Stats()
-		if s.Misses != 6 || s.Repriced != 6 || s.Hits != 0 || calls.Load() != 6 {
-			t.Errorf("workers %d: stats %+v after %d simulations, want 6 misses and 6 repriced", workers, s, calls.Load())
+		if s := c.Stats(); s.Misses != misses || s.Repriced != repriced || s.Hits != 0 || calls.Load() != int64(misses) {
+			t.Errorf("workers %d: stats %+v after %d simulations, want %d misses and %d repriced",
+				workers, s, calls.Load(), misses, repriced)
 		}
 		for i := range jobs {
 			g, _ := json.Marshal(got[i])
@@ -81,23 +83,66 @@ func TestTimingRecordsPriceNodeVariants(t *testing.T) {
 	}
 }
 
-// TestSampledJobsBypassTimingRecords: sampled results are estimates from
-// their own windows, so a sampled job always simulates whole.
-func TestSampledJobsBypassTimingRecords(t *testing.T) {
-	c := NewCache()
-	var calls atomic.Int64
-	c.simulate = countingSimulate(&calls)
+// TestTimingRecordsPriceNodeVariants: per workload the baseline simulates
+// once for all three nodes and the Flywheel twice (its 90 nm plan rounds),
+// at any worker count.
+func TestTimingRecordsPriceNodeVariants(t *testing.T) {
+	checkSharing(t, nodeJobs("gzip", "vpr"), 6, 1, 4)
+}
+
+// TestSampledJobsShareTimingRecords: a sampled record prices every job
+// that shares its timing. The sampled Flywheel shares between 130 and
+// 60 nm, and the Register Allocation machine, which has no fast back-end
+// clock, between BE+0% and BE+100%.
+func TestSampledJobsShareTimingRecords(t *testing.T) {
 	samp := sim.Sampling{Period: 4_000, WindowInsts: 1_000, WarmupInsts: 500}
 	var jobs []Job
 	for _, node := range []cacti.Node{cacti.Node130, cacti.Node60} {
 		jobs = append(jobs, Job{Workload: "gcc", Arch: sim.ArchFlywheel, Node: node,
 			FEBoostPct: 100, BEBoostPct: 50, MaxInstructions: 20_000, Sampling: samp})
 	}
-	if _, err := Run(jobs, Options{Workers: 1, Cache: c}); err != nil {
+	for _, be := range []int{0, 100} {
+		jobs = append(jobs, Job{Workload: "gcc", Arch: sim.ArchRegAlloc, BEBoostPct: be,
+			MaxInstructions: 20_000, Sampling: samp})
+	}
+	checkSharing(t, jobs, 2, 1, 2)
+}
+
+// TestRunDispatchesDistinctTimingsFirst: with two workers and jobs
+// [A, A', B], where A' shares A's timing, the workers take A and B first.
+// A's simulation waits for B's to start; dispatched in job order, A'
+// would occupy the second worker waiting on A and B would never start.
+func TestRunDispatchesDistinctTimingsFirst(t *testing.T) {
+	a := Job{Workload: "gcc", Arch: sim.ArchBaseline, Node: cacti.Node130, MaxInstructions: testBudget}
+	a2 := a
+	a2.Node = cacti.Node60
+	b := Job{Workload: "gcc", Arch: sim.ArchFlywheel, MaxInstructions: testBudget}
+	c := NewCache()
+	bStarted := make(chan struct{})
+	c.simulate = func(cfg sim.RunConfig) (sim.Timing, error) {
+		switch cfg.Arch {
+		case sim.ArchBaseline:
+			select {
+			case <-bStarted:
+			case <-time.After(5 * time.Second):
+				return sim.Timing{}, errors.New("B's simulation never started while A's ran")
+			}
+		case sim.ArchFlywheel:
+			close(bStarted)
+		}
+		return sim.Simulate(cfg)
+	}
+	res, err := Run([]Job{a, a2, b}, Options{Workers: 2, Cache: c})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if s := c.Stats(); s.Misses != 2 || s.Repriced != 0 || calls.Load() != 0 {
-		t.Fatalf("stats %+v after %d timing simulations, want 2 whole runs", s, calls.Load())
+	for i, j := range []Job{a, a2, b} {
+		if res[i].Config != j.Config() {
+			t.Errorf("result %d is for %+v, want %+v", i, res[i].Config, j.Config())
+		}
+	}
+	if s := c.Stats(); s.Misses != 2 || s.Repriced != 1 {
+		t.Errorf("stats %+v, want 2 misses and 1 repriced", s)
 	}
 }
 

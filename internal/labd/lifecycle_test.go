@@ -105,9 +105,12 @@ func TestSweepClientDisconnectStopsSimulations(t *testing.T) {
 func TestSweepDisconnectCountsDroppedReply(t *testing.T) {
 	ts, client := startServer(t, lab.NewCache())
 
+	// Distinct slow jobs. The baseline has no front-end boost, so its
+	// boost variants would share one timing record and finish at once;
+	// the Flywheel simulates each boost anew.
 	jobs := make([]lab.Job, 12)
 	for i := range jobs {
-		jobs[i] = lab.Job{Workload: "gcc", FEBoostPct: i, MaxInstructions: 150000}
+		jobs[i] = lab.Job{Workload: "gcc", Arch: sim.ArchFlywheel, FEBoostPct: i, MaxInstructions: 150000}
 	}
 	body, err := jsonBody(labd.SweepRequest{Jobs: jobs, Workers: 1})
 	if err != nil {

@@ -27,16 +27,14 @@ type SampledStats struct {
 	EnergyRelCI95 float64 `json:"energy_rel_ci95"`
 }
 
-// sampleLoop drives the alternation and aggregates the estimates.
-func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, m *machine, tech power.TechParams) (Result, error) {
-	sp := cfg.Sampling
+// sampleLoop drives the alternation and records each complete window's
+// measurement delta, the final stream position and the detailed count
+// into t.
+func sampleLoop(sp Sampling, stream pipe.InstSource, gate *sample.Gate, m *machine, t *Timing) error {
 	span := sp.Span()
 	pos := uint64(0)         // stream position: records delivered or fast-forwarded
 	detailed := uint64(0)    // records run through the timing core
 	nextStart := sp.Offset() // stream position where the next detailed span begins
-	var acc sample.Accumulator
-	var total counters // summed per-window measurement deltas
-	var sumEnergyPJ, sumLeakPJ float64
 
 	// Bootstrap: run the first sample.BootstrapInsts of the stream in
 	// detail, unmeasured, before the periodic schedule starts. The
@@ -49,13 +47,13 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, m *mac
 	boot := uint64(sample.BootstrapInsts)
 	gate.Open(boot)
 	if err := m.run(); err != nil {
-		return Result{}, err
+		return err
 	}
 	delivered := gate.TakeDelivered()
 	pos += delivered
 	detailed += delivered
 	if delivered < boot {
-		return Result{}, fmt.Errorf("sampling: stream ended inside the %d-instruction bootstrap (%d delivered)", boot, delivered)
+		return fmt.Errorf("sampling: stream ended inside the %d-instruction bootstrap (%d delivered)", boot, delivered)
 	}
 	// Windows the bootstrap already covered are dropped from the schedule
 	// (their span was simulated, but mid-bootstrap snapshots were not taken).
@@ -85,7 +83,7 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, m *mac
 		)
 		gate.Open(span)
 		if err := m.run(); err != nil {
-			return Result{}, err
+			return err
 		}
 		delivered := gate.TakeDelivered()
 		pos += delivered
@@ -97,29 +95,47 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, m *mac
 		if !got[0] || !got[1] {
 			continue // truncated before the measurement completed: discard
 		}
-		d := diff(mk[1], mk[0])
+		t.windows = append(t.windows, diff(mk[1], mk[0]))
+	}
+	if len(t.windows) == 0 {
+		return fmt.Errorf("sampling produced no complete windows (period %d, window span %d, stream ended at %d instructions)",
+			sp.Period, span, pos)
+	}
+	t.pos, t.detailed = pos, detailed
+	return nil
+}
+
+// estimate prices a sampled record at cfg's node, whose clock plan has a
+// grain of grain picoseconds: each window's energy, feeding the estimator
+// in stream order, then the estimates extrapolated to the whole stream.
+func (t Timing) estimate(cfg RunConfig, grain int64) (Result, error) {
+	tech, err := power.Tech(cfg.Node)
+	if err != nil {
+		return Result{}, err
+	}
+	var acc sample.Accumulator
+	var total counters // summed per-window measurement deltas
+	var sumEnergyPJ, sumLeakPJ float64
+	for _, w := range t.windows {
+		d := t.rescaled(w, grain)
 		// The power model is linear in the activity record, so the energy
 		// of a window is exactly the energy of its activity delta.
-		rep := power.Compute(d.Act, m.shape, tech)
+		rep := power.Compute(d.Act, t.shape, tech)
 		acc.Observe(sample.Obs{Insts: d.Act.Retires, Cycles: d.Act.BECycles, TimePS: d.Act.TimePS, EnergyPJ: rep.TotalPJ})
 		sumEnergyPJ += rep.TotalPJ
 		sumLeakPJ += rep.TotalPJ * rep.LeakageFrac
 		total = sum(total, d)
 	}
-	if acc.Windows() == 0 {
-		return Result{}, fmt.Errorf("sampling produced no complete windows (period %d, window span %d, stream ended at %d instructions)",
-			sp.Period, span, pos)
-	}
 
 	est := acc.Estimate()
-	n := float64(pos)
+	n := float64(t.pos)
 	scale := n / float64(est.MeasuredInsts)
 	// Ratios (accuracy, coverage, hit rates, residency) come straight from
 	// the summed measurement-window counters; time, cycles and energy are
 	// the per-instruction estimates scaled to the whole stream, and volume
 	// counters extrapolate from the measured fraction.
 	res := resultFrom(cfg, total)
-	res.Retired = pos
+	res.Retired = t.pos
 	res.Cycles = uint64(est.CPI*n + 0.5)
 	res.TimePS = int64(est.TPI*n + 0.5)
 	if est.CPI > 0 {
@@ -139,8 +155,8 @@ func sampleLoop(cfg RunConfig, stream pipe.InstSource, gate *sample.Gate, m *mac
 	res.Sampled = &SampledStats{
 		Windows:       est.Windows,
 		MeasuredInsts: est.MeasuredInsts,
-		TotalInsts:    pos,
-		SkippedInsts:  pos - detailed,
+		TotalInsts:    t.pos,
+		SkippedInsts:  t.pos - t.detailed,
 		IPCRelCI95:    sample.RelCI95(est.CPI, est.CPIErr),
 		TimeRelCI95:   sample.RelCI95(est.TPI, est.TPIErr),
 		EnergyRelCI95: sample.RelCI95(est.EPI, est.EPIErr),

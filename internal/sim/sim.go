@@ -17,7 +17,6 @@ import (
 	"flywheel/internal/ooo"
 	"flywheel/internal/pipe"
 	"flywheel/internal/power"
-	"flywheel/internal/sample"
 	"flywheel/internal/workload"
 )
 
@@ -150,26 +149,15 @@ func (r Result) Speedup(other Result) float64 {
 // initialization phase once and caches the result as a copy-on-write warm
 // snapshot; every later run — any architecture, boost, node or instruction
 // budget — clones the snapshot and replays the recorded warm observations
-// instead of re-executing initialization (see snapshot.go). An exact run
-// is Simulate followed by Price at its own node (see timing.go).
+// instead of re-executing initialization (see snapshot.go). A run, exact
+// or sampled, is Simulate followed by Price at its own node (see
+// timing.go).
 func Run(cfg RunConfig) (Result, error) {
-	cfg, err := cfg.normalize()
+	t, err := Simulate(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	if !cfg.Sampling.Enabled() {
-		t, err := Simulate(cfg)
-		if err != nil {
-			return Result{}, err
-		}
-		return t.Price(cfg)
-	}
-	var res Result
-	err = replay(cfg, func(w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) error {
-		res, err = runSampled(cfg, w, ws, stream)
-		return err
-	})
-	return res, err
+	return t.Price(cfg)
 }
 
 // normalize fills cfg's defaults and rejects configurations that cannot
@@ -219,30 +207,6 @@ func replay(cfg RunConfig, fn func(w *workload.Workload, ws *warmSnapshot, strea
 	finish(err)
 	finished = true
 	return err
-}
-
-// runSampled runs cfg's machine in sampled mode over the workload's
-// instruction stream: the core is fed through a gate that admits only the
-// detailed windows, and the runner fast-forwards the stream between them.
-func runSampled(cfg RunConfig, w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) (Result, error) {
-	tech, err := power.Tech(cfg.Node)
-	if err != nil {
-		return Result{}, err
-	}
-	d, err := newDesign(cfg, cacti.BaselinePeriodPS(cfg.Node))
-	if err != nil {
-		return Result{}, err
-	}
-	gate := sample.NewGate(stream)
-	m, err := d.warmed(gate, ws, w)
-	if err != nil {
-		return Result{}, err
-	}
-	res, err := sampleLoop(cfg, stream, gate, m, tech)
-	if err != nil {
-		return Result{}, fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
-	}
-	return res, nil
 }
 
 // machine adapts one timing core to the runners. A sampled run keeps one

@@ -9,44 +9,60 @@ import (
 	"flywheel/internal/cacti"
 	"flywheel/internal/pipe"
 	"flywheel/internal/power"
+	"flywheel/internal/sample"
 	"flywheel/internal/workload"
 )
 
-// Node-invariant timing. A technology node changes two things about an
-// exact run: the power model, and the picosecond length of every clock
-// period and memory latency. The cores count time in edges of their clock
-// domains and convert latencies to cycles by ratios of those quantities,
-// so two runs whose clock plans are equal up to a common scale retire the
-// same instructions on the same edges: their counter records are equal
-// except for the picosecond fields, which scale with the plan. An exact
-// run therefore splits into Simulate, which produces the node-independent
-// counter record, and Price, which turns a record into a Result at any node
-// that shares the record's timing.
+// Shared timing records. A technology node changes two things about a
+// run: the power model, and the picosecond length of every clock period
+// and memory latency. The cores count time in edges of their clock domains
+// and convert latencies to cycles by ratios of those quantities, so two
+// runs whose clock plans are equal up to a common scale retire the same
+// instructions on the same edges: their counter records are equal except
+// for the picosecond fields, which scale with the plan. The same holds
+// across the boost percentages, which the cores read only through the
+// periods they set. A run therefore splits into Simulate, which produces
+// the node-independent timing record, and Price, which turns a record into
+// a Result at any node and boost that shares the record's timing.
 
-// TimingID identifies the cycle-level timing of an exact run: its
-// configuration without the node, plus its reduced clock plan. Runs with
-// equal identities share one Timing.
+// TimingID identifies the cycle-level timing of a run: its configuration
+// without the node and the boost percentages, plus its reduced clock plan,
+// which carries every period the node and the boosts set. Runs with equal
+// identities share one Timing.
 type TimingID struct {
-	cfg  RunConfig // normalized, Node zero
+	cfg  RunConfig // normalized; Node, FEBoostPct and BEBoostPct zero
 	plan string    // the clock plan divided by its grain
 }
 
 // String labels the identity for messages.
 func (id TimingID) String() string {
-	return fmt.Sprintf("%s/%s fe=%d be=%d n=%d fes=%d pws=%t pred=%s pf=%s plan=%s",
-		id.cfg.Workload, id.cfg.Arch, id.cfg.FEBoostPct, id.cfg.BEBoostPct, id.cfg.MaxInstructions,
-		id.cfg.ExtraFrontEndStages, id.cfg.PipelinedWakeupSelect, id.cfg.Predictor, id.cfg.Prefetcher, id.plan)
+	s := fmt.Sprintf("%s/%s n=%d fes=%d pws=%t pred=%s pf=%s plan=%s",
+		id.cfg.Workload, id.cfg.Arch, id.cfg.MaxInstructions, id.cfg.ExtraFrontEndStages,
+		id.cfg.PipelinedWakeupSelect, id.cfg.Predictor, id.cfg.Prefetcher, id.plan)
+	if sp := id.cfg.Sampling; sp.Enabled() {
+		s += fmt.Sprintf(" samp=%d,%d,%d,%d", sp.Period, sp.WindowInsts, sp.WarmupInsts, sp.Seed)
+	}
+	return s
 }
 
-// Timing is the counter record of one exact run, before pricing at a node.
+// Timing is the counter record of one run, before pricing at a node. An
+// exact run records its final counters; a sampled run records each
+// complete window's measurement delta and how far the stream went; Price
+// feeds the windows to the estimator in stream order. A record is read
+// only, so any number of jobs may price it at once.
 type Timing struct {
 	id    TimingID
 	grain int64 // picoseconds per clock-plan unit in the simulated run
 	shape power.MachineShape
-	c     counters
+	c     counters // exact runs: the final record
+
+	// Sampled runs only.
+	windows  []counters // complete windows' measurement deltas, in stream order
+	pos      uint64     // stream position at the end: records delivered or fast-forwarded
+	detailed uint64     // records run through the timing core
 }
 
-// TimingOf returns the timing identity of the exact run cfg.
+// TimingOf returns the timing identity of the run cfg.
 func TimingOf(cfg RunConfig) (TimingID, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -56,21 +72,18 @@ func TimingOf(cfg RunConfig) (TimingID, error) {
 	return id, err
 }
 
-// timingOf builds the normalized exact run cfg's design and identity.
+// timingOf builds the normalized run cfg's design and identity.
 func timingOf(cfg RunConfig) (TimingID, design, error) {
-	if cfg.Sampling.Enabled() {
-		return TimingID{}, design{}, fmt.Errorf("sim %s/%s: a sampled run has no timing record", cfg.Workload, cfg.Arch)
-	}
 	d, err := newDesign(cfg, cacti.BaselinePeriodPS(cfg.Node))
 	if err != nil {
 		return TimingID{}, design{}, err
 	}
-	cfg.Node = 0
+	cfg.Node, cfg.FEBoostPct, cfg.BEBoostPct = 0, 0, 0
 	return TimingID{cfg: cfg, plan: d.plan.reduced}, d, nil
 }
 
-// Simulate runs the exact run cfg and returns its counter record, ready to
-// be priced at cfg's node or at any other node with the same TimingID.
+// Simulate runs cfg and returns its timing record, ready to be priced at
+// cfg's node or at any other configuration with the same TimingID.
 func Simulate(cfg RunConfig) (Timing, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -82,13 +95,25 @@ func Simulate(cfg RunConfig) (Timing, error) {
 	}
 	t := Timing{id: id, grain: d.plan.grain}
 	err = replay(cfg, func(w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) error {
-		m, err := d.warmed(stream, ws, w)
+		if !cfg.Sampling.Enabled() {
+			m, err := d.warmed(stream, ws, w)
+			if err != nil {
+				return err
+			}
+			t.shape = m.shape
+			t.c, err = m.runExact(cfg.Workload, cfg.Arch)
+			return err
+		}
+		gate := sample.NewGate(stream)
+		m, err := d.warmed(gate, ws, w)
 		if err != nil {
 			return err
 		}
 		t.shape = m.shape
-		t.c, err = m.runExact(cfg.Workload, cfg.Arch)
-		return err
+		if err := sampleLoop(cfg.Sampling, stream, gate, m, &t); err != nil {
+			return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
+		}
+		return nil
 	})
 	if err != nil {
 		return Timing{}, err
@@ -96,9 +121,11 @@ func Simulate(cfg RunConfig) (Timing, error) {
 	return t, nil
 }
 
-// Price returns the Result of the exact run cfg from t, which must carry
-// cfg's TimingID. The record's picosecond fields are rescaled from t's
-// grain to cfg's; every other counter carries over unchanged.
+// Price returns the Result of the run cfg from t, which must carry cfg's
+// TimingID. The record's picosecond fields are rescaled from t's grain to
+// cfg's; every other counter carries over unchanged. Energy is computed at
+// cfg's node: for a sampled record window by window, feeding the
+// estimator in stream order.
 func (t Timing) Price(cfg RunConfig) (Result, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
@@ -111,10 +138,18 @@ func (t Timing) Price(cfg RunConfig) (Result, error) {
 	if id != t.id {
 		return Result{}, fmt.Errorf("sim: timing record %v cannot price %v", t.id, id)
 	}
-	c := t.c
-	c.Act.TimePS = rescale(c.Act.TimePS, t.grain, d.plan.grain)
-	c.ReplayPS = rescale(c.ReplayPS, t.grain, d.plan.grain)
-	return price(cfg, c, t.shape)
+	if cfg.Sampling.Enabled() {
+		return t.estimate(cfg, d.plan.grain)
+	}
+	return price(cfg, t.rescaled(t.c, d.plan.grain), t.shape)
+}
+
+// rescaled returns c with its picosecond fields converted from t's grain
+// to a grain of to picoseconds.
+func (t Timing) rescaled(c counters, to int64) counters {
+	c.Act.TimePS = rescale(c.Act.TimePS, t.grain, to)
+	c.ReplayPS = rescale(c.ReplayPS, t.grain, to)
+	return c
 }
 
 // price builds cfg's Result from an exact run's final counters, with the

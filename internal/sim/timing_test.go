@@ -150,8 +150,117 @@ func TestTimingPlanRounding(t *testing.T) {
 	}
 }
 
+// priceShared simulates the first run of each timing identity among cfgs
+// and prices every run from its identity's record, failing unless the
+// priced result is JSON-identical to Run. It returns how many runs were
+// priced from another run's record.
+func priceShared(t *testing.T, cfgs []RunConfig) int {
+	t.Helper()
+	recs := map[TimingID]Timing{}
+	shared := 0
+	for _, cfg := range cfgs {
+		id, err := TimingOf(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, ok := recs[id]
+		if ok {
+			shared++
+		} else if rec, err = Simulate(cfg); err != nil {
+			t.Fatal(err)
+		}
+		recs[id] = rec
+		priced, err := rec.Price(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pj, _ := json.Marshal(priced)
+		rj, _ := json.Marshal(run)
+		if !bytes.Equal(pj, rj) {
+			t.Fatalf("%+v: priced from %v, differs from Run:\n price %s\n run   %s", cfg, id, pj, rj)
+		}
+	}
+	return shared
+}
+
+// TestTimingBoostInvariance: the Register Allocation machine has no
+// Execution Cache and so no fast back-end clock, so its identity does not
+// depend on the back-end boost, and one record prices every BE setting at
+// every node that shares the plan. The Flywheel reads its back-end boost,
+// so BE+0% and BE+50% never share.
+func TestTimingBoostInvariance(t *testing.T) {
+	const insts = 8_000
+	var ra []RunConfig
+	fw := map[TimingID]int{}
+	for _, node := range timingNodes {
+		for _, fe := range []int{0, 50} {
+			var base TimingID
+			for _, be := range []int{0, 50, 100} {
+				cfg := RunConfig{Arch: ArchRegAlloc, Node: node, FEBoostPct: fe, BEBoostPct: be, MaxInstructions: insts}
+				id, err := TimingOf(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if be == 0 {
+					base = id
+				} else if id != base {
+					t.Errorf("regalloc@%v fe=%d: BE+%d%% has identity %v, BE+0%% %v", node, fe, be, id, base)
+				}
+				ra = append(ra, cfg)
+			}
+			for _, be := range []int{0, 50} {
+				id, err := TimingOf(RunConfig{Workload: "gcc", Arch: ArchFlywheel, Node: node, FEBoostPct: fe, BEBoostPct: be})
+				if err != nil {
+					t.Fatal(err)
+				}
+				fw[id] |= 1 << (be / 50)
+			}
+		}
+	}
+	for id, bes := range fw {
+		if bes == 3 {
+			t.Errorf("Flywheel BE+0%% and BE+50%% share the identity %v", id)
+		}
+	}
+	// Per workload, 18 runs over 3 records: FE+0% shares across all three
+	// nodes, FE+50% between 130 and 60 nm (its 90 nm front-end period
+	// rounds).
+	for _, wl := range workload.Names() {
+		cfgs := append([]RunConfig(nil), ra...)
+		for i := range cfgs {
+			cfgs[i].Workload = wl
+		}
+		if got := priceShared(t, cfgs); got != len(cfgs)-3 {
+			t.Errorf("%s: %d of %d regalloc runs priced from a shared record, want %d", wl, got, len(cfgs), len(cfgs)-3)
+		}
+	}
+}
+
+// TestSampledTimingSharing: sampled baseline, Flywheel and Register
+// Allocation runs on the result_golden.json schedule at the Figure 15
+// nodes price from shared records exactly as Run computes them. The
+// baseline shares across all three nodes; the Flywheel and the Register
+// Allocation machine at FE+50% between 130 and 60 nm.
+func TestSampledTimingSharing(t *testing.T) {
+	samp := Sampling{Period: 4_000, WindowInsts: 1_000, WarmupInsts: 500}
+	var cfgs []RunConfig
+	for _, arch := range []Arch{ArchBaseline, ArchFlywheel, ArchRegAlloc} {
+		for _, node := range timingNodes {
+			cfgs = append(cfgs, RunConfig{Workload: "gcc", Arch: arch, Node: node,
+				FEBoostPct: 50, BEBoostPct: 50, MaxInstructions: 20_000, Sampling: samp})
+		}
+	}
+	if got := priceShared(t, cfgs); got != 4 {
+		t.Errorf("%d sampled runs priced from a shared record, want 4", got)
+	}
+}
+
 // TestPriceRejectsForeignRecord: a record prices only runs with its own
-// timing identity.
+// timing identity: not another plan, and not the other tier.
 func TestPriceRejectsForeignRecord(t *testing.T) {
 	cfg := RunConfig{Workload: "gcc", Arch: ArchFlywheel, FEBoostPct: 100, BEBoostPct: 50, MaxInstructions: 2_000}
 	tm, err := Simulate(cfg)
@@ -161,5 +270,22 @@ func TestPriceRejectsForeignRecord(t *testing.T) {
 	cfg.Node = cacti.Node90
 	if _, err := tm.Price(cfg); err == nil {
 		t.Fatal("a 130 nm record priced the rounded 90 nm plan")
+	}
+	samp := cfg
+	samp.Node, samp.MaxInstructions = cacti.Node130, 20_000
+	samp.Sampling = Sampling{Period: 4_000, WindowInsts: 1_000, WarmupInsts: 500}
+	exact := samp
+	exact.Sampling = Sampling{}
+	if tm, err = Simulate(exact); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tm.Price(samp); err == nil {
+		t.Fatal("an exact record priced a sampled run")
+	}
+	if tm, err = Simulate(samp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tm.Price(exact); err == nil {
+		t.Fatal("a sampled record priced an exact run")
 	}
 }
