@@ -42,11 +42,9 @@ import (
 	"os"
 	"path/filepath"
 
-	"flywheel/internal/analytic"
 	"flywheel/internal/explore"
 	"flywheel/internal/lab"
 	"flywheel/internal/lab/store"
-	"flywheel/internal/sample"
 	"flywheel/internal/sim"
 	"flywheel/internal/stats"
 )
@@ -60,39 +58,10 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("explore", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	def := explore.DefaultAxes()
+	q := explore.DefaultQuery()
+	q.Bind(fs)
 	var (
-		ilp     = fs.String("ilp", def.ILP, "ILP values (independent chains), comma-separated")
-		entropy = fs.String("entropy", def.Entropy, "branch entropies in [0,1], comma-separated")
-		fpmix   = fs.String("fp", def.FPMix, "floating-point mixes in [0,1], comma-separated")
-		mem     = fs.String("mem", def.Mem, "data footprints in KiB, comma-separated")
-		stride  = fs.String("stride", def.Stride, "stride fractions in [0,1], comma-separated")
-		reuse   = fs.String("rr", def.Reuse, "register-reuse fractions in [0,1], comma-separated")
-		code    = fs.String("code", def.Code, "code footprints in KiB, comma-separated")
-		period  = fs.String("period", def.Period, "predictable-branch periods (0 = default 512), comma-separated")
-		chase   = fs.String("chase", def.Chase, "pointer-chase fractions in [0,1], comma-separated")
-		sbytes  = fs.String("stridebytes", def.StrideBytes, "stride step in bytes (0 = default 8), comma-separated")
-		seed    = fs.Uint64("seed", def.Seed, "generator seed shared by all profiles")
-		passes  = fs.Int("passes", 0, "measured passes per kernel (0 = default)")
-		arch    = fs.String("arch", def.Arch, "architectures: baseline, flywheel, regalloc (comma-separated)")
-		pred    = fs.String("predictor", def.Predictor, "branch direction predictors: gshare, tage, always-taken (comma-separated)")
-		pf      = fs.String("prefetcher", def.Prefetcher, "L2 prefetchers: none, delta (comma-separated)")
-		fe      = fs.String("fe", def.FE, "front-end boost percentages, comma-separated")
-		be      = fs.String("be", def.BE, "back-end boost percentages, comma-separated")
-		node    = fs.String("node", def.Node, "technology nodes in um: 0.18, 0.13, 0.09, 0.06 (comma-separated)")
-		n       = fs.Uint64("n", def.Instructions, "measured dynamic instructions per run")
 		workers = fs.Int("parallel", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
-
-		tier      = fs.String("tier", "exact", "evaluation tier: exact, sampled, analytic, or auto")
-		margin    = fs.Float64("margin", 0, "analytic frontier slack fraction (0 = derive from model error, negative = frontier only)")
-		audit     = fs.Float64("audit", explore.DefaultAudit, "fraction of screened-out cells confirmed anyway (negative disables)")
-		auditSeed = fs.Uint64("auditseed", 1, "audit-sample seed")
-		maxPoints = fs.Int("maxpoints", 0, "grid-size guard (0 = 4096 for -tier exact/sampled, 262144 otherwise)")
-
-		samplePeriod = fs.Uint64("sample-period", 0, "sampled-execution period in instructions (0 = exact cells; with -tier sampled, 0 = default period)")
-		windowInsts  = fs.Uint64("window", 0, "measured instructions per detailed window (0 = default)")
-		sampleWarmup = fs.Uint64("sample-warmup", 0, "detailed warm-up instructions before each window (0 = default)")
-		sampleSeed   = fs.Uint64("sample-seed", 0, "window-phase seed (0 = 1)")
 
 		storeDir   = fs.String("store", "", "persistent result-store directory (empty = in-memory only)")
 		storeStats = fs.Bool("storestats", false, "print cache/store statistics to stderr after the run")
@@ -101,41 +70,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvOut       = fs.Bool("csv", false, "emit CSV instead of tables")
 		markdown     = fs.Bool("md", false, "emit markdown tables")
 	)
-	fs.Uint64Var(n, "instructions", def.Instructions, "alias for -n")
+	fs.IntVar(&q.MaxPoints, "maxpoints", 0, "grid-size guard (0 = 4096 for -tier exact/sampled, 262144 otherwise)")
+	fs.Uint64Var(&q.Instructions, "instructions", q.Instructions, "alias for -n")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-
-	if *tier != "exact" && *tier != "sampled" && *tier != "analytic" && *tier != "auto" {
-		fmt.Fprintf(stderr, "explore: unknown tier %q (want exact, sampled, analytic or auto)\n", *tier)
-		return 2
-	}
-	sampling := sim.Sampling{
-		Period: *samplePeriod, WindowInsts: *windowInsts,
-		WarmupInsts: *sampleWarmup, Seed: *sampleSeed,
-	}
-	if *tier == "sampled" && sampling.Period == 0 {
-		sampling.Period = sample.DefaultPeriod
-	}
-	sampling = sampling.Normalize()
-	if err := sampling.Validate(); err != nil {
-		fmt.Fprintln(stderr, "explore:", err)
-		return 2
-	}
-	guard := *maxPoints
-	if guard == 0 && *tier != "exact" && *tier != "sampled" {
-		// The analytic tier screens cells in nanoseconds; the exact guard
-		// would defeat its purpose.
-		guard = 262_144
-	}
-	space, err := explore.Axes{
-		ILP: *ilp, Entropy: *entropy, FPMix: *fpmix, Mem: *mem,
-		Stride: *stride, Reuse: *reuse, Code: *code, Seed: *seed,
-		Period: *period, Chase: *chase, StrideBytes: *sbytes,
-		Passes: *passes, Arch: *arch, FE: *fe, BE: *be, Node: *node,
-		Predictor: *pred, Prefetcher: *pf,
-		Instructions: *n, MaxPoints: guard,
-	}.Space()
+	space, err := q.Space()
 	if err != nil {
 		fmt.Fprintln(stderr, "explore:", err)
 		return 2
@@ -158,65 +98,30 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opt.Cache = lab.NewCache()
 	}
 
-	useAnalytic := *tier == "analytic"
-	if *tier == "auto" {
-		// Screen analytically only when the grid comfortably out-sizes the
-		// calibration cost; small grids are cheaper to just simulate.
-		plan, err := explore.NewPlan(space)
-		if err != nil {
-			fmt.Fprintln(stderr, "explore:", err)
-			return 2
-		}
-		calibCells := explore.CalibrationConfig(space, opt).Cells()
-		useAnalytic = plan.Cells() >= 4*calibCells
+	out, err := q.Run(space, opt)
+	if out != nil && q.Tier == "auto" {
 		fmt.Fprintf(stderr, "explore: auto tier: %d grid cells vs %d calibration cells -> %s\n",
-			plan.Cells(), calibCells, map[bool]string{true: "analytic", false: "exact"}[useAnalytic])
+			out.GridCells, out.CalibrationCells, out.Tier)
 	}
-
-	if useAnalytic {
-		model, err := analytic.Calibrate(explore.CalibrationConfig(space, opt))
-		if err != nil {
-			fmt.Fprintln(stderr, "explore:", err)
-			return 1
-		}
-		rep, err := explore.ExploreTiered(space, model, explore.TieredOptions{
-			Options: opt, Margin: *margin, Audit: *audit, AuditSeed: *auditSeed,
-			Sampling: sampling,
-		})
-		if err != nil {
-			fmt.Fprintln(stderr, "explore:", err)
-			return 1
-		}
-		fmt.Fprintln(stderr, "explore:", rep.Summary())
-		switch {
-		case *csvOut:
-			fmt.Fprint(stdout, rep.CSV())
-		case *frontierOnly:
-			emit(stdout, rep.ConfirmedReport().FrontierTable(), *markdown)
-		default:
-			emit(stdout, rep.ConfirmedReport().Table(), *markdown)
-			emit(stdout, rep.ConfirmedReport().FrontierTable(), *markdown)
-		}
-	} else {
-		var rep *explore.Report
-		if *tier == "sampled" {
-			rep, err = explore.ExploreSampled(space, sampling, opt)
-		} else {
-			rep, err = explore.Explore(space, opt)
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "explore:", err)
-			return 1
-		}
-		switch {
-		case *csvOut:
-			fmt.Fprint(stdout, rep.CSV())
-		case *frontierOnly:
-			emit(stdout, rep.FrontierTable(), *markdown)
-		default:
-			emit(stdout, rep.Table(), *markdown)
-			emit(stdout, rep.FrontierTable(), *markdown)
-		}
+	if err != nil {
+		fmt.Fprintln(stderr, "explore:", err)
+		return 1
+	}
+	rep := out.Report
+	if out.Tiered != nil {
+		fmt.Fprintln(stderr, "explore:", out.Tiered.Summary())
+		rep = out.Tiered.ConfirmedReport()
+	}
+	switch {
+	case *csvOut && out.Tiered != nil:
+		fmt.Fprint(stdout, out.Tiered.CSV())
+	case *csvOut:
+		fmt.Fprint(stdout, rep.CSV())
+	case *frontierOnly:
+		emit(stdout, rep.FrontierTable(), *markdown)
+	default:
+		emit(stdout, rep.Table(), *markdown)
+		emit(stdout, rep.FrontierTable(), *markdown)
 	}
 	if *storeStats && opt.Cache != nil {
 		fmt.Fprintln(stderr, opt.Cache.StatsLine())

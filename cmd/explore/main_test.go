@@ -2,8 +2,13 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
+	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"flywheel/internal/sim"
 )
 
 // tiny keeps command tests fast: one small profile, two boosts, 2k
@@ -88,6 +93,16 @@ func TestRunBadFlagValues(t *testing.T) {
 		{"-node", "0.42"},
 		{"-node", ""},
 		{"-fe", ""},
+		// A margin or audit that confirms every cell would run a screened
+		// grid cycle-accurately past the exact grid guard.
+		{"-tier", "analytic", "-margin", "NaN"},
+		{"-tier", "analytic", "-margin", "Inf"},
+		{"-tier", "analytic", "-margin", "-Inf"},
+		{"-tier", "analytic", "-margin", "1"},
+		{"-tier", "analytic", "-margin", "2"},
+		{"-tier", "auto", "-audit", "1"},
+		{"-tier", "auto", "-audit", "NaN"},
+		{"-margin", "NaN"},
 	}
 	for _, args := range cases {
 		var out, errb bytes.Buffer
@@ -249,5 +264,65 @@ func TestRunSampledRegAllocSharesTimings(t *testing.T) {
 	// 2 profiles × 2 FE × 3 BE = 12 data rows.
 	if lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n"); len(lines) != 13 {
 		t.Errorf("CSV has %d lines, want 13", len(lines))
+	}
+}
+
+// TestRunTieredRecoversExactFrontier screens a 2,079-cell grid
+// analytically, confirms near the predicted frontier, and checks the
+// confirmed frontier against an exact run of the whole grid: it must hold
+// every exact-frontier point, while fewer than half the cells are
+// confirmed. Both runs share one store, so confirmed cells simulate once.
+// Heavy (every cell runs exactly): skipped under -short and the race
+// detector.
+func TestRunTieredRecoversExactFrontier(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("heavyweight grid test; run without -short/-race")
+	}
+	var fe, be []string
+	for b := 0; b <= 100; b += 5 {
+		fe = append(fe, fmt.Sprint(b))
+	}
+	for b := 0; b <= 100; b += 10 {
+		be = append(be, fmt.Sprint(b))
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	// -store spills traces into the directory; stop before it is removed.
+	t.Cleanup(func() { sim.SetTraceSpillDir("") })
+	axes := []string{
+		"-ilp", "1,4,6", "-entropy", "0,0.5,1", "-mem", "4", "-code", "1", "-passes", "1",
+		"-fe", strings.Join(fe, ","), "-be", strings.Join(be, ","), "-n", "2000",
+		"-store", dir, "-csv",
+	}
+	frontier := func(args ...string) (map[string]bool, int) {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := run(append(args, axes...), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
+		}
+		if errb.Len() > 0 {
+			t.Log(strings.TrimSpace(errb.String()))
+		}
+		rows, err := csv.NewReader(&out).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		set := map[string]bool{}
+		for _, row := range rows[1:] {
+			if row[16] == "true" {
+				set[strings.Join(row[:7], "|")] = true
+			}
+		}
+		return set, len(rows) - 1
+	}
+	tiered, confirmed := frontier("-tier", "analytic", "-margin", "0.02")
+	exact, grid := frontier()
+	for cell := range exact {
+		if !tiered[cell] {
+			t.Errorf("confirmed frontier misses exact-frontier cell %s", cell)
+		}
+	}
+	t.Logf("confirmed %d of %d cells", confirmed, grid)
+	if confirmed >= grid/2 {
+		t.Errorf("confirmed %d of %d cells, want fewer than half", confirmed, grid)
 	}
 }

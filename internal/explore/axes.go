@@ -12,10 +12,10 @@ import (
 	"flywheel/internal/workload/synth"
 )
 
-// Axes carries the textual value of every grid dimension — the shape both
-// the explore CLI flags and labd's /v1/frontier query parameters share.
-// Profile knob lists cross-product into the profile axis; Space validates
-// and assembles the exploration space.
+// Axes carries the textual value of every grid dimension, as the explore
+// CLI flags and labd's /v1/frontier parameters spell it (both bind it
+// through Query). Profile knob lists cross-product into the profile axis;
+// Space validates and assembles the exploration space.
 type Axes struct {
 	ILP, Entropy, FPMix, Mem, Stride, Reuse, Code string
 	// Period, Chase and StrideBytes are the frontend-stress profile knobs

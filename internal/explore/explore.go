@@ -197,32 +197,38 @@ func gridJobs(s Space) (baselines, grid []lab.Job, points []Point) {
 // Explore generates and registers every profile's workload, runs the whole
 // grid (plus per-profile baselines) as one batched lab submission, and
 // reduces the results to a Pareto report. It is the exact (cycle-accurate)
-// path: planning and execution are split behind NewPlan and Tier, so the
-// same grid can instead be screened analytically — see ExploreTiered.
+// path; ExploreTiered screens the same grid analytically instead.
 func Explore(s Space, opt Options) (*Report, error) {
-	plan, err := NewPlan(s)
-	if err != nil {
-		return nil, err
-	}
-	points, err := ExactTier{}.Evaluate(plan, opt)
-	if err != nil {
-		return nil, err
-	}
-	markFrontier(points)
-	return &Report{Space: plan.Space, Points: points}, nil
+	return exploreAll(s, opt, sim.Sampling{})
 }
 
 // ExploreSampled runs the whole grid with sampled execution: every cell
-// (baselines included) alternates fast-forwarded warming with detailed
-// windows under the given schedule, ~5x cheaper per cell than Explore.
-// Points carry confidence intervals in Result.Sampled and are marked
-// Sampled.
+// (baselines included, so speedup and energy ratios compare like with
+// like) alternates fast-forwarded warming with detailed windows under the
+// given schedule, ~5x cheaper per cell than Explore. Points carry
+// confidence intervals in Result.Sampled and are marked Sampled. Sampled
+// jobs memoize under their own cache keys; an exact result is never served
+// for a sampled request or vice versa.
 func ExploreSampled(s Space, samp sim.Sampling, opt Options) (*Report, error) {
+	samp = samp.Normalize()
+	if !samp.Enabled() {
+		return nil, fmt.Errorf("explore: sampled tier has no sampling period")
+	}
+	return exploreAll(s, opt, samp)
+}
+
+// exploreAll confirms every cell of the space's plan under samp (zero:
+// exact) and marks the frontier.
+func exploreAll(s Space, opt Options, samp sim.Sampling) (*Report, error) {
 	plan, err := NewPlan(s)
 	if err != nil {
 		return nil, err
 	}
-	points, err := SampledTier{Sampling: samp}.Evaluate(plan, opt)
+	all := make([]bool, plan.Cells())
+	for i := range all {
+		all[i] = true
+	}
+	points, err := confirmCells(plan, all, opt, samp)
 	if err != nil {
 		return nil, err
 	}

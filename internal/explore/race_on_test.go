@@ -3,5 +3,5 @@
 package explore
 
 // raceEnabled reports whether the race detector is active; heavyweight scale
-// tests skip under it (they run race-free in a dedicated CI step).
+// tests skip under it (CI runs them in its race-free test step).
 const raceEnabled = true

@@ -40,7 +40,7 @@ func TestCISelectEscalation(t *testing.T) {
 		withCI(0.8, 1.4, 0.05),
 	}
 	markFrontier(points)
-	got := ciSelect(points)
+	got := slackSelect(points, pointCI)
 	want := []bool{true, true, false, true, false}
 	for i := range want {
 		if got[i] != want[i] {
@@ -55,7 +55,7 @@ func TestCISelectEscalation(t *testing.T) {
 func TestCISelectNaNNeverEscalates(t *testing.T) {
 	points := []Point{withCI(2.0, 1.0, 0.01), withCI(math.NaN(), 1.0, 0.5)}
 	markFrontier(points)
-	if got := ciSelect(points); got[1] {
+	if got := slackSelect(points, pointCI); got[1] {
 		t.Error("NaN point escalated")
 	}
 }

@@ -2,13 +2,12 @@ package explore
 
 // Planning vs execution. A Plan is the pure enumeration of a Space — every
 // grid job, its baseline jobs, and the Point skeletons, in deterministic
-// nested order — with no simulation attached. A Tier is one way of
-// attaching numbers to that plan: ExactTier runs every cell through the
-// cycle-accurate lab, AnalyticTier fills in a fitted model's predictions
-// without simulating anything. ExploreTiered composes them — screen the
-// whole grid analytically, confirm only the cells near the predicted
-// frontier — and later dimensions (DVFS curves, chip composition) plug in
-// as further tiers without touching the planner.
+// nested order — with no simulation attached. Two functions attach numbers
+// to it: confirmCells runs a selection of cells through the lab (exactly,
+// or sampled), and predict fills in a fitted model's predictions without
+// simulating anything. Explore and ExploreSampled confirm every cell;
+// ExploreTiered predicts the whole grid, then confirms only the cells near
+// the predicted frontier.
 
 import (
 	"fmt"
@@ -45,62 +44,48 @@ func NewPlan(s Space) (*Plan, error) {
 // normalization jobs not included).
 func (p *Plan) Cells() int { return len(p.Grid) }
 
-// Tier is one fidelity level for evaluating a plan. Evaluate returns a
-// fresh copy of the plan's points with Result, Baseline, Speedup and
-// EnergyRatio filled; it must not mutate the plan, so one plan can be
-// evaluated by several tiers (screen, then confirm).
-type Tier interface {
-	Name() string
-	Evaluate(p *Plan, opt Options) ([]Point, error)
-}
-
-// ExactTier evaluates every cell with the cycle-accurate simulator through
-// the lab's batched, memoized worker pool — the full-fidelity path every
-// paper figure uses.
-type ExactTier struct{}
-
-// Name identifies the tier in reports and CLI flags.
-func (ExactTier) Name() string { return "exact" }
-
-// Evaluate registers every profile's workload, runs the whole grid plus
-// baselines as one batched lab submission, and computes the paper metrics.
-func (ExactTier) Evaluate(p *Plan, opt Options) ([]Point, error) {
-	return labEvaluate(p, opt, sim.Sampling{})
-}
-
-// SampledTier evaluates every cell with sampled execution: periodic
-// detailed windows over fast-forwarded functional warming, ~5x cheaper per
-// cell than the exact tier. Its points carry confidence intervals
-// (Result.Sampled) and are marked Sampled; the three-tier explorer uses
-// the intervals to decide which cells still need an exact run.
-type SampledTier struct {
-	// Sampling is the schedule; Period 0 (disabled) is rejected — use
-	// ExactTier for exact runs.
-	Sampling sim.Sampling
-}
-
-// Name identifies the tier in reports and CLI flags.
-func (SampledTier) Name() string { return "sampled" }
-
-// Evaluate runs the grid like the exact tier, but every job — baselines
-// included, so speedup and energy ratios compare like with like — runs the
-// sampled schedule. Sampled jobs memoize under their own cache keys; an
-// exact result is never served for a sampled request or vice versa.
-func (t SampledTier) Evaluate(p *Plan, opt Options) ([]Point, error) {
-	s := t.Sampling.Normalize()
-	if !s.Enabled() {
-		return nil, fmt.Errorf("explore: sampled tier has no sampling period; set SampledTier.Sampling")
+// confirmCells runs the selected grid cells (and their baselines) through
+// the lab — exactly when samp is zero, sampled otherwise — and returns
+// them as measured points in grid order, each tagged with its grid index.
+// Baselines keep plan order, so with every cell selected the job list is
+// the whole plan: baselines first, then the grid.
+func confirmCells(plan *Plan, selected []bool, opt Options, samp sim.Sampling) ([]Point, error) {
+	// Register only the profiles that are actually confirmed: on a
+	// 100k-cell grid, generating every workload would cost more than the
+	// confirmation runs.
+	var profiles []synth.Profile
+	seenProfile := map[string]bool{}
+	neededBase := map[string]bool{}
+	var indices []int
+	for i, sel := range selected {
+		if !sel {
+			continue
+		}
+		indices = append(indices, i)
+		p := plan.Points[i]
+		if name := p.Profile.Name(); !seenProfile[name] {
+			seenProfile[name] = true
+			profiles = append(profiles, p.Profile)
+		}
+		neededBase[baseKey(p.Profile.Name(), p.Node)] = true
 	}
-	return labEvaluate(p, opt, s)
-}
-
-// labEvaluate is the shared lab-batched evaluation behind the exact and
-// sampled tiers; samp (zero: exact) is stamped on every job.
-func labEvaluate(p *Plan, opt Options, samp sim.Sampling) ([]Point, error) {
-	if err := registerProfiles(p.Space.Profiles); err != nil {
+	if len(indices) == 0 {
+		return nil, nil
+	}
+	if err := registerProfiles(profiles); err != nil {
 		return nil, err
 	}
-	jobs := append(append([]lab.Job{}, p.Baselines...), p.Grid...)
+
+	var baselines []lab.Job
+	for _, j := range plan.Baselines {
+		if neededBase[baseKey(j.Workload, j.Node)] {
+			baselines = append(baselines, j)
+		}
+	}
+	jobs := append([]lab.Job{}, baselines...)
+	for _, i := range indices {
+		jobs = append(jobs, plan.Grid[i])
+	}
 	for i := range jobs {
 		jobs[i].Sampling = samp
 	}
@@ -113,34 +98,27 @@ func labEvaluate(p *Plan, opt Options, samp sim.Sampling) ([]Point, error) {
 		return nil, err
 	}
 
-	points := append([]Point(nil), p.Points...)
-	// Index the baseline results by (profile, node) in enumeration order.
 	base := map[string]sim.Result{}
-	for i, j := range p.Baselines {
+	for i, j := range baselines {
 		base[baseKey(j.Workload, j.Node)] = res[i]
 	}
-	for i := range points {
-		r := res[len(p.Baselines)+i]
-		b := base[baseKey(points[i].Profile.Name(), points[i].Node)]
-		fillPoint(&points[i], r, b, false)
+	points := make([]Point, len(indices))
+	for k, i := range indices {
+		points[k] = plan.Points[i]
+		points[k].gridIndex = i
+		b := base[baseKey(points[k].Profile.Name(), points[k].Node)]
+		fillPoint(&points[k], res[len(baselines)+k], b, false)
 	}
 	return points, nil
 }
 
-// AnalyticTier evaluates every cell with a calibrated closed-form model —
+// predict evaluates every cell with a calibrated closed-form model —
 // nanoseconds per cell instead of milliseconds — so grids far beyond the
-// exact tier's budget can be screened before any simulator runs.
-type AnalyticTier struct {
-	Model *analytic.Model
-}
-
-// Name identifies the tier in reports and CLI flags.
-func (AnalyticTier) Name() string { return "analytic" }
-
-// Evaluate predicts every cell and its baseline from the fitted model. No
-// workload is generated or registered and no simulation runs.
-func (t AnalyticTier) Evaluate(p *Plan, opt Options) ([]Point, error) {
-	if t.Model == nil {
+// exact tier's budget can be screened before any simulator runs. No
+// workload is generated or registered and no simulation runs; the plan is
+// not mutated.
+func predict(p *Plan, model *analytic.Model) ([]Point, error) {
+	if model == nil {
 		return nil, fmt.Errorf("explore: analytic tier has no model; run analytic.Calibrate first")
 	}
 	points := append([]Point(nil), p.Points...)
@@ -156,14 +134,14 @@ func (t AnalyticTier) Evaluate(p *Plan, opt Options) ([]Point, error) {
 			var err error
 			// The normalization baseline always runs the default frontend,
 			// mirroring the exact tier's baseline jobs.
-			b, err = t.Model.Predict(pt.Profile, sim.ArchBaseline, pt.Node, 0, 0, analytic.Frontend{}, n)
+			b, err = model.Predict(pt.Profile, sim.ArchBaseline, pt.Node, 0, 0, analytic.Frontend{}, n)
 			if err != nil {
 				return nil, err
 			}
 			base[k] = b
 		}
 		front := analytic.Frontend{Predictor: pt.Predictor, Prefetcher: pt.Prefetcher}
-		r, err := t.Model.Predict(pt.Profile, pt.Arch, pt.Node, pt.FEBoost, pt.BEBoost, front, n)
+		r, err := model.Predict(pt.Profile, pt.Arch, pt.Node, pt.FEBoost, pt.BEBoost, front, n)
 		if err != nil {
 			return nil, err
 		}

@@ -16,11 +16,9 @@ import (
 
 	"flywheel/internal/analytic"
 	"flywheel/internal/branch"
-	"flywheel/internal/lab"
 	"flywheel/internal/mem"
 	"flywheel/internal/sim"
 	"flywheel/internal/stats"
-	"flywheel/internal/workload/synth"
 )
 
 // Tiered-exploration defaults.
@@ -54,11 +52,13 @@ type TieredOptions struct {
 	// some predicted point dominates it even after the cell's speedup is
 	// credited by (1+Margin) and its energy discounted by (1-Margin). Zero
 	// derives the margin from the model's in-sample error (see AutoMargin);
-	// negative confirms exactly the predicted frontier.
+	// negative confirms exactly the predicted frontier. It must be finite
+	// and below 1: a larger slack confirms every cell.
 	Margin float64
 	// Audit is the probability that a screened-out cell is confirmed
 	// anyway (see DefaultAudit); zero applies the default, negative
-	// disables auditing.
+	// disables auditing. It must be below 1: a certain audit confirms
+	// every cell.
 	Audit float64
 	// AuditSeed seeds the deterministic audit sampler; zero means 1.
 	AuditSeed uint64
@@ -68,6 +68,19 @@ type TieredOptions struct {
 	// own confidence interval escalate to exact simulation. Zero keeps the
 	// two-tier analytic-then-exact flow.
 	Sampling sim.Sampling
+}
+
+// validate rejects a margin or audit that would confirm every cell. A
+// tiered grid may be far wider than the exact tier's grid guard, so such a
+// setting would queue a cycle-accurate run of every cell past that guard.
+func (o TieredOptions) validate() error {
+	if math.IsNaN(o.Margin) || math.IsInf(o.Margin, 0) || o.Margin >= 1 {
+		return fmt.Errorf("margin %g must be finite and below 1", o.Margin)
+	}
+	if math.IsNaN(o.Audit) || o.Audit >= 1 {
+		return fmt.Errorf("audit %g must be below 1", o.Audit)
+	}
+	return nil
 }
 
 func (o TieredOptions) normalize() TieredOptions {
@@ -125,6 +138,9 @@ type TieredReport struct {
 // sample) with cycle-accurate simulations through the lab. The confirmed
 // points carry measured metrics; everything else stays predicted.
 func ExploreTiered(s Space, model *analytic.Model, opt TieredOptions) (*TieredReport, error) {
+	if err := opt.validate(); err != nil {
+		return nil, fmt.Errorf("explore: %v", err)
+	}
 	opt = opt.normalize()
 	if opt.Margin == 0 && model != nil {
 		opt.Margin = AutoMargin(model)
@@ -133,13 +149,13 @@ func ExploreTiered(s Space, model *analytic.Model, opt TieredOptions) (*TieredRe
 	if err != nil {
 		return nil, err
 	}
-	pred, err := AnalyticTier{Model: model}.Evaluate(plan, opt.Options)
+	pred, err := predict(plan, model)
 	if err != nil {
 		return nil, err
 	}
 	markFrontier(pred)
 
-	selected := marginSelect(pred, opt.Margin)
+	selected := slackSelect(pred, func(Point) float64 { return opt.Margin })
 	rep := &TieredReport{Space: plan.Space, Margin: opt.Margin, Audit: opt.Audit, Predicted: pred}
 	for _, sel := range selected {
 		if sel {
@@ -204,7 +220,7 @@ func sampledConfirm(plan *Plan, selected []bool, opt TieredOptions, rep *TieredR
 	// still leave it undominated — its frontier membership is within
 	// noise. Cells dominated by more than their interval are settled:
 	// the sampled estimate is kept and no exact run is spent.
-	escalate := ciSelect(sampled)
+	escalate := slackSelect(sampled, pointCI)
 	escalated := make([]bool, len(plan.Grid))
 	for k, p := range sampled {
 		if escalate[k] {
@@ -256,11 +272,13 @@ func pointCI(p Point) float64 {
 	return ci
 }
 
-// ciSelect marks every point that is on the frontier or within its own
-// confidence interval of it: the per-point analogue of marginSelect, with
-// each point's slack taken from its sampled confidence interval instead of
-// one global margin.
-func ciSelect(points []Point) []bool {
+// slackSelect marks every finite point within its slack of the Pareto
+// frontier of points: p survives unless some point dominates it even after
+// p's speedup is credited by (1+slack(p)) and its energy discounted by
+// (1-slack(p)). Frontier members always survive; with a slack of zero or
+// below p counts against itself, so exactly the frontier survives. One
+// sort plus a binary search per point — O(n log n).
+func slackSelect(points []Point, slack func(Point) float64) []bool {
 	selected := make([]bool, len(points))
 	idx := make([]int, 0, len(points))
 	for i := range points {
@@ -271,6 +289,7 @@ func ciSelect(points []Point) []bool {
 	sort.Slice(idx, func(a, b int) bool {
 		return points[idx[a]].Speedup > points[idx[b]].Speedup
 	})
+	// prefixMin[k] = min energy among the k+1 fastest points.
 	prefixMin := make([]float64, len(idx))
 	minE := math.Inf(1)
 	for k, i := range idx {
@@ -281,12 +300,13 @@ func ciSelect(points []Point) []bool {
 	}
 	for _, i := range idx {
 		p := &points[i]
-		ci := pointCI(*p)
-		need := p.Speedup * (1 + ci)
+		sl := slack(*p)
+		// L = number of points at least (1+slack) faster than p.
+		need := p.Speedup * (1 + sl)
 		L := sort.Search(len(idx), func(k int) bool {
 			return points[idx[k]].Speedup < need
 		})
-		dominated := L > 0 && prefixMin[L-1] <= p.EnergyRatio*(1-ci)
+		dominated := L > 0 && prefixMin[L-1] <= p.EnergyRatio*(1-sl)
 		selected[i] = !dominated || p.OnFrontier
 	}
 	return selected
@@ -371,126 +391,10 @@ func (r *rng) next() uint64 {
 // float returns a uniform value in [0, 1).
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// confirmCells runs the selected grid cells (and their baselines) through
-// the lab — exactly when samp is zero, sampled otherwise — and returns
-// them as measured points in grid order, each tagged with its grid index.
-func confirmCells(plan *Plan, selected []bool, opt Options, samp sim.Sampling) ([]Point, error) {
-	// Register only the profiles that are actually confirmed: on a
-	// 100k-cell grid, generating every workload would cost more than the
-	// confirmation runs.
-	var profiles []synth.Profile
-	seenProfile := map[string]bool{}
-	neededBase := map[string]bool{}
-	var indices []int
-	for i, sel := range selected {
-		if !sel {
-			continue
-		}
-		indices = append(indices, i)
-		p := plan.Points[i]
-		if name := p.Profile.Name(); !seenProfile[name] {
-			seenProfile[name] = true
-			profiles = append(profiles, p.Profile)
-		}
-		neededBase[baseKey(p.Profile.Name(), p.Node)] = true
-	}
-	if len(indices) == 0 {
-		return nil, nil
-	}
-	if err := registerProfiles(profiles); err != nil {
-		return nil, err
-	}
-
-	var baselines []lab.Job
-	for _, j := range plan.Baselines {
-		if neededBase[baseKey(j.Workload, j.Node)] {
-			baselines = append(baselines, j)
-		}
-	}
-	jobs := append([]lab.Job{}, baselines...)
-	for _, i := range indices {
-		jobs = append(jobs, plan.Grid[i])
-	}
-	for i := range jobs {
-		jobs[i].Sampling = samp
-	}
-	cache := opt.Cache
-	if cache == nil {
-		cache = sharedCache
-	}
-	res, err := lab.Run(jobs, lab.Options{Workers: opt.Workers, Cache: cache, Progress: opt.Progress})
-	if err != nil {
-		return nil, err
-	}
-
-	base := map[string]sim.Result{}
-	for i, j := range baselines {
-		base[baseKey(j.Workload, j.Node)] = res[i]
-	}
-	points := make([]Point, len(indices))
-	for k, i := range indices {
-		points[k] = plan.Points[i]
-		points[k].gridIndex = i
-		b := base[baseKey(points[k].Profile.Name(), points[k].Node)]
-		fillPoint(&points[k], res[len(baselines)+k], b, false)
-	}
-	return points, nil
-}
-
-// marginSelect returns selected[i] == true for every finite point within
-// margin of the Pareto frontier of points: p survives unless some point
-// dominates it even after p's speedup is credited by (1+margin) and its
-// energy discounted by (1-margin). Frontier members always survive. One
-// sort plus a binary search per point — O(n log n).
-func marginSelect(points []Point, margin float64) []bool {
-	selected := make([]bool, len(points))
-	if margin <= 0 {
-		for i := range points {
-			selected[i] = points[i].OnFrontier
-		}
-		return selected
-	}
-	idx := make([]int, 0, len(points))
-	for i := range points {
-		if points[i].finite() {
-			idx = append(idx, i)
-		}
-	}
-	sort.Slice(idx, func(a, b int) bool {
-		return points[idx[a]].Speedup > points[idx[b]].Speedup
-	})
-	// prefixMin[k] = min energy among the k+1 fastest points.
-	prefixMin := make([]float64, len(idx))
-	minE := math.Inf(1)
-	for k, i := range idx {
-		if points[i].EnergyRatio < minE {
-			minE = points[i].EnergyRatio
-		}
-		prefixMin[k] = minE
-	}
-	for _, i := range idx {
-		p := &points[i]
-		// L = number of points at least (1+margin) faster than p. With
-		// margin > 0 the set never contains p itself.
-		need := p.Speedup * (1 + margin)
-		L := sort.Search(len(idx), func(k int) bool {
-			return points[idx[k]].Speedup < need
-		})
-		dominated := L > 0 && prefixMin[L-1] <= p.EnergyRatio*(1-margin)
-		selected[i] = !dominated
-	}
-	return selected
-}
-
 // ConfirmedReport wraps the confirmed points as an ordinary Report, so the
 // existing tables and CSV render them.
 func (r *TieredReport) ConfirmedReport() *Report {
 	return &Report{Space: r.Space, Points: r.Confirmed}
-}
-
-// PredictedReport wraps every predicted cell as an ordinary Report.
-func (r *TieredReport) PredictedReport() *Report {
-	return &Report{Space: r.Space, Points: r.Predicted}
 }
 
 // Frontier returns the confirmed Pareto frontier, fastest first.

@@ -175,40 +175,65 @@ func TestExploreTieredAuditDisabled(t *testing.T) {
 	}
 }
 
-// TestMarginSelectProperties checks marginSelect against the brute-force
-// definition: a point is screened out iff some point dominates it even after
-// crediting its speedup by (1+margin) and discounting its energy by
-// (1-margin).
+// TestMarginSelectProperties checks slackSelect against the brute-force
+// definition: a finite point is screened out iff it is off the frontier
+// and some point dominates it even after crediting its speedup by
+// (1+slack) and discounting its energy by (1-slack). The slack is a
+// constant margin (the analytic screen), each point's own confidence
+// interval (the sampled tier), or a per-point value of either sign; at a
+// slack of zero or below the point counts against itself.
 func TestMarginSelectProperties(t *testing.T) {
-	r := &rng{state: 3}
-	const margin = 0.15
-	for trial := 0; trial < 100; trial++ {
-		points := randomPoints(r, 1+r.intn(50))
-		markFrontier(points)
-		got := marginSelect(points, margin)
-		for i, p := range points {
-			if !p.finite() {
-				if got[i] {
-					t.Fatalf("trial %d: NaN point selected", trial)
+	constant := func(m float64) func(Point) float64 {
+		return func(Point) float64 { return m }
+	}
+	cases := []struct {
+		name  string
+		slack func(Point) float64
+		ci    bool // attach random sampled confidence intervals first
+	}{
+		{"margin 0.15", constant(0.15), false},
+		{"margin 0", constant(0), false},
+		{"margin -0.1", constant(-0.1), false},
+		{"per-point CI", pointCI, true},
+		{"per-point either sign", func(p Point) float64 { return 0.2*p.EnergyRatio - 0.2 }, false},
+	}
+	for _, tc := range cases {
+		r := &rng{state: 3}
+		for trial := 0; trial < 100; trial++ {
+			points := randomPoints(r, 1+r.intn(50))
+			if tc.ci {
+				for i := range points {
+					ci := float64(r.intn(8)) / 100
+					points[i].Result.Sampled = &sim.SampledStats{TimeRelCI95: ci, EnergyRelCI95: ci / 2}
 				}
-				continue
 			}
-			dominated := false
-			for j, q := range points {
-				if i == j || !q.finite() {
+			markFrontier(points)
+			got := slackSelect(points, tc.slack)
+			for i, p := range points {
+				if !p.finite() {
+					if got[i] {
+						t.Fatalf("%s trial %d: NaN point selected", tc.name, trial)
+					}
 					continue
 				}
-				if q.Speedup >= p.Speedup*(1+margin) && q.EnergyRatio <= p.EnergyRatio*(1-margin) {
-					dominated = true
-					break
+				sl := tc.slack(p)
+				dominated := false
+				for _, q := range points {
+					if q.finite() && q.Speedup >= p.Speedup*(1+sl) && q.EnergyRatio <= p.EnergyRatio*(1-sl) {
+						dominated = true
+						break
+					}
 				}
-			}
-			if got[i] == dominated {
-				t.Fatalf("trial %d point %d (%.2f, %.2f): selected=%t, brute-force dominated=%t",
-					trial, i, p.Speedup, p.EnergyRatio, got[i], dominated)
-			}
-			if p.OnFrontier && !got[i] {
-				t.Fatalf("trial %d: frontier point screened out", trial)
+				if want := !dominated || p.OnFrontier; got[i] != want {
+					t.Fatalf("%s trial %d point %d (%.2f, %.2f, slack %.3f): selected=%t, want %t",
+						tc.name, trial, i, p.Speedup, p.EnergyRatio, sl, got[i], want)
+				}
+				if sl > 0 && p.OnFrontier && dominated {
+					t.Fatalf("%s trial %d: frontier point dominated at slack %.3f", tc.name, trial, sl)
+				}
+				if sl <= 0 && got[i] != p.OnFrontier {
+					t.Fatalf("%s trial %d: slack %.3f selected a non-frontier point", tc.name, trial, sl)
+				}
 			}
 		}
 	}
@@ -218,7 +243,7 @@ func TestMarginSelectZeroMarginIsFrontier(t *testing.T) {
 	r := &rng{state: 5}
 	points := randomPoints(r, 40)
 	markFrontier(points)
-	got := marginSelect(points, 0)
+	got := slackSelect(points, func(Point) float64 { return 0 })
 	for i := range points {
 		if got[i] != points[i].OnFrontier {
 			t.Fatalf("point %d: selected=%t, OnFrontier=%t", i, got[i], points[i].OnFrontier)
@@ -231,7 +256,7 @@ func TestMarginSelectZeroMarginIsFrontier(t *testing.T) {
 // confirming at most 15% of the grid cycle-accurately. The exact reference
 // shares the cache, so the tiered confirmation stage simulates nothing new.
 // Heavy (≈30s of simulation): skipped under -short and the race detector;
-// CI runs it race-free in the tiered smoke step.
+// CI runs it in its race-free test step.
 func TestExploreTieredScale(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("heavyweight scale test; run without -short/-race")

@@ -13,12 +13,13 @@
 //	                   Lines stream as results complete; duplicate jobs —
 //	                   within the batch, across batches, across clients —
 //	                   simulate once.
-//	GET  /v1/frontier  explore-style Pareto query; parameters mirror the
-//	                   explore CLI flags (ilp, entropy, fp, mem, stride,
-//	                   rr, code, period, chase, stridebytes, seed, passes,
-//	                   arch, predictor, prefetcher, fe, be, node, n,
-//	                   tier, margin, audit, auditseed, sample_period,
-//	                   window, sample_warmup, sample_seed). tier=analytic
+//	GET  /v1/frontier  explore-style Pareto query; the parameters are the
+//	                   explore CLI flags explore.Query binds, '_' for '-'
+//	                   (ilp, entropy, fp, mem, stride, rr, code, period,
+//	                   chase, stridebytes, seed, passes, arch, predictor,
+//	                   prefetcher, fe, be, node, n, tier, margin, audit,
+//	                   auditseed, sample_period, window, sample_warmup,
+//	                   sample_seed); any other is a 400. tier=analytic
 //	                   screens the grid with a calibrated closed-form
 //	                   model and simulates only cells near the predicted
 //	                   frontier; tier=auto picks by grid size; tier=sampled
@@ -37,21 +38,24 @@
 //	                   trace spill file, quarantine corrupt ones, return
 //	                   the report. Safe while serving.
 //
-// Request lifecycle: every sweep job is gated on the request context — a
-// client that disconnects mid-stream stops consuming the service the
-// moment its running jobs finish; unstarted jobs never claim a semaphore
-// slot or a simulation. Undeliverable replies are counted (stats
-// dropped_replies) instead of being silently discarded.
+// Request lifecycle: sweep jobs start in job order, each gated on the
+// request context — a client that disconnects mid-stream stops consuming
+// the service the moment its running jobs finish; unstarted jobs never
+// claim a semaphore slot or a simulation. Undeliverable replies are
+// counted (stats dropped_replies) instead of being silently discarded.
 package labd
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 	"log"
 	"net/http"
+	"net/url"
 	"path/filepath"
 	"runtime"
-	"strconv"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +64,6 @@ import (
 	"flywheel/internal/explore"
 	"flywheel/internal/lab"
 	"flywheel/internal/lab/store"
-	"flywheel/internal/sample"
 	"flywheel/internal/sim"
 	"flywheel/internal/trace"
 )
@@ -362,43 +365,46 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		workers = len(req.Jobs)
 	}
 
-	// Fan the batch across a bounded pool through the shared cache; each
-	// job's outcome lands in its own single-slot channel so the writer can
-	// stream strictly in job order while later jobs keep computing. The
-	// request context gates every stage: a disconnected client's unstarted
-	// jobs are skipped before they can claim a semaphore slot or a
-	// simulation, so a canceled 65k-job batch stops consuming the
-	// service-wide GOMAXPROCS budget almost immediately. Jobs that already
-	// started simulating run to completion and land in the shared cache.
+	// A pool of workers takes the jobs in job order, as lab.Run does, so
+	// line 0 never waits behind the rest of the batch; each outcome lands
+	// in its own single-slot channel so the writer streams strictly in job
+	// order while later jobs keep computing. A disconnected client's
+	// unstarted jobs are skipped before they can claim a service-wide
+	// semaphore slot or a simulation; jobs that already started run to
+	// completion and land in the shared cache.
 	ctx := r.Context()
 	type outcome struct {
 		res sim.Result
 		err error
 	}
 	ready := make([]chan outcome, len(req.Jobs))
-	reqSem := make(chan struct{}, workers)
-	for i := range req.Jobs {
+	for i := range ready {
 		ready[i] = make(chan outcome, 1)
-		go func(i int) {
-			select {
-			case reqSem <- struct{}{}:
-			case <-ctx.Done():
-				s.canceledJobs.Add(1)
-				ready[i] <- outcome{err: ctx.Err()}
-				return
-			}
-			defer func() { <-reqSem }()
+	}
+	runJob := func(j lab.Job) outcome {
+		if ctx.Err() == nil {
 			select {
 			case s.sem <- struct{}{}:
+				defer func() { <-s.sem }()
+				res, err := s.cache.DoContext(ctx, j)
+				return outcome{res, err}
 			case <-ctx.Done():
-				s.canceledJobs.Add(1)
-				ready[i] <- outcome{err: ctx.Err()}
-				return
 			}
-			defer func() { <-s.sem }()
-			res, err := s.cache.DoContext(ctx, req.Jobs[i])
-			ready[i] <- outcome{res, err}
-		}(i)
+		}
+		s.canceledJobs.Add(1)
+		return outcome{err: ctx.Err()}
+	}
+	var next atomic.Int64
+	for range workers {
+		go func() {
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(req.Jobs) {
+					return
+				}
+				ready[i] <- runJob(req.Jobs[i])
+			}
+		}()
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -438,199 +444,78 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	axes := explore.DefaultAxes()
-	q := r.URL.Query()
-	get := func(name string, dst *string) {
-		if v := q.Get(name); v != "" {
-			*dst = v
-		}
-	}
-	get("ilp", &axes.ILP)
-	get("entropy", &axes.Entropy)
-	get("fp", &axes.FPMix)
-	get("mem", &axes.Mem)
-	get("stride", &axes.Stride)
-	get("rr", &axes.Reuse)
-	get("code", &axes.Code)
-	get("period", &axes.Period)
-	get("chase", &axes.Chase)
-	get("stridebytes", &axes.StrideBytes)
-	get("arch", &axes.Arch)
-	get("predictor", &axes.Predictor)
-	get("prefetcher", &axes.Prefetcher)
-	get("fe", &axes.FE)
-	get("be", &axes.BE)
-	get("node", &axes.Node)
-	if v := q.Get("seed"); v != "" {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "labd: bad seed: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		axes.Seed = seed
-	}
-	if v := q.Get("passes"); v != "" {
-		passes, err := strconv.Atoi(v)
-		if err != nil {
-			http.Error(w, "labd: bad passes: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		axes.Passes = passes
-	}
-	if v := q.Get("n"); v != "" {
-		n, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "labd: bad n: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		axes.Instructions = n
-	}
-
-	tier := q.Get("tier")
-	switch tier {
-	case "", "exact", "sampled", "analytic", "auto":
-	default:
-		http.Error(w, fmt.Sprintf("labd: unknown tier %q (want exact, sampled, analytic or auto)", tier), http.StatusBadRequest)
-		return
-	}
-	var sampling sim.Sampling
-	for _, f := range []struct {
-		name string
-		dst  *uint64
-	}{
-		{"sample_period", &sampling.Period},
-		{"window", &sampling.WindowInsts},
-		{"sample_warmup", &sampling.WarmupInsts},
-		{"sample_seed", &sampling.Seed},
-	} {
-		if v := q.Get(f.name); v != "" {
-			u, err := strconv.ParseUint(v, 10, 64)
-			if err != nil {
-				http.Error(w, "labd: bad "+f.name+": "+err.Error(), http.StatusBadRequest)
-				return
-			}
-			*f.dst = u
-		}
-	}
-	if tier == "sampled" && sampling.Period == 0 {
-		sampling.Period = sample.DefaultPeriod
-	}
-	sampling = sampling.Normalize()
-	if err := sampling.Validate(); err != nil {
-		http.Error(w, "labd: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	topt := explore.TieredOptions{Audit: explore.DefaultAudit, AuditSeed: 1, Sampling: sampling}
-	if v := q.Get("margin"); v != "" {
-		m, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			http.Error(w, "labd: bad margin: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		topt.Margin = m
-	}
-	if v := q.Get("audit"); v != "" {
-		a, err := strconv.ParseFloat(v, 64)
-		if err != nil {
-			http.Error(w, "labd: bad audit: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		topt.Audit = a
-	}
-	if v := q.Get("auditseed"); v != "" {
-		seed, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			http.Error(w, "labd: bad auditseed: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		topt.AuditSeed = seed
-	}
-	if tier == "analytic" || tier == "auto" {
-		// The exact guard protects against queueing hours of simulation; a
-		// screened grid costs nanoseconds per cell, so it can be far wider.
-		axes.MaxPoints = 262_144
-	}
-
-	space, err := axes.Space()
+	q, err := frontierQuery(r.URL.Query())
 	if err != nil {
 		http.Error(w, "labd: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	opt := explore.Options{Cache: s.cache}
-
-	useAnalytic := tier == "analytic"
-	if tier == "auto" {
-		plan, err := explore.NewPlan(space)
-		if err != nil {
-			http.Error(w, "labd: "+err.Error(), http.StatusBadRequest)
-			return
-		}
-		useAnalytic = plan.Cells() >= 4*explore.CalibrationConfig(space, opt).Cells()
+	space, err := q.Space()
+	if err != nil {
+		http.Error(w, "labd: "+err.Error(), http.StatusBadRequest)
+		return
 	}
-	if useAnalytic {
-		model, err := analytic.Calibrate(explore.CalibrationConfig(space, opt))
-		if err != nil {
-			http.Error(w, "labd: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		topt.Options = opt
-		rep, err := explore.ExploreTiered(space, model, topt)
-		if err != nil {
-			http.Error(w, "labd: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.analyticCells.Add(uint64(len(rep.Predicted) - len(rep.Confirmed)))
-		s.confirmedCells.Add(uint64(len(rep.Confirmed)))
-		s.sampledCells.Add(uint64(rep.SampledCells))
-		reply := FrontierReply{
-			GridPoints:     len(rep.Predicted),
-			Tier:           "analytic",
-			Frontier:       []FrontierPoint{},
-			ScreenedCells:  len(rep.Predicted) - len(rep.Confirmed),
-			ConfirmedCells: len(rep.Confirmed),
-			Margin:         rep.Margin,
-			PredictionErr:  &rep.Err,
-		}
+	out, err := q.Run(space, explore.Options{Cache: s.cache})
+	if err != nil {
+		http.Error(w, "labd: "+err.Error(), http.StatusInternalServerError)
+		return
+	}
+
+	reply := FrontierReply{Tier: out.Tier, Frontier: []FrontierPoint{}}
+	var frontier []explore.Point
+	if rep := out.Tiered; rep != nil {
+		reply.GridPoints = len(rep.Predicted)
+		reply.ScreenedCells = len(rep.Predicted) - len(rep.Confirmed)
+		reply.ConfirmedCells = len(rep.Confirmed)
+		reply.Margin = rep.Margin
+		reply.PredictionErr = &rep.Err
 		if rep.SampledCells > 0 {
 			reply.SampledCells = rep.SampledCells
 			reply.EscalatedCells = rep.EscalatedCells
 			reply.SampledErr = &rep.SampledErr
 		}
-		for _, p := range rep.Frontier() {
-			reply.Frontier = append(reply.Frontier, frontierPoint(p))
+		s.analyticCells.Add(uint64(reply.ScreenedCells))
+		s.confirmedCells.Add(uint64(reply.ConfirmedCells))
+		frontier = rep.Frontier()
+	} else {
+		reply.GridPoints = len(out.Report.Points)
+		if out.Tier == "sampled" {
+			reply.SampledCells = reply.GridPoints
 		}
-		s.writeJSON(w, r, reply)
-		return
+		frontier = out.Report.Frontier()
 	}
-
-	if tier == "sampled" {
-		rep, err := explore.ExploreSampled(space, sampling, opt)
-		if err != nil {
-			http.Error(w, "labd: "+err.Error(), http.StatusInternalServerError)
-			return
-		}
-		s.sampledCells.Add(uint64(len(rep.Points)))
-		reply := FrontierReply{
-			GridPoints: len(rep.Points), Tier: "sampled",
-			Frontier: []FrontierPoint{}, SampledCells: len(rep.Points),
-		}
-		for _, p := range rep.Frontier() {
-			reply.Frontier = append(reply.Frontier, frontierPoint(p))
-		}
-		s.writeJSON(w, r, reply)
-		return
-	}
-
-	rep, err := explore.Explore(space, opt)
-	if err != nil {
-		http.Error(w, "labd: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	reply := FrontierReply{GridPoints: len(rep.Points), Tier: "exact", Frontier: []FrontierPoint{}}
-	for _, p := range rep.Frontier() {
+	s.sampledCells.Add(uint64(reply.SampledCells))
+	for _, p := range frontier {
 		reply.Frontier = append(reply.Frontier, frontierPoint(p))
 	}
 	s.writeJSON(w, r, reply)
+}
+
+// frontierQuery reads /v1/frontier parameters through the explore CLI's
+// own flag definitions: a parameter is the flag of the same name, spelled
+// with '_' for '-'. An unknown parameter is an error; an empty value keeps
+// the default. The grid-size guard is not among the flags, so a client
+// cannot raise it.
+func frontierQuery(params url.Values) (explore.Query, error) {
+	q := explore.DefaultQuery()
+	fs := flag.NewFlagSet("frontier", flag.ContinueOnError)
+	q.Bind(fs)
+	names := make([]string, 0, len(params))
+	for name := range params {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		flagName := strings.ReplaceAll(name, "_", "-")
+		if fs.Lookup(flagName) == nil {
+			return q, fmt.Errorf("unknown parameter %q", name)
+		}
+		if v := params.Get(name); v != "" {
+			if err := fs.Set(flagName, v); err != nil {
+				return q, fmt.Errorf("bad %s: %v", name, err)
+			}
+		}
+	}
+	return q, nil
 }
 
 // frontierPoint shapes one explore point for the wire.

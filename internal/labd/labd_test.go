@@ -6,6 +6,7 @@ package labd_test
 
 import (
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -491,6 +492,50 @@ func TestFrontierBadSamplingQuery(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("query %q: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestFrontierRejectsConfirmAll: a margin or audit that would confirm every
+// screened cell is a usage error. Before validation such a query ran every
+// cell of a grid up to the 262,144-cell screen guard cycle-accurately,
+// far past the 4,096-cell exact guard, and answered 200.
+func TestFrontierRejectsConfirmAll(t *testing.T) {
+	ts, _ := startServer(t, lab.NewCache())
+	const grid = "?ilp=1&entropy=0&mem=4&code=1&passes=1&fe=0,50&n=2000&tier=analytic"
+	for _, q := range []string{
+		"&margin=NaN", "&margin=Inf", "&margin=-Inf", "&margin=1", "&margin=2",
+		"&audit=1", "&audit=NaN",
+	} {
+		resp, err := http.Get(ts.URL + "/v1/frontier" + grid + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("query %q: status %d, want 400", q, resp.StatusCode)
+		}
+	}
+}
+
+// TestFrontierRejectsUnknownParameter: a misspelt parameter used to be
+// ignored, serving the default grid; it is now a 400 naming the parameter.
+// The CLI-only flags are not parameters: a client cannot raise the grid
+// guard, pick the worker count or open a store.
+func TestFrontierRejectsUnknownParameter(t *testing.T) {
+	ts, _ := startServer(t, lab.NewCache())
+	for _, name := range []string{"entropyy", "maxpoints", "parallel", "store", "instructions", "csv"} {
+		resp, err := http.Get(ts.URL + "/v1/frontier?ilp=1&" + name + "=1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("parameter %q: status %d, want 400", name, resp.StatusCode)
+		}
+		if !strings.Contains(string(body), name) {
+			t.Errorf("parameter %q: error %q does not name it", name, body)
 		}
 	}
 }

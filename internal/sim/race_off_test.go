@@ -4,5 +4,5 @@ package sim
 
 // raceEnabled reports whether the race detector is active; allocation and
 // scale tests skip under it (instrumentation changes both heap behavior
-// and throughput).
+// and throughput); CI runs them in its race-free test step.
 const raceEnabled = false
