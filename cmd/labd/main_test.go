@@ -64,23 +64,41 @@ func TestServesStats(t *testing.T) {
 	}
 }
 
+// TestServesSweep: a store-backed server answers two identical sweeps
+// with byte-identical NDJSON, one result line per job, and its /v1/stats
+// answers afterwards.
 func TestServesSweep(t *testing.T) {
-	base, _ := startLabd(t)
-	body := `{"jobs":[{"Workload":"ijpeg","Arch":0,"MaxInstructions":2000}]}`
-	resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))
+	base, _ := startLabd(t, "-store", t.TempDir())
+	body := `{"jobs":[{"Workload":"ijpeg","Arch":1,"FEBoostPct":50,"BEBoostPct":50,"MaxInstructions":20000},{"Workload":"gcc","Arch":0,"MaxInstructions":20000}]}`
+	sweep := func() string {
+		resp, err := http.Post(base+"/v1/sweep", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("sweep: status %d", resp.StatusCode)
+		}
+		var buf bytes.Buffer
+		if _, err := buf.ReadFrom(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	first, second := sweep(), sweep()
+	if !strings.Contains(first, `"index":0`) || strings.Count(first, `"result"`) != 2 {
+		t.Fatalf("sweep NDJSON lacks its 2 result lines: %s", first)
+	}
+	if first != second {
+		t.Fatalf("repeat sweep differs:\n%s\n%s", first, second)
+	}
+	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
+	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("sweep: status %d", resp.StatusCode)
-	}
-	var buf bytes.Buffer
-	if _, err := buf.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), `"index":0`) || !strings.Contains(buf.String(), `"result"`) {
-		t.Fatalf("sweep NDJSON lacks the result line: %s", buf.String())
+		t.Fatalf("stats: status %d", resp.StatusCode)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net/http"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,8 +64,11 @@ type Options struct {
 	HedgeDelayMin time.Duration
 	// DisableHedging turns speculative duplicates off (retry still works).
 	DisableHedging bool
-	// HTTPClient is used for all worker traffic; nil uses
-	// http.DefaultClient.
+	// HTTPClient is used for all worker traffic. Nil uses a client of the
+	// coordinator's own, over a clone of http.DefaultTransport that keeps
+	// MaxInFlightPerShard × Replicas idle connections per worker, so
+	// concurrent shard requests reuse their connections instead of
+	// redialling (http.DefaultClient keeps two per host).
 	HTTPClient *http.Client
 	// Logf receives operational log lines; nil silences them.
 	Logf func(format string, args ...any)
@@ -115,11 +118,20 @@ func (o *Options) fill() error {
 	if o.HedgeDelayMin <= 0 {
 		o.HedgeDelayMin = 250 * time.Millisecond
 	}
+	if o.HTTPClient == nil {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConnsPerHost = o.MaxInFlightPerShard * o.Replicas
+		o.HTTPClient = &http.Client{Transport: t}
+	}
 	if o.Logf == nil {
 		o.Logf = func(string, ...any) {}
 	}
 	return nil
 }
+
+// latWindow is how many recent request latencies a shard keeps for its
+// hedging trigger.
+const latWindow = 128
 
 // shard is the coordinator's view of one worker: its client, its global
 // in-flight bound, and a window of recent request latencies for the
@@ -134,7 +146,7 @@ type shard struct {
 	failures atomic.Uint64
 
 	mu   sync.Mutex
-	lats [128]time.Duration
+	lats [latWindow]time.Duration
 	n    int // filled entries
 	next int // ring-buffer cursor
 }
@@ -150,17 +162,18 @@ func (s *shard) observe(d time.Duration) {
 }
 
 // p99 returns the 99th-percentile latency of the recent window, or zero
-// with no samples.
+// with no samples. It runs on every job's hedge timer, so it sorts a copy
+// on the stack instead of allocating one.
 func (s *shard) p99() time.Duration {
+	var buf [latWindow]time.Duration
 	s.mu.Lock()
-	buf := make([]time.Duration, s.n)
-	copy(buf, s.lats[:s.n])
+	w := buf[:copy(buf[:], s.lats[:s.n])]
 	s.mu.Unlock()
-	if len(buf) == 0 {
+	if len(w) == 0 {
 		return 0
 	}
-	sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
-	return buf[(len(buf)*99)/100]
+	slices.Sort(w)
+	return w[(len(w)*99)/100]
 }
 
 // Coordinator fans sweeps across the cluster. It is safe for concurrent
@@ -240,18 +253,36 @@ func (c *Coordinator) CheckWorkers(ctx context.Context) error {
 	return nil
 }
 
-// queueSet holds each shard's FIFO of job indexes for one sweep. Owners
-// pop from the head of their own queue; an idle shard steals from the tail
-// of the longest other queue, so a skewed grid (every job hashing to one
-// worker) still saturates the cluster.
+// queueSet holds each shard's FIFO of job indexes for one sweep and the
+// count of each shard's runners that are not running a job. Owners pop
+// from the head of their own queue. A runner whose own queue is empty
+// steals from the tail of the queue with the largest surplus — the jobs
+// its owner's idle runners cannot start right away, len(q) - idle — so a
+// skewed grid (every job hashing to one worker) still saturates the
+// cluster, while a job its owner can start at once stays on the shard
+// whose cache and store hold it.
+//
+// Queues are filled before the runners start and never grow. An owner pop
+// lowers the queue length and the idle count together, and a finish or a
+// steal only lowers the surplus, so a surplus never grows: a runner that
+// finds none anywhere may exit.
 type queueSet struct {
 	mu    sync.Mutex
 	q     map[string][]int
+	idle  map[string]int
 	order []string
 }
 
-func newQueueSet(order []string) *queueSet {
-	return &queueSet{q: make(map[string][]int, len(order)), order: order}
+func newQueueSet(order []string, runners int) *queueSet {
+	qs := &queueSet{
+		q:     make(map[string][]int, len(order)),
+		idle:  make(map[string]int, len(order)),
+		order: order,
+	}
+	for _, n := range order {
+		qs.idle[n] = runners
+	}
+	return qs
 }
 
 func (qs *queueSet) push(owner string, idx int) {
@@ -260,25 +291,36 @@ func (qs *queueSet) push(owner string, idx int) {
 	qs.mu.Unlock()
 }
 
+// pop hands a runner of shard own its next job and marks the runner busy
+// until its finish call.
 func (qs *queueSet) pop(own string) (idx int, stolen, ok bool) {
 	qs.mu.Lock()
 	defer qs.mu.Unlock()
 	if q := qs.q[own]; len(q) > 0 {
 		qs.q[own] = q[1:]
+		qs.idle[own]--
 		return q[0], false, true
 	}
-	best, bestLen := "", 0
+	best, bestSurplus := "", 0
 	for _, n := range qs.order {
-		if n != own && len(qs.q[n]) > bestLen {
-			best, bestLen = n, len(qs.q[n])
+		if surplus := len(qs.q[n]) - qs.idle[n]; n != own && surplus > bestSurplus {
+			best, bestSurplus = n, surplus
 		}
 	}
-	if bestLen == 0 {
+	if bestSurplus == 0 {
 		return 0, false, false
 	}
 	q := qs.q[best]
 	qs.q[best] = q[:len(q)-1]
+	qs.idle[own]--
 	return q[len(q)-1], true, true
+}
+
+// finish marks a runner of shard own idle again.
+func (qs *queueSet) finish(own string) {
+	qs.mu.Lock()
+	qs.idle[own]++
+	qs.mu.Unlock()
 }
 
 // Sweep runs the batch across the cluster and emits one SweepLine per job
@@ -295,7 +337,7 @@ func (c *Coordinator) Sweep(ctx context.Context, jobs []lab.Job, emit func(labd.
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	queues := newQueueSet(c.order)
+	queues := newQueueSet(c.order, c.opt.MaxInFlightPerShard)
 	keys := make([]string, len(jobs))
 	for i, j := range jobs {
 		keys[i] = j.Key()
@@ -327,6 +369,7 @@ func (c *Coordinator) Sweep(ctx context.Context, jobs []lab.Job, emit func(labd.
 					line.Key = keys[i]
 					ready[i] <- line
 					c.pending.Add(-1)
+					queues.finish(sh.url)
 				}
 			}(sh)
 		}

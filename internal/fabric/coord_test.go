@@ -8,9 +8,14 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -203,6 +208,110 @@ func TestWorkStealing(t *testing.T) {
 	}
 	if tc.coord.shards[tc.urls[1]].requests.Load() == 0 {
 		t.Fatal("idle worker received no stolen jobs")
+	}
+}
+
+// TestSmallBatchStaysOnOwner: a skewed batch no larger than its owner's
+// runners has no surplus, so nothing is stolen — every job runs on the
+// shard whose cache holds it, and a repeat is all memory hits there.
+func TestSmallBatchStaysOnOwner(t *testing.T) {
+	tc := startCluster(t, 2, func(o *Options) { o.DisableHedging = true })
+	var jobs []lab.Job
+	for fe := 0; len(jobs) < 4 && fe < 200; fe++ {
+		j := lab.Job{Workload: "ijpeg", Arch: sim.ArchFlywheel, FEBoostPct: fe, BEBoostPct: 50, MaxInstructions: 20000}
+		if tc.coord.Owner(j.Key()) == tc.urls[0] {
+			jobs = append(jobs, j)
+		}
+	}
+	if len(jobs) < 4 {
+		t.Fatalf("could not craft a skewed batch: %d jobs", len(jobs))
+	}
+	assertMatchesInProcess(t, jobs, collectSweep(t, tc.coord, jobs, nil))
+	if n := tc.coord.steals.Load(); n != 0 {
+		t.Fatalf("%d jobs stolen from an owner with idle runners", n)
+	}
+	if st := tc.caches[1].Stats(); st != (lab.Stats{}) {
+		t.Fatalf("the idle worker's cache saw requests: %+v", st)
+	}
+
+	before := tc.caches[0].Stats()
+	assertMatchesInProcess(t, jobs, collectSweep(t, tc.coord, jobs, nil))
+	after := tc.caches[0].Stats()
+	if hits, misses := after.Hits-before.Hits, after.Misses-before.Misses; hits != 4 || misses != 0 {
+		t.Fatalf("repeat batch on its owner: %d memory hits, %d misses; want 4 and 0", hits, misses)
+	}
+}
+
+// TestWorkerConnectionsReused: with no HTTPClient the coordinator keeps
+// enough idle connections per worker for every shard request it may run at
+// once, so repeated concurrent sweeps do not redial their workers.
+func TestWorkerConnectionsReused(t *testing.T) {
+	var urls []string
+	var dials [2]atomic.Int64
+	for i := range dials {
+		ts := httptest.NewUnstartedServer(labd.NewServer(lab.NewCache()).Handler())
+		n := &dials[i]
+		ts.Config.ConnState = func(_ net.Conn, s http.ConnState) {
+			if s == http.StateNew {
+				n.Add(1)
+			}
+		}
+		ts.Start()
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+	}
+	coord, err := New(Options{Workers: urls, DisableHedging: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := testBatch(16)
+	for j := range jobs {
+		jobs[j].MaxInstructions = 2000
+	}
+	for round := 0; round < 10; round++ {
+		var wg sync.WaitGroup
+		for k := 0; k < 3; k++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				err := coord.Sweep(context.Background(), jobs, func(labd.SweepLine) error { return nil })
+				if err != nil {
+					t.Errorf("sweep: %v", err)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	bound := int64(coord.opt.MaxInFlightPerShard * coord.opt.Replicas)
+	for i := range dials {
+		if got := dials[i].Load(); got > bound {
+			t.Errorf("worker %d: %d connections dialled over 30 sweeps, want at most %d", i, got, bound)
+		}
+	}
+}
+
+// TestShardP99 pins the hedge trigger's percentile to a sorted copy of the
+// window, at every fill level and after the ring wraps, and checks that
+// computing it allocates nothing.
+func TestShardP99(t *testing.T) {
+	want := func(s *shard) time.Duration {
+		buf := append([]time.Duration(nil), s.lats[:s.n]...)
+		if len(buf) == 0 {
+			return 0
+		}
+		sort.Slice(buf, func(a, b int) bool { return buf[a] < buf[b] })
+		return buf[(len(buf)*99)/100]
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	var s shard
+	for i := 0; i <= 3*latWindow; i++ {
+		if got, exp := s.p99(), want(&s); got != exp {
+			t.Fatalf("after %d samples: p99 %v, want %v", i, got, exp)
+		}
+		s.observe(time.Duration(rng.IntN(1000)) * time.Millisecond)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { s.p99() }); allocs != 0 {
+		t.Fatalf("p99 allocates %v times per call", allocs)
 	}
 }
 

@@ -259,10 +259,6 @@ func (c *Coordinator) handleScrub(w http.ResponseWriter, r *http.Request) {
 // grid stays memoized there — failing over to the next owner when the
 // worker is unreachable.
 func (c *Coordinator) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	httpc := c.opt.HTTPClient
-	if httpc == nil {
-		httpc = http.DefaultClient
-	}
 	var lastErr error
 	for _, url := range c.ring.Owners("frontier|"+r.URL.RawQuery, len(c.order)) {
 		target := url + "/v1/frontier"
@@ -274,7 +270,7 @@ func (c *Coordinator) handleFrontier(w http.ResponseWriter, r *http.Request) {
 			lastErr = err
 			continue
 		}
-		resp, err := httpc.Do(req)
+		resp, err := c.opt.HTTPClient.Do(req)
 		if err != nil {
 			lastErr = err
 			c.retries.Add(1)

@@ -178,9 +178,13 @@ var errResumable = errors.New("")
 // decodeSweepStream validates and collects the NDJSON response body. The
 // protocol invariants it enforces — strictly increasing indexes starting
 // at zero (no duplicates, no reordering), exactly n lines, every line
-// under the scanner cap — turn any server or transport corruption into an
-// error instead of silently misattributed results. Blank lines are
-// tolerated (keep-alive padding).
+// under the 64 MiB scanner cap — turn any server or transport corruption
+// into an error instead of silently misattributed results. Blank lines
+// are tolerated (keep-alive padding).
+//
+// The scanner buffer starts small and doubles only for a longer line: a
+// result line is about 700 B, and the fabric decodes one stream per job,
+// so a large up-front buffer would be allocated and cleared for nothing.
 //
 // On failure the validated prefix is returned alongside the error.
 // Failures that look like a dying connection — a read error, a clean but
@@ -189,7 +193,7 @@ var errResumable = errors.New("")
 func decodeSweepStream(body io.Reader, n int) ([]SweepLine, error) {
 	lines := make([]SweepLine, 0, n)
 	sc := bufio.NewScanner(body)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20) // results with full stats are large
+	sc.Buffer(nil, 64<<20)
 	for sc.Scan() {
 		if len(bytes.TrimSpace(sc.Bytes())) == 0 {
 			continue

@@ -53,6 +53,8 @@ func TestSweepStreamRobustness(t *testing.T) {
 		{"empty stream", "", "truncated"},
 		{"extra trailing line", line0 + "\n" + line1 + "\n" + `{"index":2,"key":"k2","result":{}}` + "\n", "overran"},
 		{"garbage line", line0 + "\nnot json\n", "bad line"},
+		{"2 MiB result line grows the buffer",
+			`{"index":0,"key":"k0","result":{` + strings.Repeat(" ", 2<<20) + `}}` + "\n" + line1 + "\n", ""},
 		{"oversized single line at the 64 MiB cap",
 			`{"index":0,"key":"` + strings.Repeat("a", 64<<20) + `"}` + "\n", "stream"},
 	}
