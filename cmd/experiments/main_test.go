@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"flywheel/internal/sim"
 )
 
 func TestRunStaticTables(t *testing.T) {
@@ -85,4 +87,46 @@ func TestRunUnknownFigure(t *testing.T) {
 			t.Errorf("stderr %q lacks %s", errb.String(), want)
 		}
 	}
+}
+
+// TestStoreWarmPasses runs three passes over one result store, each
+// standing in for a fresh process (the in-memory trace cache is dropped
+// before it): Figure 11 twice, then Figure 12 over new grid cells. The
+// second pass must be served entirely from disk, and the third must
+// revive the first pass's spilled traces instead of re-recording them.
+func TestStoreWarmPasses(t *testing.T) {
+	dir := t.TempDir()
+	t.Cleanup(func() {
+		sim.SetTraceSpillDir("")
+		sim.ResetTraceCache()
+	})
+	pass := func(fig string) (stdout, stderr string) {
+		t.Helper()
+		sim.ResetTraceCache()
+		var out, errb bytes.Buffer
+		if code := run([]string{"-fig", fig, "-n", "20000", "-store", dir, "-storestats"}, &out, &errb); code != 0 {
+			t.Fatalf("fig %s: exit %d, stderr: %s", fig, code, errb.String())
+		}
+		return out.String(), errb.String()
+	}
+	expect := func(name, stats string, wants ...string) {
+		t.Helper()
+		for _, want := range wants {
+			if !strings.Contains(stats, want) {
+				t.Errorf("%s stats lack %q:\n%s", name, want, stats)
+			}
+		}
+	}
+
+	out1, stats1 := pass("11")
+	out2, stats2 := pass("11")
+	if out1 != out2 {
+		t.Errorf("pass 2 tables differ from pass 1:\n%s\nvs\n%s", out1, out2)
+	}
+	// Pass 1 records each workload's dynamic trace exactly once and spills
+	// it; the all-disk pass 2 simulates and re-emulates nothing.
+	expect("pass 1", stats1, "trace cache: 20 replays, 10 recordings, 0 bypasses", ", 10 spill saves;")
+	expect("pass 2", stats2, " 0 sim runs (100.0% disk)", "trace cache: 0 replays, 0 recordings")
+	_, stats3 := pass("12")
+	expect("pass 3", stats3, " 0 recordings, 0 bypasses", " 10 spill loads,")
 }

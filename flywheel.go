@@ -34,7 +34,6 @@ import (
 	"flywheel/internal/lab/store"
 	"flywheel/internal/labd"
 	"flywheel/internal/sim"
-	"flywheel/internal/trace"
 	"flywheel/internal/workload"
 )
 
@@ -229,20 +228,6 @@ type SweepOptions struct {
 	// Client, when non-nil, routes the whole batch to a labd service and
 	// takes precedence over Store (the service has its own store).
 	Client *Client
-
-	// DisableTraceCache opts this process out of the record-once,
-	// replay-many dynamic-trace cache: every run executes the functional
-	// emulator live, the pre-cache behavior. Results are byte-identical
-	// either way (the cache only changes where the instruction stream
-	// comes from); the knob exists for memory-constrained runs and for
-	// differential testing. The setting is process-wide and applied when
-	// the sweep starts; the last sweep's options win.
-	DisableTraceCache bool
-	// TraceCacheMaxBytes caps the resident size of recorded traces; zero
-	// keeps the default (trace.DefaultMaxBytes, 256 MiB). Recordings are
-	// evicted least-recently-used first, and a workload whose recording
-	// cannot fit at all falls back to live emulation — never an error.
-	TraceCacheMaxBytes int64
 }
 
 func (o SweepOptions) labOptions() lab.Options {
@@ -266,12 +251,6 @@ func RunMany(cfgs []Config, opt SweepOptions) ([]Result, error) {
 		// Both paths agree on empty input; the service would reject an
 		// empty batch.
 		return []Result{}, nil
-	}
-	if opt.Client == nil {
-		// The trace-cache policy is process-wide (the cache is shared so
-		// recordings amortize across sweeps); the latest sweep's options
-		// win. A labd-routed batch leaves the local policy alone.
-		sim.SetTraceCachePolicy(trace.Policy{Disabled: opt.DisableTraceCache, MaxBytes: opt.TraceCacheMaxBytes})
 	}
 	jobs := make([]lab.Job, len(cfgs))
 	for i, c := range cfgs {
@@ -348,9 +327,9 @@ func publicResult(res sim.Result) Result {
 	}
 }
 
-// CacheStats reports the process-wide simulator caches: the
-// record-once/replay-many dynamic-trace cache and the warm-snapshot cache.
-// (The per-store result cache reports through Store.StatsLine.)
+// CacheStats reports the process-wide record-once/replay-many
+// dynamic-trace cache. (The per-store result cache reports through
+// Store.StatsLine.)
 type CacheStats struct {
 	// Trace-cache traffic: replays served from a recording, recordings
 	// made, runs that bypassed the cache, recordings evicted by the memory
@@ -360,23 +339,15 @@ type CacheStats struct {
 	// TraceEntries recordings are resident, TraceBytes their encoded size.
 	TraceEntries int
 	TraceBytes   int64
-
-	// Warm-snapshot cache traffic and residency.
-	SnapshotHits, SnapshotMisses, SnapshotEvictions uint64
-	SnapshotEntries                                 int
-	SnapshotBytes                                   int64
 }
 
 // Caches returns a snapshot of the simulator cache counters.
 func Caches() CacheStats {
 	ts := sim.TraceCacheStats()
-	ss := sim.SnapshotCacheInfoNow()
 	return CacheStats{
 		TraceHits: ts.Hits, TraceMisses: ts.Misses, TraceBypasses: ts.Bypasses,
 		TraceEvictions: ts.Evictions, TraceSpillLoads: ts.SpillLoads, TraceSpillSaves: ts.SpillSaves,
 		TraceEntries: ts.Entries, TraceBytes: ts.ResidentBytes,
-		SnapshotHits: ss.Hits, SnapshotMisses: ss.Misses, SnapshotEvictions: ss.Evictions,
-		SnapshotEntries: ss.Entries, SnapshotBytes: ss.Bytes,
 	}
 }
 

@@ -53,7 +53,7 @@ func New(p *asm.Program) *Machine {
 // Snapshot is a frozen machine state: the register file plus a
 // copy-on-write memory image. Cloning machines from a snapshot is O(1) in
 // the memory footprint, so a warm-up phase executed once can seed any
-// number of measurement runs (see package sim's warm-snapshot cache).
+// number of measurement runs (see workload.WarmState).
 type Snapshot struct {
 	prog    *asm.Program
 	pc      uint64
@@ -82,10 +82,6 @@ func (m *Machine) Snapshot() *Snapshot {
 // Retired reports how many instructions had retired when the snapshot was
 // taken.
 func (s *Snapshot) Retired() uint64 { return s.retired }
-
-// MemPages reports how many 4 KiB pages the snapshot's frozen memory image
-// holds (for cache byte accounting).
-func (s *Snapshot) MemPages() int { return s.mem.PageCount() }
 
 // NewMachine clones a runnable machine from the snapshot. Clones share
 // memory pages copy-on-write and may run concurrently.

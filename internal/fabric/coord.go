@@ -239,12 +239,9 @@ func (c *Coordinator) Pending() int64 { return c.pending.Load() }
 // naming the unreachable ones — the cluster's registration gate.
 func (c *Coordinator) CheckWorkers(ctx context.Context) error {
 	var bad []string
-	for _, url := range c.order {
-		hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
-		h, err := c.shards[url].client.Health(hctx)
-		cancel()
-		if err != nil || h.Status != "ok" {
-			bad = append(bad, url)
+	for i, err := range c.health(ctx, c.order) {
+		if err != nil {
+			bad = append(bad, c.order[i])
 		}
 	}
 	if len(bad) > 0 {
@@ -580,35 +577,61 @@ func (c *Coordinator) StartHealthProbes(ctx context.Context) {
 	}()
 }
 
-// probeOnce checks every due shard's health concurrently and feeds the
-// results to the breakers. Exposed to tests via Coordinator internals.
+// probeOnce checks every due shard's health and feeds the results to the
+// breakers. Exposed to tests via Coordinator internals.
 func (c *Coordinator) probeOnce(ctx context.Context) {
-	var wg sync.WaitGroup
+	var due []string
 	for _, url := range c.order {
-		sh := c.shards[url]
-		if !sh.brk.probeDue() {
-			continue
+		if c.shards[url].brk.probeDue() {
+			due = append(due, url)
 		}
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			hctx, cancel := context.WithTimeout(ctx, c.opt.ProbeInterval)
-			defer cancel()
-			h, err := sh.client.Health(hctx)
-			switch {
-			case err == nil && h.Status == "ok":
-				sh.brk.onSuccess()
-			case ctx.Err() == nil:
-				old := sh.brk.label()
-				sh.brk.onFailure()
-				if now := sh.brk.label(); now == "open" && old != "open" {
-					c.opt.Logf("fabric: breaker opened for %s: %v", sh.url, err)
-				}
+	}
+	for i, err := range c.health(ctx, due) {
+		sh := c.shards[due[i]]
+		switch {
+		case err == nil:
+			sh.brk.onSuccess()
+		case ctx.Err() == nil:
+			old := sh.brk.label()
+			sh.brk.onFailure()
+			if now := sh.brk.label(); now == "open" && old != "open" {
+				c.opt.Logf("fabric: breaker opened for %s: %v", sh.url, err)
 			}
-		}(sh)
+		}
+	}
+	c.probes.Add(1)
+}
+
+// health checks the named workers' /v1/health concurrently and returns one
+// error per worker, nil for a worker that answered "ok". Each call is
+// bounded by ProbeInterval, so one stalled worker cannot hold the caller.
+func (c *Coordinator) health(ctx context.Context, urls []string) []error {
+	errs := make([]error, len(urls))
+	c.eachWorker(ctx, urls, func(ctx context.Context, i int, sh *shard) {
+		h, err := sh.client.Health(ctx)
+		if err == nil && h.Status != "ok" {
+			err = fmt.Errorf("status %q", h.Status)
+		}
+		errs[i] = err
+	})
+	return errs
+}
+
+// eachWorker calls fn for each named worker concurrently, passing the
+// worker's index in urls and a context bounded by ProbeInterval, and
+// returns when every call has.
+func (c *Coordinator) eachWorker(ctx context.Context, urls []string, fn func(ctx context.Context, i int, sh *shard)) {
+	var wg sync.WaitGroup
+	for i, url := range urls {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			wctx, cancel := context.WithTimeout(ctx, c.opt.ProbeInterval)
+			defer cancel()
+			fn(wctx, i, c.shards[url])
+		}()
 	}
 	wg.Wait()
-	c.probes.Add(1)
 }
 
 // sleepCtx sleeps d or until ctx ends; it reports whether the full sleep

@@ -490,6 +490,67 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	}
 }
 
+// TestHealthAndStatsBoundStalledWorker: a worker that accepts connections
+// and never answers must not hold the coordinator's /v1/health or
+// /v1/stats. Each per-worker call gives up after ProbeInterval, so both
+// answer within about two intervals and name the stalled worker.
+func TestHealthAndStatsBoundStalledWorker(t *testing.T) {
+	good := httptest.NewServer(labd.NewServer(lab.NewCache()).Handler())
+	t.Cleanup(good.Close)
+	stall := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	t.Cleanup(stall.Close)
+	const probe = 250 * time.Millisecond
+	coord, err := New(Options{Workers: []string{good.URL, stall.URL}, ProbeInterval: probe, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+
+	get := func(path string, v any) {
+		t.Helper()
+		ctx, cancel := context.WithTimeout(context.Background(), 10*probe)
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		defer resp.Body.Close()
+		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		if d := time.Since(start); d > 2*probe {
+			t.Fatalf("GET %s took %v with one stalled worker, want at most %v", path, d, 2*probe)
+		}
+	}
+
+	var health ClusterHealth
+	get("/v1/health", &health)
+	if health.Status != "degraded" || health.Workers[stall.URL] || !health.Workers[good.URL] {
+		t.Fatalf("stalled worker not reported: %+v", health)
+	}
+	var stats ClusterStats
+	get("/v1/stats", &stats)
+	if len(stats.Workers) != 2 {
+		t.Fatalf("stats list %d workers, want 2", len(stats.Workers))
+	}
+	for _, ws := range stats.Workers {
+		switch {
+		case ws.URL == stall.URL && ws.Error == "":
+			t.Errorf("stalled worker has no stats error: %+v", ws)
+		case ws.URL == good.URL && ws.Stats == nil:
+			t.Errorf("healthy worker lost its stats: %+v", ws)
+		}
+	}
+}
+
 // TestFrontierForwarding: the coordinator proxies Pareto queries to a
 // worker; the reply matches querying that worker directly and repeat
 // queries stay deterministic.

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -154,7 +155,12 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 		},
 		UptimeSeconds: time.Since(c.start).Seconds(),
 	}
-	for _, url := range c.order {
+	stats := make([]labd.StatsReply, len(c.order))
+	errs := make([]error, len(c.order))
+	c.eachWorker(r.Context(), c.order, func(ctx context.Context, i int, sh *shard) {
+		stats[i], errs[i] = sh.client.StatsContext(ctx)
+	})
+	for i, url := range c.order {
 		sh := c.shards[url]
 		ws := WorkerStats{
 			URL:      url,
@@ -164,10 +170,10 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Breaker:  sh.brk.label(),
 		}
 		ws.BreakerTrips, ws.BreakerRejoins = sh.brk.counters()
-		st, err := sh.client.StatsContext(r.Context())
-		if err != nil {
+		if err := errs[i]; err != nil {
 			ws.Error = err.Error()
 		} else {
+			st := stats[i]
 			ws.Stats = &st
 			reply.Cache.Hits += st.Cache.Hits
 			reply.Cache.DiskHits += st.Cache.DiskHits
@@ -191,13 +197,11 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 		Workers:  make(map[string]bool, len(c.order)),
 		Breakers: make(map[string]string, len(c.order)),
 	}
-	for _, url := range c.order {
-		sh := c.shards[url]
-		h, err := sh.client.Health(r.Context())
-		ok := err == nil && h.Status == "ok"
-		reply.Workers[url] = ok
-		reply.Breakers[url] = sh.brk.label()
-		if !ok || reply.Breakers[url] == "open" {
+	for i, err := range c.health(r.Context(), c.order) {
+		url := c.order[i]
+		reply.Workers[url] = err == nil
+		reply.Breakers[url] = c.shards[url].brk.label()
+		if err != nil || reply.Breakers[url] == "open" {
 			reply.Status = "degraded"
 		}
 	}

@@ -103,13 +103,11 @@ type StoreStats struct {
 type StatsReply struct {
 	Cache lab.Stats   `json:"cache"`
 	Store *StoreStats `json:"store,omitempty"`
-	// TraceCache and SnapshotCache report the simulator-level caches the
-	// service shares across every request: the record-once/replay-many
-	// dynamic-trace cache and the warm-snapshot cache.
-	TraceCache    trace.Stats           `json:"trace_cache"`
-	SnapshotCache sim.SnapshotCacheInfo `json:"snapshot_cache"`
-	Version       string                `json:"version"`
-	UptimeSeconds float64               `json:"uptime_seconds"`
+	// TraceCache reports the record-once/replay-many dynamic-trace cache
+	// the service shares across every request.
+	TraceCache    trace.Stats `json:"trace_cache"`
+	Version       string      `json:"version"`
+	UptimeSeconds float64     `json:"uptime_seconds"`
 	// DroppedReplies counts responses the service could not deliver — the
 	// client vanished mid-reply or mid-NDJSON-stream. Before this counter
 	// existed those failures were silently discarded.
@@ -550,7 +548,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply := StatsReply{
 		Cache:            s.cache.Stats(),
 		TraceCache:       sim.TraceCacheStats(),
-		SnapshotCache:    sim.SnapshotCacheInfoNow(),
 		Version:          store.Version(),
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		DroppedReplies:   s.droppedReplies.Load(),

@@ -36,7 +36,7 @@ func TestSweepClientDisconnectStopsSimulations(t *testing.T) {
 	// disconnect window is deterministic: at most one job is mid-flight
 	// when the client vanishes. The budget is deliberately large — each
 	// job's timing run takes tens of milliseconds even with the process's
-	// trace/snapshot caches warm from other tests, so cancellation
+	// trace cache and warm snapshots warm from other tests, so cancellation
 	// propagates many jobs before the batch could drain on its own.
 	const total = 40
 	jobs := make([]lab.Job, total)

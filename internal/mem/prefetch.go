@@ -24,7 +24,7 @@ func KnownPrefetcher(name string) bool {
 
 // PrefetchConfig selects and sizes the hardware prefetcher watching the
 // L1↔L2 boundary. The zero value means no prefetcher; it must stay
-// comparable (it is part of the warm-snapshot cache key).
+// comparable (it is part of the warm-template key in package sim).
 type PrefetchConfig struct {
 	Kind      string // "" or PFNone, or PFDelta
 	Degree    int    // lines issued per trigger

@@ -9,6 +9,7 @@ package sim
 import (
 	"fmt"
 
+	"flywheel/internal/asm"
 	"flywheel/internal/branch"
 	"flywheel/internal/cacti"
 	"flywheel/internal/core"
@@ -176,20 +177,21 @@ func (c RunConfig) normalize() (RunConfig, error) {
 	return c, c.Sampling.Validate()
 }
 
-// replay calls fn with the workload's measured instruction stream. The
-// stream comes from the trace cache: the first run of a workload records
-// the functional emulator's output while consuming it, later runs replay
-// the recording (see tracecache.go).
-func replay(cfg RunConfig, fn func(w *workload.Workload, ws *warmSnapshot, stream pipe.InstSource) error) error {
+// replay calls fn with the workload's recorded warm observations and its
+// measured instruction stream. The stream starts at the workload's warm
+// snapshot (workload.WarmState) and comes from the trace cache: the first
+// run of a workload records the functional emulator's output while
+// consuming it, later runs replay the recording (see tracecache.go).
+func replay(cfg RunConfig, fn func(w *workload.Workload, log *pipe.WarmLog, stream pipe.InstSource) error) error {
 	w, err := workload.Get(cfg.Workload)
 	if err != nil {
 		return err
 	}
-	ws, err := workloadSnapshot(w)
+	snap, log, err := w.WarmState()
 	if err != nil {
 		return err
 	}
-	stream, finish, err := acquireSource(w, ws, cfg.MaxInstructions)
+	stream, finish, err := acquireSource(w, snap, cfg.MaxInstructions)
 	if err != nil {
 		return err
 	}
@@ -203,7 +205,7 @@ func replay(cfg RunConfig, fn func(w *workload.Workload, ws *warmSnapshot, strea
 			finish(fmt.Errorf("sim %s/%s: run aborted", cfg.Workload, cfg.Arch))
 		}
 	}()
-	err = fn(w, ws, stream)
+	err = fn(w, log, stream)
 	finish(err)
 	finished = true
 	return err
@@ -217,7 +219,7 @@ type machine struct {
 	shape power.MachineShape
 	// warm seeds the core from the workload's initialization phase;
 	// warmer keeps its caches and predictor warm across fast-forwards.
-	warm     func(ws *warmSnapshot, w *workload.Workload) error
+	warm     func(w *workload.Workload, log *pipe.WarmLog) error
 	warmer   *pipe.Warmer
 	resume   func(warmupInsts uint64) bool
 	run      func() error
@@ -246,8 +248,8 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 			}
 			return &machine{
 				shape: power.BaselineShape(),
-				warm: func(ws *warmSnapshot, w *workload.Workload) error {
-					return ws.warm(c.Warmer(), w, bc.Mem, bc.Branch)
+				warm: func(w *workload.Workload, log *pipe.WarmLog) error {
+					return warm(c.Warmer(), w, log, bc.Mem, bc.Branch)
 				},
 				warmer:   c.Warmer(),
 				resume:   func(uint64) bool { return c.Resume() },
@@ -268,8 +270,8 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 			}
 			return &machine{
 				shape: power.FlywheelShape(),
-				warm: func(ws *warmSnapshot, w *workload.Workload) error {
-					return ws.warm(c.Warmer(), w, fc.Mem, fc.Branch)
+				warm: func(w *workload.Workload, log *pipe.WarmLog) error {
+					return warm(c.Warmer(), w, log, fc.Mem, fc.Branch)
 				},
 				warmer:   c.Warmer(),
 				resume:   c.Resume,
@@ -288,9 +290,9 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 // caches and branch predictor are seeded with the initialization phase's
 // recorded observations so measurement starts from realistic state (the
 // paper fast-forwards 500M instructions).
-func (d design) warmed(src pipe.InstSource, ws *warmSnapshot, w *workload.Workload) (*machine, error) {
+func (d design) warmed(src pipe.InstSource, w *workload.Workload, log *pipe.WarmLog) (*machine, error) {
 	m := d.build(src)
-	if err := m.warm(ws, w); err != nil {
+	if err := m.warm(w, log); err != nil {
 		return nil, err
 	}
 	return m, nil
@@ -340,11 +342,9 @@ func frontendFor(cfg RunConfig) (direction string, pf mem.PrefetchConfig) {
 
 // RunSource assembles the given program text and runs it like Run does for
 // a registered workload (no warm-up: the whole program is measured). The
-// Workload field of cfg is used only for labeling. Assembly and image
-// loading are cached per (name, source) pair; each run clones the cached
-// snapshot copy-on-write.
+// Workload field of cfg is used only for labeling.
 func RunSource(name, source string, cfg RunConfig) (Result, error) {
-	ws, err := sourceSnapshot(name, source)
+	prog, err := asm.Assemble(name, source)
 	if err != nil {
 		return Result{}, err
 	}
@@ -359,7 +359,7 @@ func RunSource(name, source string, cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m := d.build(emu.NewStream(ws.machine(), cfg.MaxInstructions))
+	m := d.build(emu.NewStream(emu.New(prog), cfg.MaxInstructions))
 	c, err := m.runExact(name, cfg.Arch)
 	if err != nil {
 		return Result{}, err

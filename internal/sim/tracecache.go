@@ -64,10 +64,10 @@ func traceKey(w *workload.Workload) string {
 // stream on a bypass. finish must be called exactly once when the run ends
 // (nil error on success); it completes or aborts a recording and is a no-op
 // for the other grants.
-func acquireSource(w *workload.Workload, ws *warmSnapshot, maxInstructions uint64) (src pipe.InstSource, finish func(error), err error) {
+func acquireSource(w *workload.Workload, snap *emu.Snapshot, maxInstructions uint64) (src pipe.InstSource, finish func(error), err error) {
 	noop := func(error) {}
 	liveStream := func(skip uint64) (*emu.Stream, error) {
-		m := ws.machine()
+		m := snap.NewMachine()
 		if skip > 0 {
 			if _, err := m.Run(skip); err != nil {
 				return nil, err
@@ -75,12 +75,12 @@ func acquireSource(w *workload.Workload, ws *warmSnapshot, maxInstructions uint6
 		}
 		limit := uint64(0)
 		if maxInstructions > 0 {
-			limit = ws.snap.Retired() + maxInstructions
+			limit = snap.Retired() + maxInstructions
 		}
 		return emu.NewStream(m, limit), nil
 	}
 
-	g := traceCache.Acquire(traceKey(w), ws.snap.Retired(), maxInstructions, liveStream)
+	g := traceCache.Acquire(traceKey(w), snap.Retired(), maxInstructions, liveStream)
 	switch {
 	case g.Replay != nil:
 		return g.Replay, noop, nil

@@ -53,7 +53,7 @@ type Workload struct {
 	once sync.Once
 	prog *asm.Program
 
-	// Warm-snapshot cache: the fast-forward to the warm point executes
+	// Warm state: the fast-forward to the warm point executes
 	// once per process; later WarmState/NewMachine calls reuse the frozen
 	// state (cloned copy-on-write) and the recorded warm observations.
 	warmOnce sync.Once

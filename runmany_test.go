@@ -4,6 +4,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"flywheel/internal/sim"
+	"flywheel/internal/trace"
 )
 
 func TestRunManyMatchesRun(t *testing.T) {
@@ -104,5 +107,21 @@ func TestSweepShape(t *testing.T) {
 		if float64(row[1].TimePS) > float64(row[0].TimePS)*1.05 {
 			t.Errorf("%s: FE+50%% time %d ps well above FE+0%% time %d ps", benches[i], row[1].TimePS, row[0].TimePS)
 		}
+	}
+}
+
+// TestRunManyKeepsTraceCachePolicy: the trace-cache policy is process-wide
+// and set only through sim.SetTraceCachePolicy, so a local sweep must
+// leave it as it found it.
+func TestRunManyKeepsTraceCachePolicy(t *testing.T) {
+	prev := sim.TraceCachePolicy()
+	t.Cleanup(func() { sim.SetTraceCachePolicy(prev) })
+	want := trace.Policy{Disabled: true, MaxBytes: 1 << 20}
+	sim.SetTraceCachePolicy(want)
+	if _, err := RunMany([]Config{{Benchmark: "gzip", Instructions: 2_000}}, SweepOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := sim.TraceCachePolicy(); got != want {
+		t.Fatalf("RunMany reset the trace-cache policy to %+v, want %+v", got, want)
 	}
 }
