@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/csv"
 	"fmt"
+	"maps"
+	"math"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -324,5 +328,63 @@ func TestRunTieredRecoversExactFrontier(t *testing.T) {
 	t.Logf("confirmed %d of %d cells", confirmed, grid)
 	if confirmed >= grid/2 {
 		t.Errorf("confirmed %d of %d cells, want fewer than half", confirmed, grid)
+	}
+}
+
+// TestSampledGridErrorBound runs one small grid exactly and sampled,
+// sharing one store, and bounds the sampled tier's mean |IPC error| over
+// its cells by 2% — the acceptance bound TestSampledScale pins on the
+// paper kernels, here through the CLI on synthetic profiles and a
+// non-default schedule. Skipped under -short and the race detector.
+func TestSampledGridErrorBound(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("heavyweight grid test; run without -short/-race")
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	t.Cleanup(func() { sim.SetTraceSpillDir("") })
+	axes := []string{
+		"-ilp", "1,6", "-entropy", "0", "-mem", "4", "-code", "4", "-passes", "4",
+		"-fe", "0,50,100", "-be", "50", "-n", "200000", "-store", dir, "-csv",
+	}
+	ipcs := func(args ...string) map[string]float64 {
+		t.Helper()
+		var out, errb bytes.Buffer
+		if code := run(append(args, axes...), &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
+		}
+		rows, err := csv.NewReader(&out).ReadAll()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := map[string]float64{}
+		for _, row := range rows[1:] {
+			ipc, err := strconv.ParseFloat(row[8], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m[strings.Join(row[:7], "|")] = ipc
+		}
+		return m
+	}
+	exact := ipcs()
+	sampled := ipcs("-tier", "sampled", "-sample-period", "30000", "-window", "8000", "-sample-warmup", "3000")
+	if len(exact) != 6 || len(sampled) != len(exact) {
+		t.Fatalf("%d exact and %d sampled cells, want 6 each", len(exact), len(sampled))
+	}
+	sum := 0.0
+	for _, cell := range slices.Sorted(maps.Keys(exact)) {
+		want := exact[cell]
+		got, ok := sampled[cell]
+		if !ok {
+			t.Fatalf("sampled run lacks cell %s", cell)
+		}
+		e := (got - want) / want * 100
+		t.Logf("%-50s exact=%.4f sampled=%.4f err=%+.2f%%", cell, want, got, e)
+		sum += math.Abs(e)
+	}
+	mean := sum / float64(len(exact))
+	t.Logf("mean |IPC err| = %.2f%% over %d cells", mean, len(exact))
+	if mean > 2 {
+		t.Errorf("mean sampled |IPC err| %.2f%% exceeds 2%%", mean)
 	}
 }

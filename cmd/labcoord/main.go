@@ -33,6 +33,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"time"
 
 	"flywheel/internal/fabric"
@@ -88,14 +89,22 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 		return 2
 	}
 
+	// The flag's 0 disables hedging; the option spells that negative,
+	// keeping its zero for the default.
+	hedgeMin := *hedge
+	if hedgeMin == 0 {
+		hedgeMin = -1
+	}
+	// The coordinator logs from concurrent job goroutines; stderr need not
+	// be safe for concurrent writes.
+	var logMu sync.Mutex
 	coord, err := fabric.New(fabric.Options{
 		Workers:             urls,
 		Replicas:            *replicas,
 		VNodes:              *vnodes,
 		MaxInFlightPerShard: *inflight,
 		MaxPending:          *pending,
-		HedgeDelayMin:       *hedge,
-		DisableHedging:      *hedge == 0,
+		HedgeDelayMin:       hedgeMin,
 		RetryBackoff:        *backoff,
 		RetryBackoffMax:     *backmax,
 		JobTimeout:          *jobto,
@@ -103,6 +112,8 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 		BreakerCooldown:     *brkCool,
 		ProbeInterval:       *probe,
 		Logf: func(format string, args ...any) {
+			logMu.Lock()
+			defer logMu.Unlock()
 			fmt.Fprintf(stderr, format+"\n", args...)
 		},
 	})

@@ -68,7 +68,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		seed     = fs.Int64("seed", 1, "random seed (runs are reproducible)")
 		timeout  = fs.Duration("timeout", 2*time.Minute, "per-request timeout")
 		chaosSee = fs.Uint64("chaos", 0, "inject seeded transport faults (drops, 5xx, mid-stream cuts, delays) into this run's requests; 0 disables")
-		minRes   = fs.Int("minresumes", 0, "fail the run unless at least this many stream resumes happened (chaos smoke gate)")
+		minRes   = fs.Int("minresumes", 0, "fail the run unless at least this many stream resumes happened (chaos drill gate)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"flywheel/internal/fabric"
 	"flywheel/internal/lab"
 	"flywheel/internal/labd"
 )
@@ -19,31 +20,53 @@ func startWorker(t *testing.T) string {
 	return ts.URL
 }
 
-// TestLoadReport: a short replay against a live worker exits 0 and prints
-// the three report lines — throughput, latency percentiles, tier split.
-func TestLoadReport(t *testing.T) {
-	url := startWorker(t)
-	var out, errb bytes.Buffer
-	code := run([]string{
-		"-url", url, "-n", "12", "-c", "3", "-batch", "2",
-		"-space", "8", "-frontier", "0.25", "-ninstr", "2000",
-	}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("exit code %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+// startCoordinator serves a fabric coordinator over two fresh workers.
+func startCoordinator(t *testing.T) string {
+	t.Helper()
+	coord, err := fabric.New(fabric.Options{
+		Workers: []string{startWorker(t), startWorker(t)},
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	got := out.String()
-	for _, want := range []string{"12 requests", "0 errors", "latency: p50", "p99", "cache tiers:", "sim "} {
-		if !strings.Contains(got, want) {
-			t.Errorf("report missing %q:\n%s", want, got)
-		}
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
+// TestLoadReport: a short replay against a live worker, or a coordinator
+// whose stats reply is a cluster sum, exits 0 and prints the three report
+// lines — throughput, latency percentiles, tier split.
+func TestLoadReport(t *testing.T) {
+	targets := map[string]string{"worker": startWorker(t), "coordinator": startCoordinator(t)}
+	for name, url := range targets {
+		t.Run(name, func(t *testing.T) {
+			var out, errb bytes.Buffer
+			code := run([]string{
+				"-url", url, "-n", "12", "-c", "3", "-batch", "2",
+				"-space", "8", "-frontier", "0.25", "-ninstr", "2000",
+			}, &out, &errb)
+			if code != 0 {
+				t.Fatalf("exit code %d\nstdout: %s\nstderr: %s", code, out.String(), errb.String())
+			}
+			got := out.String()
+			for _, want := range []string{"12 requests", "0 errors", "latency: p50", "p99", "cache tiers:", "sim "} {
+				if !strings.Contains(got, want) {
+					t.Errorf("report missing %q:\n%s", want, got)
+				}
+			}
+		})
 	}
 
-	// After the whole universe is memoized, a replay simulates nothing —
-	// the tier report shows it all served from cache.
+	// After the whole universe is memoized, a replay against the worker
+	// simulates nothing — the tier report shows it all served from cache.
+	// (A coordinator may steal a job to a worker that does not hold it.)
+	url := targets["worker"]
 	if _, err := labd.NewClient(url).Sweep(labd.SweepRequest{Jobs: buildUniverse(8, 2000)}); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
+	var out, errb bytes.Buffer
 	if code := run([]string{
 		"-url", url, "-n", "12", "-c", "3", "-batch", "2",
 		"-space", "8", "-frontier", "0", "-ninstr", "2000",

@@ -101,13 +101,6 @@ type Core struct {
 	// one even inside the scratch span — suppressing that rebuild would
 	// leave the stale trace in place to diverge again on every lookup.
 	divergedPC uint64
-	// resumed marks a core that has been Resumed at least once (sampled
-	// execution); exact runs never set it.
-	resumed bool
-	// failStreak counts consecutive genuine divergences whose replays made
-	// almost no progress; at replayFailCap the next resume declines replay
-	// once (see afterTraceExit). Tracked only on resumed cores.
-	failStreak int
 
 	halted  bool
 	sawHalt bool
@@ -159,14 +152,6 @@ const noFailedResume = ^uint64(0)
 
 // noDivergedPC is the idle value of the diverged-trace latch.
 const noDivergedPC = ^uint64(0)
-
-// replayFailCap bounds consecutive low-progress divergences (at most
-// stormUnitCeil units issued each) before a resume declines replay and
-// lets trace creation heal the region. Sampled execution only.
-const (
-	replayFailCap = 8
-	stormUnitCeil = 2
-)
 
 // Run simulates until the program halts and returns the run statistics.
 func (c *Core) Run() (Stats, error) {
@@ -255,8 +240,6 @@ func (c *Core) Resume(scratchInsts uint64) bool {
 	c.draining = false
 	c.lastFailedResume = noFailedResume
 	c.divergedPC = noDivergedPC
-	c.resumed = true
-	c.failStreak = 0
 	if c.mode == ModeReplay {
 		c.exitToBuild(c.sys.Now())
 	}

@@ -143,11 +143,11 @@ func TestJobTimeoutFailsOverStalledWorker(t *testing.T) {
 	t.Cleanup(stall.Close)
 
 	coord, err := New(Options{
-		Workers:        []string{stall.URL, good.URL},
-		DisableHedging: true,
-		JobTimeout:     200 * time.Millisecond,
-		RetryBackoff:   5 * time.Millisecond,
-		Logf:           t.Logf,
+		Workers:       []string{stall.URL, good.URL},
+		HedgeDelayMin: -1,
+		JobTimeout:    200 * time.Millisecond,
+		RetryBackoff:  5 * time.Millisecond,
+		Logf:          t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestBreakerEjectsAndRejoins(t *testing.T) {
 
 	coord, err := New(Options{
 		Workers:          []string{flaky.URL, steady.URL},
-		DisableHedging:   true,
+		HedgeDelayMin:    -1,
 		BreakerThreshold: 2,
 		BreakerCooldown:  time.Hour, // expired manually below for the rejoin phase
 		RetryBackoff:     time.Millisecond,

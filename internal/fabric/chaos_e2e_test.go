@@ -43,7 +43,7 @@ func TestChaosSweepExactUnderFaults(t *testing.T) {
 			},
 		}, nil)
 		o.HTTPClient = &http.Client{Transport: workerChaos}
-		o.DisableHedging = true
+		o.HedgeDelayMin = -1
 		o.RetryBackoff = 2 * time.Millisecond
 		o.RetryBackoffMax = 10 * time.Millisecond
 		o.BreakerThreshold = 2

@@ -60,10 +60,9 @@ type Options struct {
 	ProbeInterval time.Duration
 	// HedgeDelayMin floors the hedging trigger: a job is duplicated to the
 	// next replica when its shard has not answered within
-	// max(HedgeDelayMin, shard p99). Zero defaults to 250ms.
+	// max(HedgeDelayMin, shard p99). Zero defaults to 250ms; negative
+	// disables hedging (retry still works).
 	HedgeDelayMin time.Duration
-	// DisableHedging turns speculative duplicates off (retry still works).
-	DisableHedging bool
 	// HTTPClient is used for all worker traffic. Nil uses a client of the
 	// coordinator's own, over a clone of http.DefaultTransport that keeps
 	// MaxInFlightPerShard × Replicas idle connections per worker, so
@@ -115,7 +114,7 @@ func (o *Options) fill() error {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = 2 * time.Second
 	}
-	if o.HedgeDelayMin <= 0 {
+	if o.HedgeDelayMin == 0 {
 		o.HedgeDelayMin = 250 * time.Millisecond
 	}
 	if o.HTTPClient == nil {
@@ -425,7 +424,7 @@ func (c *Coordinator) runJob(ctx context.Context, execer *shard, job lab.Job, ke
 		case <-ctx.Done():
 			return labd.SweepLine{Error: ctx.Err().Error()}
 		case <-hedge.C:
-			if !c.opt.DisableHedging && next < len(cands) {
+			if c.opt.HedgeDelayMin > 0 && next < len(cands) {
 				c.hedges.Add(1)
 				launch()
 			}

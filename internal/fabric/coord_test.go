@@ -8,10 +8,12 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,9 +21,11 @@ import (
 	"testing"
 	"time"
 
+	"flywheel/internal/branch"
 	"flywheel/internal/cacti"
 	"flywheel/internal/lab"
 	"flywheel/internal/labd"
+	"flywheel/internal/mem"
 	"flywheel/internal/sim"
 )
 
@@ -188,7 +192,7 @@ func TestClusterColdDeadWorker(t *testing.T) {
 func TestWorkStealing(t *testing.T) {
 	tc := startCluster(t, 2, func(o *Options) {
 		o.MaxInFlightPerShard = 1
-		o.DisableHedging = true
+		o.HedgeDelayMin = -1
 	})
 	home := tc.urls[0]
 	var jobs []lab.Job
@@ -215,7 +219,7 @@ func TestWorkStealing(t *testing.T) {
 // runners has no surplus, so nothing is stolen — every job runs on the
 // shard whose cache holds it, and a repeat is all memory hits there.
 func TestSmallBatchStaysOnOwner(t *testing.T) {
-	tc := startCluster(t, 2, func(o *Options) { o.DisableHedging = true })
+	tc := startCluster(t, 2, func(o *Options) { o.HedgeDelayMin = -1 })
 	var jobs []lab.Job
 	for fe := 0; len(jobs) < 4 && fe < 200; fe++ {
 		j := lab.Job{Workload: "ijpeg", Arch: sim.ArchFlywheel, FEBoostPct: fe, BEBoostPct: 50, MaxInstructions: 20000}
@@ -260,7 +264,7 @@ func TestWorkerConnectionsReused(t *testing.T) {
 		t.Cleanup(ts.Close)
 		urls = append(urls, ts.URL)
 	}
-	coord, err := New(Options{Workers: urls, DisableHedging: true, Logf: t.Logf})
+	coord, err := New(Options{Workers: urls, HedgeDelayMin: -1, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,6 +440,10 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	for _, node := range []cacti.Node{cacti.Node130, cacti.Node90, cacti.Node60} {
 		jobs = append(jobs, lab.Job{Workload: "gcc", Arch: sim.ArchBaseline, Node: node, MaxInstructions: 20000})
 	}
+	// And one job with an explicit frontend, whose observables the cluster
+	// sum must carry.
+	jobs = append(jobs, lab.Job{Workload: "ijpeg", Arch: sim.ArchBaseline, MaxInstructions: 20000,
+		Predictor: branch.DirTAGE, Prefetcher: mem.PFDelta})
 	if _, err := labd.NewClient(ts.URL).Sweep(labd.SweepRequest{Jobs: jobs}); err != nil {
 		t.Fatal(err)
 	}
@@ -461,6 +469,13 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	}
 	if stats.Coord.Jobs != uint64(len(jobs)) || len(stats.Workers) != 2 {
 		t.Fatalf("coord stats: %+v", stats.Coord)
+	}
+	var wantFE labd.FrontendStats
+	for _, ws := range stats.Workers {
+		wantFE.Add(ws.Stats.Frontend)
+	}
+	if stats.Frontend != wantFE || wantFE.Mispredicts == 0 {
+		t.Fatalf("cluster frontend sum %+v, want %+v (and mispredicts > 0)", stats.Frontend, wantFE)
 	}
 
 	var health ClusterHealth
@@ -589,6 +604,26 @@ func TestFrontierForwarding(t *testing.T) {
 		t.Fatalf("bad query: status %d, want 400", resp.StatusCode)
 	}
 
+	// A predictor × prefetcher grid on the periodic-branch profile: TAGE
+	// beats G-share there, so a TAGE point is on the frontier. The
+	// coordinator forwards the worker's reply byte for byte.
+	feQuery := "/v1/frontier?ilp=4&entropy=0&period=16&stride=1&mem=8&code=1&passes=2&seed=7" +
+		"&arch=baseline&fe=0&be=0&predictor=gshare,tage&prefetcher=none,delta&n=400000"
+	direct := getBody(t, tc.urls[0]+feQuery)
+	if fwd := getBody(t, ts.URL+feQuery); string(fwd) != string(direct) {
+		t.Fatalf("forwarded frontier differs from the worker's:\n%s\n%s", fwd, direct)
+	}
+	var feReply labd.FrontierReply
+	if err := json.Unmarshal(direct, &feReply); err != nil {
+		t.Fatal(err)
+	}
+	if feReply.GridPoints != 4 {
+		t.Fatalf("frontend grid points = %d, want 4", feReply.GridPoints)
+	}
+	if !slices.ContainsFunc(feReply.Frontier, func(p labd.FrontierPoint) bool { return p.Predictor == branch.DirTAGE }) {
+		t.Fatalf("no TAGE point on the frontend frontier: %+v", feReply.Frontier)
+	}
+
 	// A tiered query forwards the same way, and the worker's
 	// screened/confirmed counters surface in the cluster stats.
 	tiered, err := labd.NewClient(ts.URL).Frontier(map[string]string{
@@ -615,6 +650,24 @@ func TestFrontierForwarding(t *testing.T) {
 		t.Fatalf("cluster stats report %d screened / %d confirmed, reply said %d / %d",
 			stats.AnalyticCells, stats.ConfirmedCells, tiered.ScreenedCells, tiered.ConfirmedCells)
 	}
+}
+
+// getBody GETs url and returns the body of its 200 reply.
+func getBody(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: status %d: %s", url, resp.StatusCode, body)
+	}
+	return body
 }
 
 // TestCheckWorkers: the registration gate names unreachable workers.

@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -35,10 +36,14 @@ func TestLegacyEntryLoads(t *testing.T) {
 			t.Fatalf("fixture lacks the legacy key %s", k)
 		}
 	}
-	s, err := Open(t.TempDir())
-	if err != nil {
+	// The fixture keeps the model version it was written under; a store at
+	// that stamp reads it, so this test pins decoding, not addressing
+	// (TestFrontendModelVersionInvalidatesStore pins that).
+	var e entryFile
+	if err := json.Unmarshal(data, &e); err != nil {
 		t.Fatal(err)
 	}
+	s := &Store{dir: t.TempDir(), version: e.Version}
 	p := s.path(legacyKey)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		t.Fatal(err)

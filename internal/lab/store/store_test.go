@@ -163,25 +163,28 @@ func TestVersionChangesAddress(t *testing.T) {
 	}
 }
 
-// TestFrontendModelVersionInvalidatesStore pins that the pluggable-frontend
-// change bumped sim.ModelVersion to 4: results now carry frontend
-// observables and a (predictor, prefetcher) identity that version-3 entries
-// lack, so the whole pre-frontend on-disk universe must be unreachable.
+// TestFrontendModelVersionInvalidatesStore pins the current
+// sim.ModelVersion, 5, and that entries stamped by the versions before it
+// are unreachable: version-3 entries lack the frontend observables and the
+// (predictor, prefetcher) identity, and version-4 sampled Flywheel entries
+// were computed with the since-deleted divergence storm breaker.
 func TestFrontendModelVersionInvalidatesStore(t *testing.T) {
-	if sim.ModelVersion != 4 {
-		t.Fatalf("sim.ModelVersion = %d; the frontend refactor shipped as version 4 — bump this test (and make sure the bump was intentional)", sim.ModelVersion)
+	if sim.ModelVersion != 5 {
+		t.Fatalf("sim.ModelVersion = %d; the storm-breaker deletion shipped as version 5 — bump this test (and make sure the bump was intentional)", sim.ModelVersion)
 	}
-	dir := t.TempDir()
-	prev := &Store{dir: dir, version: "s2-m3"} // the pre-frontend stamp
-	if err := prev.Put("k", testResult(1)); err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cur.Get("k"); ok {
-		t.Fatal("a pre-frontend (model v3) entry served as a hit under model v4")
+	for _, stamp := range []string{"s2-m3", "s2-m4"} {
+		dir := t.TempDir()
+		prev := &Store{dir: dir, version: stamp}
+		if err := prev.Put("k", testResult(1)); err != nil {
+			t.Fatal(err)
+		}
+		cur, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := cur.Get("k"); ok {
+			t.Fatalf("a %s entry served as a hit under model v5", stamp)
+		}
 	}
 }
 

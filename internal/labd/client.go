@@ -228,56 +228,22 @@ func (c *Client) Stats() (StatsReply, error) {
 // StatsContext is Stats with cancellation.
 func (c *Client) StatsContext(ctx context.Context) (StatsReply, error) {
 	var reply StatsReply
-	err := c.getJSON(ctx, "/v1/stats", &reply)
+	err := c.call(ctx, http.MethodGet, "stats", nil, &reply)
 	return reply, err
 }
 
 // Health probes the service's liveness endpoint.
 func (c *Client) Health(ctx context.Context) (HealthReply, error) {
 	var reply HealthReply
-	err := c.getJSON(ctx, "/v1/health", &reply)
+	err := c.call(ctx, http.MethodGet, "health", nil, &reply)
 	return reply, err
 }
 
 // Scrub asks the service to audit its disk tier and returns the report.
 func (c *Client) Scrub(ctx context.Context) (ScrubReply, error) {
 	var reply ScrubReply
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/scrub", nil)
-	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
-	}
-	resp, err := c.httpc().Do(hreq)
-	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return reply, fmt.Errorf("labd client: scrub: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return reply, fmt.Errorf("labd client: decode scrub: %w", err)
-	}
-	return reply, nil
-}
-
-func (c *Client) getJSON(ctx context.Context, path string, dst any) error {
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+path, nil)
-	if err != nil {
-		return fmt.Errorf("labd client: %w", err)
-	}
-	resp, err := c.httpc().Do(hreq)
-	if err != nil {
-		return fmt.Errorf("labd client: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("labd client: %s: %s", strings.TrimPrefix(path, "/v1/"), resp.Status)
-	}
-	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
-		return fmt.Errorf("labd client: decode %s: %w", strings.TrimPrefix(path, "/v1/"), err)
-	}
-	return nil
+	err := c.call(ctx, http.MethodPost, "scrub", nil, &reply)
+	return reply, err
 }
 
 // Frontier runs an explore-style Pareto query; params mirror the explore
@@ -289,29 +255,40 @@ func (c *Client) Frontier(params map[string]string) (FrontierReply, error) {
 // FrontierContext is Frontier with cancellation.
 func (c *Client) FrontierContext(ctx context.Context, params map[string]string) (FrontierReply, error) {
 	var reply FrontierReply
-	u := c.BaseURL + "/v1/frontier"
-	if len(params) > 0 {
-		q := url.Values{}
-		for k, v := range params {
-			q.Set(k, v)
-		}
-		u += "?" + q.Encode()
+	q := url.Values{}
+	for k, v := range params {
+		q.Set(k, v)
 	}
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
+	err := c.call(ctx, http.MethodGet, "frontier", q, &reply)
+	return reply, err
+}
+
+// call sends one bodiless request to /v1/<name> and decodes its 200 JSON
+// reply into dst. A non-200 reply becomes "labd client: <name>: <status>",
+// followed by up to 4 KiB of its body when it has one.
+func (c *Client) call(ctx context.Context, method, name string, query url.Values, dst any) error {
+	u := c.BaseURL + "/v1/" + name
+	if len(query) > 0 {
+		u += "?" + query.Encode()
+	}
+	hreq, err := http.NewRequestWithContext(ctx, method, u, nil)
 	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
+		return fmt.Errorf("labd client: %w", err)
 	}
 	resp, err := c.httpc().Do(hreq)
 	if err != nil {
-		return reply, fmt.Errorf("labd client: %w", err)
+		return fmt.Errorf("labd client: %w", err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		return reply, fmt.Errorf("labd client: frontier: %s: %s", resp.Status, strings.TrimSpace(string(msg)))
+		if m := strings.TrimSpace(string(msg)); m != "" {
+			return fmt.Errorf("labd client: %s: %s: %s", name, resp.Status, m)
+		}
+		return fmt.Errorf("labd client: %s: %s", name, resp.Status)
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&reply); err != nil {
-		return reply, fmt.Errorf("labd client: decode frontier: %w", err)
+	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+		return fmt.Errorf("labd client: decode %s: %w", name, err)
 	}
-	return reply, nil
+	return nil
 }

@@ -12,10 +12,12 @@ import (
 	"strings"
 	"testing"
 
+	"flywheel/internal/branch"
 	"flywheel/internal/cacti"
 	"flywheel/internal/lab"
 	"flywheel/internal/lab/store"
 	"flywheel/internal/labd"
+	"flywheel/internal/mem"
 	"flywheel/internal/sim"
 )
 
@@ -201,6 +203,23 @@ func TestStatsEndpoint(t *testing.T) {
 	}
 	if after.Store.Entries != 3 || after.Store.Puts != 3 || after.Store.Bytes <= 0 {
 		t.Fatalf("post-sweep store stats: %+v", after.Store)
+	}
+
+	// A sweep with an explicit frontend adds its results' frontend
+	// observables to the stats reply's frontend block.
+	fe := []lab.Job{{Workload: "gcc", Arch: sim.ArchBaseline, MaxInstructions: 20000,
+		Predictor: branch.DirTAGE, Prefetcher: mem.PFDelta}}
+	lines, err := client.Sweep(labd.SweepRequest{Jobs: fe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feStats, err := client.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := feStats.Frontend.CondBranches-after.Frontend.CondBranches, lines[0].Result.CondBranches
+	if want == 0 || got != want {
+		t.Fatalf("frontend cond_branches grew by %d, want %d (and at least 1)", got, want)
 	}
 }
 

@@ -40,27 +40,29 @@ func runFrontend(t *testing.T, wl, pred, pf string) Result {
 // TestTAGEBeatsGShareOnPeriodicBranches is the predictor's reason to exist:
 // the high-entropy-branch stress profile flips direction every 16 bodies —
 // random noise to a 12-bit global history, a learnable position to TAGE's
-// geometric histories.
+// geometric histories. The win must hold with the delta prefetcher on too.
 func TestTAGEBeatsGShareOnPeriodicBranches(t *testing.T) {
 	registerStress(t)
 	wl := synth.HighEntropyBranch(7).Name()
-	gs := runFrontend(t, wl, branch.DirGShare, mem.PFNone)
-	tg := runFrontend(t, wl, branch.DirTAGE, mem.PFNone)
-	if gs.CondBranches == 0 || tg.CondBranches == 0 {
-		t.Fatalf("no conditional branches measured: gshare=%d tage=%d", gs.CondBranches, tg.CondBranches)
+	for _, pf := range []string{mem.PFNone, mem.PFDelta} {
+		gs := runFrontend(t, wl, branch.DirGShare, pf)
+		tg := runFrontend(t, wl, branch.DirTAGE, pf)
+		if gs.CondBranches == 0 || tg.CondBranches == 0 {
+			t.Fatalf("pf=%s: no conditional branches measured: gshare=%d tage=%d", pf, gs.CondBranches, tg.CondBranches)
+		}
+		if tg.BranchAccuracy <= gs.BranchAccuracy {
+			t.Fatalf("pf=%s: TAGE accuracy %.4f not above gshare %.4f on %s",
+				pf, tg.BranchAccuracy, gs.BranchAccuracy, wl)
+		}
+		t.Logf("pf=%s accuracy: gshare %.4f, tage %.4f (mispredicts %d -> %d of %d)",
+			pf, gs.BranchAccuracy, tg.BranchAccuracy, gs.Mispredicts, tg.Mispredicts, tg.CondBranches)
 	}
-	if tg.BranchAccuracy <= gs.BranchAccuracy {
-		t.Fatalf("TAGE accuracy %.4f not above gshare %.4f on %s",
-			tg.BranchAccuracy, gs.BranchAccuracy, wl)
-	}
-	t.Logf("accuracy: gshare %.4f, tage %.4f (mispredicts %d -> %d of %d)",
-		gs.BranchAccuracy, tg.BranchAccuracy, gs.Mispredicts, tg.Mispredicts, tg.CondBranches)
 }
 
 // TestDeltaPrefetchLiftsStridedProfile is the prefetcher's reason to exist:
 // the long-stride profile opens a fresh line on every access at a constant
 // per-PC delta, so the delta prefetcher should convert demand L2 misses
-// into hits and cut the average demand latency.
+// into hits and cut the average demand latency — without slowing the run.
 func TestDeltaPrefetchLiftsStridedProfile(t *testing.T) {
 	registerStress(t)
 	wl := synth.LongStrideFP(7).Name()
@@ -77,9 +79,12 @@ func TestDeltaPrefetchLiftsStridedProfile(t *testing.T) {
 		t.Fatalf("prefetching did not lift demand L2 hit rate: %.4f with delta vs %.4f without",
 			on.DemandL2HitRate, off.DemandL2HitRate)
 	}
-	t.Logf("avg data cycles %.3f -> %.3f, L2 hit rate %.4f -> %.4f, accuracy %.3f coverage %.3f",
+	if on.TimePS > off.TimePS {
+		t.Fatalf("prefetching slowed the run: %d ps with delta vs %d without", on.TimePS, off.TimePS)
+	}
+	t.Logf("avg data cycles %.3f -> %.3f, L2 hit rate %.4f -> %.4f, time %d -> %d ps, accuracy %.3f coverage %.3f",
 		off.AvgDataCycles, on.AvgDataCycles, off.DemandL2HitRate, on.DemandL2HitRate,
-		on.PrefetchAccuracy, on.PrefetchCoverage)
+		off.TimePS, on.TimePS, on.PrefetchAccuracy, on.PrefetchCoverage)
 }
 
 // TestDeltaPrefetchInertOnPointerChase: dependent loads have no learnable

@@ -150,7 +150,7 @@ func (r Result) Speedup(other Result) float64 {
 // initialization phase once and caches the result as a copy-on-write warm
 // snapshot; every later run — any architecture, boost, node or instruction
 // budget — clones the snapshot and replays the recorded warm observations
-// instead of re-executing initialization (see snapshot.go). A run, exact
+// instead of re-executing initialization (see warm.go). A run, exact
 // or sampled, is Simulate followed by Price at its own node (see
 // timing.go).
 func Run(cfg RunConfig) (Result, error) {

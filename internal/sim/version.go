@@ -13,5 +13,7 @@ package sim
 // corresponds to the pluggable frontend: lab.Job cache keys grew
 // predictor/prefetcher segments and Result grew frontend observables, so
 // entries stored under version 3 keys must never satisfy version 4
-// lookups.
-const ModelVersion = 4
+// lookups. Version 5 drops the Flywheel core's sampled-mode divergence
+// storm breaker: exact results are unchanged, but some sampled Flywheel
+// cells move, so version 4 sampled entries must not be served.
+const ModelVersion = 5
