@@ -88,8 +88,10 @@ func (r *traceRun) done() bool { return r.endSeen || r.broken }
 // runs are live at a time but thousands start per simulation, so pooling
 // them keeps replay allocation-free in steady state.
 func (c *Core) newRun(r Reader, startSeq, startPC uint64, blockedUntil int64) *traceRun {
-	run := &traceRun{}
-	if n := len(c.runPool); n > 0 {
+	var run *traceRun
+	if n := len(c.runPool); n == 0 {
+		run = &traceRun{}
+	} else {
 		run = c.runPool[n-1]
 		c.runPool = c.runPool[:n-1]
 		buffered, recs, dests, fus := run.buffered[:0], run.unit.recs[:0], run.unit.dests[:0], run.unit.fus[:0]

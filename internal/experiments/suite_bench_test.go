@@ -9,7 +9,9 @@ package experiments
 // On a multi-core machine BenchmarkSuiteWorkersMax should beat
 // BenchmarkSuiteWorkers1 roughly by the core count (the jobs are
 // independent); BenchmarkSuiteWarmCache shows the memoization floor — the
-// whole suite served from cache.
+// whole suite served from cache. Each also reports allocations and GC
+// cycles per suite pass (B/op, allocs/op, gc/op), so a per-run allocation
+// regression shows up here without the repository benchmark.
 
 import (
 	"runtime"
@@ -21,6 +23,9 @@ import (
 func benchSuite(b *testing.B, workers int, cache *lab.Cache) {
 	opt := tinyOptions()
 	jobs := SuiteJobs(opt)
+	b.ReportAllocs()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := cache
@@ -31,6 +36,9 @@ func benchSuite(b *testing.B, workers int, cache *lab.Cache) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 }
 
 func BenchmarkSuiteWorkers1(b *testing.B) { benchSuite(b, 1, nil) }

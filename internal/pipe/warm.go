@@ -59,48 +59,3 @@ func (w *Warmer) Finish() {
 	w.hier.ResetStats()
 	w.pred.Stats = branch.Stats{}
 }
-
-// MaxWarmLogRecords bounds how many observations a WarmLog buffers — and
-// therefore how much memory one workload's log can pin for the life of the
-// process (one emu.Trace per record, ~56 B, so ~56 MiB at the cap). The
-// repo's kernels warm in 20k-45k records; a workload whose initialization
-// exceeds the cap cannot be warm-cached and callers fall back to
-// functional re-execution (see Overflowed).
-const MaxWarmLogRecords = 1 << 20
-
-// WarmLog records the architectural observations of a workload's
-// initialization phase once, so later runs can warm their caches and
-// predictor by replaying the log instead of re-executing initialization on
-// a functional machine. Replay is append-order, which reproduces exactly
-// the warm state the live observation sequence would have built.
-//
-// A WarmLog is written once (Observe) and then only read (Replay), so one
-// log may warm any number of cores concurrently.
-type WarmLog struct {
-	recs       []emu.Trace
-	overflowed bool
-}
-
-// Observe appends one architectural record.
-func (l *WarmLog) Observe(tr emu.Trace) {
-	if len(l.recs) >= MaxWarmLogRecords {
-		l.overflowed = true
-		return
-	}
-	l.recs = append(l.recs, tr)
-}
-
-// Len reports how many observations are recorded.
-func (l *WarmLog) Len() int { return len(l.recs) }
-
-// Overflowed reports that the initialization phase was too long to record;
-// the log is incomplete and must not be replayed.
-func (l *WarmLog) Overflowed() bool { return l.overflowed }
-
-// Replay feeds every recorded observation into the warmer and finishes it.
-func (l *WarmLog) Replay(w *Warmer) {
-	for i := range l.recs {
-		w.Observe(l.recs[i])
-	}
-	w.Finish()
-}

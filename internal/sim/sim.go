@@ -149,8 +149,8 @@ func (r Result) Speedup(other Result) float64 {
 // Run executes one simulation. The first run of a workload executes its
 // initialization phase once and caches the result as a copy-on-write warm
 // snapshot; every later run — any architecture, boost, node or instruction
-// budget — clones the snapshot and replays the recorded warm observations
-// instead of re-executing initialization (see warm.go). A run, exact
+// budget — clones the snapshot, and seeds its caches and predictor from a
+// template warmed once per configuration (see warm.go). A run, exact
 // or sampled, is Simulate followed by Price at its own node (see
 // timing.go).
 func Run(cfg RunConfig) (Result, error) {
@@ -177,17 +177,17 @@ func (c RunConfig) normalize() (RunConfig, error) {
 	return c, c.Sampling.Validate()
 }
 
-// replay calls fn with the workload's recorded warm observations and its
-// measured instruction stream. The stream starts at the workload's warm
-// snapshot (workload.WarmState) and comes from the trace cache: the first
-// run of a workload records the functional emulator's output while
-// consuming it, later runs replay the recording (see tracecache.go).
-func replay(cfg RunConfig, fn func(w *workload.Workload, log *pipe.WarmLog, stream pipe.InstSource) error) error {
+// replay calls fn with the workload and its measured instruction stream.
+// The stream starts at the workload's warm snapshot (workload.WarmState)
+// and comes from the trace cache: the first run of a workload records the
+// functional emulator's output while consuming it, later runs replay the
+// recording (see tracecache.go).
+func replay(cfg RunConfig, fn func(w *workload.Workload, stream pipe.InstSource) error) error {
 	w, err := workload.Get(cfg.Workload)
 	if err != nil {
 		return err
 	}
-	snap, log, err := w.WarmState()
+	snap, err := w.WarmState()
 	if err != nil {
 		return err
 	}
@@ -205,7 +205,7 @@ func replay(cfg RunConfig, fn func(w *workload.Workload, log *pipe.WarmLog, stre
 			finish(fmt.Errorf("sim %s/%s: run aborted", cfg.Workload, cfg.Arch))
 		}
 	}()
-	err = fn(w, log, stream)
+	err = fn(w, stream)
 	finish(err)
 	finished = true
 	return err
@@ -219,7 +219,7 @@ type machine struct {
 	shape power.MachineShape
 	// warm seeds the core from the workload's initialization phase;
 	// warmer keeps its caches and predictor warm across fast-forwards.
-	warm     func(w *workload.Workload, log *pipe.WarmLog) error
+	warm     func(w *workload.Workload) error
 	warmer   *pipe.Warmer
 	resume   func(warmupInsts uint64) bool
 	run      func() error
@@ -248,8 +248,8 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 			}
 			return &machine{
 				shape: power.BaselineShape(),
-				warm: func(w *workload.Workload, log *pipe.WarmLog) error {
-					return warm(c.Warmer(), w, log, bc.Mem, bc.Branch)
+				warm: func(w *workload.Workload) error {
+					return warm(c.Warmer(), w, bc.Mem, bc.Branch)
 				},
 				warmer:   c.Warmer(),
 				resume:   func(uint64) bool { return c.Resume() },
@@ -270,8 +270,8 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 			}
 			return &machine{
 				shape: power.FlywheelShape(),
-				warm: func(w *workload.Workload, log *pipe.WarmLog) error {
-					return warm(c.Warmer(), w, log, fc.Mem, fc.Branch)
+				warm: func(w *workload.Workload) error {
+					return warm(c.Warmer(), w, fc.Mem, fc.Branch)
 				},
 				warmer:   c.Warmer(),
 				resume:   c.Resume,
@@ -287,12 +287,12 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 }
 
 // warmed builds the core over src and functionally warms it: the core's
-// caches and branch predictor are seeded with the initialization phase's
-// recorded observations so measurement starts from realistic state (the
+// caches and branch predictor are seeded with the state the initialization
+// phase leaves them in, so measurement starts from realistic state (the
 // paper fast-forwards 500M instructions).
-func (d design) warmed(src pipe.InstSource, w *workload.Workload, log *pipe.WarmLog) (*machine, error) {
+func (d design) warmed(src pipe.InstSource, w *workload.Workload) (*machine, error) {
 	m := d.build(src)
-	if err := m.warm(w, log); err != nil {
+	if err := m.warm(w); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -94,9 +94,9 @@ func Simulate(cfg RunConfig) (Timing, error) {
 		return Timing{}, err
 	}
 	t := Timing{id: id, grain: d.plan.grain}
-	err = replay(cfg, func(w *workload.Workload, log *pipe.WarmLog, stream pipe.InstSource) error {
+	err = replay(cfg, func(w *workload.Workload, stream pipe.InstSource) error {
 		if !cfg.Sampling.Enabled() {
-			m, err := d.warmed(stream, w, log)
+			m, err := d.warmed(stream, w)
 			if err != nil {
 				return err
 			}
@@ -105,7 +105,7 @@ func Simulate(cfg RunConfig) (Timing, error) {
 			return err
 		}
 		gate := sample.NewGate(stream)
-		m, err := d.warmed(gate, w, log)
+		m, err := d.warmed(gate, w)
 		if err != nil {
 			return err
 		}

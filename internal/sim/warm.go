@@ -1,26 +1,24 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
 
 	"flywheel/internal/branch"
-	"flywheel/internal/emu"
 	"flywheel/internal/mem"
 	"flywheel/internal/pipe"
 	"flywheel/internal/workload"
 )
 
-// A workload's initialization phase executes once per process
-// (workload.WarmState), which freezes the architectural state at the warm
-// point as a copy-on-write snapshot and records the warm observations.
-// Every run clones that snapshot, and its caches and branch predictor are
-// seeded from a template that replays the observations once per
-// configuration.
+// A workload's initialization phase executes once per process to freeze
+// the architectural state at the warm point as a copy-on-write snapshot
+// (workload.WarmState); every run clones that snapshot. Its caches and
+// branch predictor are seeded from a template that re-executes the
+// initialization phase functionally once per configuration.
 
 // warmState is a fully warmed predictor + cache hierarchy, built once per
-// (workload, hierarchy config, predictor config) by replaying the recorded
-// warm log, then copied into each run's core as a pair of memcpys.
+// (workload, hierarchy config, predictor config) by observing the
+// initialization phase, then copied into each run's core as a pair of
+// memcpys.
 type warmState struct {
 	pred *branch.Predictor
 	hier *mem.Hierarchy
@@ -35,45 +33,39 @@ type warmStateKey struct {
 type warmStateEntry struct {
 	once sync.Once
 	st   *warmState
+	err  error
 }
 
 var warmStates sync.Map // warmStateKey -> *warmStateEntry
 
 // template returns the warmed predictor/hierarchy template for the given
-// configuration, replaying log at most once per configuration.
-func template(w *workload.Workload, log *pipe.WarmLog, hierCfg mem.HierarchyConfig, branchCfg branch.Config) *warmState {
+// configuration, executing the initialization phase at most once per
+// configuration.
+func template(w *workload.Workload, hierCfg mem.HierarchyConfig, branchCfg branch.Config) (*warmState, error) {
 	key := warmStateKey{workload: w.Name, hier: hierCfg, branch: branchCfg}
 	e, _ := warmStates.LoadOrStore(key, &warmStateEntry{})
 	entry := e.(*warmStateEntry)
 	entry.once.Do(func() {
 		st := &warmState{pred: branch.New(branchCfg), hier: mem.NewHierarchy(hierCfg)}
-		log.Replay(pipe.NewWarmer(st.pred, st.hier))
-		entry.st = st
+		warmer := pipe.NewWarmer(st.pred, st.hier)
+		if _, entry.err = w.RunInit(warmer.Observe); entry.err == nil {
+			warmer.Finish()
+			entry.st = st
+		}
 	})
-	return entry.st
+	return entry.st, entry.err
 }
 
 // warm seeds a core's caches and branch predictor with the workload's
-// initialization-phase observations: a state copy from the warmed template
-// when the log was recorded, or a functional re-execution when it
-// overflowed (log is nil; see pipe.MaxWarmLogRecords).
-func warm(warmer *pipe.Warmer, w *workload.Workload, log *pipe.WarmLog, hierCfg mem.HierarchyConfig, branchCfg branch.Config) error {
+// initialization-phase observations by copying the warmed template's state.
+func warm(warmer *pipe.Warmer, w *workload.Workload, hierCfg mem.HierarchyConfig, branchCfg branch.Config) error {
 	if w.WarmAddr() == 0 {
 		return nil
 	}
-	if log != nil {
-		st := template(w, log, hierCfg, branchCfg)
-		warmer.SeedFrom(st.pred, st.hier)
-		return nil
+	st, err := template(w, hierCfg, branchCfg)
+	if err != nil {
+		return err
 	}
-	wm := emu.New(w.Program())
-	for wm.PC != w.WarmAddr() && !wm.Halted && wm.Retired < workload.WarmUpLimit {
-		tr, err := wm.Step()
-		if err != nil {
-			return fmt.Errorf("sim warm %s: %w", w.Name, err)
-		}
-		warmer.Observe(tr)
-	}
-	warmer.Finish()
+	warmer.SeedFrom(st.pred, st.hier)
 	return nil
 }

@@ -24,7 +24,6 @@ import (
 
 	"flywheel/internal/asm"
 	"flywheel/internal/emu"
-	"flywheel/internal/pipe"
 )
 
 // WarmUpLimit caps how many instructions a workload's initialization phase
@@ -53,12 +52,11 @@ type Workload struct {
 	once sync.Once
 	prog *asm.Program
 
-	// Warm state: the fast-forward to the warm point executes
-	// once per process; later WarmState/NewMachine calls reuse the frozen
-	// state (cloned copy-on-write) and the recorded warm observations.
+	// Warm state: the fast-forward to the warm point executes once per
+	// process; later WarmState/NewMachine calls reuse the frozen state
+	// (cloned copy-on-write).
 	warmOnce sync.Once
 	warmSnap *emu.Snapshot
-	warmLog  *pipe.WarmLog
 	warmErr  error
 }
 
@@ -75,32 +73,50 @@ func (w *Workload) WarmAddr() uint64 {
 	return addr
 }
 
-// WarmState executes the initialization phase once per process and returns
-// the frozen architectural state at the warm point plus the recorded warm
-// observations. The log is nil when initialization was too long to record
-// (pipe.MaxWarmLogRecords); callers then fall back to functional
-// re-execution for warming. The snapshot is shared: clone it (NewMachine)
-// rather than mutating it.
-func (w *Workload) WarmState() (*emu.Snapshot, *pipe.WarmLog, error) {
+// RunInit executes the initialization phase on a fresh functional machine,
+// passing every retired instruction to observe (when non-nil), and returns
+// the machine stopped at the warm label. It fails when initialization halts
+// or exhausts WarmUpLimit before reaching the label: a run measured from
+// wherever it stopped would retire nothing.
+func (w *Workload) RunInit(observe func(emu.Trace)) (*emu.Machine, error) {
+	m := emu.New(w.Program())
+	addr := w.WarmAddr()
+	if addr == 0 {
+		return m, nil
+	}
+	for m.PC != addr {
+		if m.Halted {
+			return nil, fmt.Errorf("workload %s: initialization halted after %d instructions before warm label %q",
+				w.Name, m.Retired, w.WarmLabel)
+		}
+		if m.Retired >= WarmUpLimit {
+			return nil, fmt.Errorf("workload %s: initialization ran %d instructions (WarmUpLimit) without reaching warm label %q",
+				w.Name, m.Retired, w.WarmLabel)
+		}
+		tr, err := m.Step()
+		if err != nil {
+			return nil, fmt.Errorf("workload %s: warm-up: %w", w.Name, err)
+		}
+		if observe != nil {
+			observe(tr)
+		}
+	}
+	return m, nil
+}
+
+// WarmState executes the initialization phase once per process (RunInit)
+// and returns the frozen architectural state at the warm point. The
+// snapshot is shared: clone it (NewMachine) rather than mutating it.
+func (w *Workload) WarmState() (*emu.Snapshot, error) {
 	w.warmOnce.Do(func() {
-		m := emu.New(w.Program())
-		log := &pipe.WarmLog{}
-		if addr := w.WarmAddr(); addr != 0 {
-			for m.PC != addr && !m.Halted && m.Retired < WarmUpLimit {
-				tr, err := m.Step()
-				if err != nil {
-					w.warmErr = fmt.Errorf("workload %s: warm-up: %w", w.Name, err)
-					return
-				}
-				log.Observe(tr)
-			}
+		m, err := w.RunInit(nil)
+		if err != nil {
+			w.warmErr = err
+			return
 		}
 		w.warmSnap = m.Snapshot()
-		if !log.Overflowed() {
-			w.warmLog = log
-		}
 	})
-	return w.warmSnap, w.warmLog, w.warmErr
+	return w.warmSnap, w.warmErr
 }
 
 // NewMachine builds a functional machine fast-forwarded to the warm point.
@@ -109,7 +125,7 @@ func (w *Workload) WarmState() (*emu.Snapshot, *pipe.WarmLog, error) {
 // O(1) in the initialization length. Clones are independent and may run
 // concurrently.
 func (w *Workload) NewMachine() (*emu.Machine, error) {
-	snap, _, err := w.WarmState()
+	snap, err := w.WarmState()
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"flywheel/internal/emu"
@@ -136,5 +137,50 @@ func TestProgramsAreCached(t *testing.T) {
 	w := MustGet("gcc")
 	if w.Program() != w.Program() {
 		t.Error("Program not cached")
+	}
+}
+
+// TestWarmStateRejectsUnreachedWarmLabel: a kernel whose initialization
+// halts before its warm label has no measured phase, so warming it must
+// fail with the workload's name rather than snapshot the halted machine.
+func TestWarmStateRejectsUnreachedWarmLabel(t *testing.T) {
+	w := &Workload{Name: "halts-early", WarmLabel: "measure", Source: `
+	li   r1, 3
+	halt
+measure:
+	addi r1, r1, 1
+	halt
+`}
+	if _, err := w.WarmState(); err == nil || !strings.Contains(err.Error(), "halts-early") || !strings.Contains(err.Error(), "halted") {
+		t.Fatalf("WarmState error = %v, want one naming halts-early and that it halted", err)
+	}
+	if _, err := w.NewMachine(); err == nil {
+		t.Fatal("NewMachine cloned the state of a kernel that never reached its warm label")
+	}
+	n := 0
+	if _, err := w.RunInit(func(emu.Trace) { n++ }); err == nil {
+		t.Fatal("RunInit accepted a kernel that never reached its warm label")
+	}
+	if n != 2 {
+		t.Fatalf("RunInit observed %d instructions, want the 2 before the halt", n)
+	}
+}
+
+// TestRunInitStopsAtWarmLabel: RunInit observes exactly the instructions
+// the warm snapshot retires, and stops at the warm label.
+func TestRunInitStopsAtWarmLabel(t *testing.T) {
+	w := MustGet("ijpeg")
+	n := uint64(0)
+	m, err := w.RunInit(func(emu.Trace) { n++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := w.WarmState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.PC != w.WarmAddr() || n != m.Retired || n != snap.Retired() {
+		t.Fatalf("RunInit stopped at pc %#x after %d observed / %d retired; want warm label %#x after the snapshot's %d",
+			m.PC, n, m.Retired, w.WarmAddr(), snap.Retired())
 	}
 }
