@@ -40,7 +40,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 
 	"flywheel/internal/explore"
 	"flywheel/internal/lab"
@@ -89,9 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		opt.Cache = lab.NewCacheWithStore(st)
-		// Persist recorded dynamic traces next to the results: a second
-		// process over this directory replays without re-emulating.
-		sim.SetTraceSpillDir(filepath.Join(*storeDir, "traces"))
 	} else if *storeStats {
 		// No persistent tier, but the counters are still wanted: give the
 		// run its own observable in-memory cache.

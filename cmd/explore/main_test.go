@@ -11,8 +11,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"flywheel/internal/sim"
 )
 
 // tiny keeps command tests fast: one small profile, two boosts, 2k
@@ -290,8 +288,6 @@ func TestRunTieredRecoversExactFrontier(t *testing.T) {
 		be = append(be, fmt.Sprint(b))
 	}
 	dir := filepath.Join(t.TempDir(), "store")
-	// -store spills traces into the directory; stop before it is removed.
-	t.Cleanup(func() { sim.SetTraceSpillDir("") })
 	axes := []string{
 		"-ilp", "1,4,6", "-entropy", "0,0.5,1", "-mem", "4", "-code", "1", "-passes", "1",
 		"-fe", strings.Join(fe, ","), "-be", strings.Join(be, ","), "-n", "2000",
@@ -341,7 +337,6 @@ func TestSampledGridErrorBound(t *testing.T) {
 		t.Skip("heavyweight grid test; run without -short/-race")
 	}
 	dir := filepath.Join(t.TempDir(), "store")
-	t.Cleanup(func() { sim.SetTraceSpillDir("") })
 	axes := []string{
 		"-ilp", "1,6", "-entropy", "0", "-mem", "4", "-code", "4", "-passes", "4",
 		"-fe", "0,50,100", "-be", "50", "-n", "200000", "-store", dir, "-csv",

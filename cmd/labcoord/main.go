@@ -1,7 +1,7 @@
 // Command labcoord fronts a cluster of labd workers as one lab: it
 // consistent-hashes sweep jobs across the workers (each owning its own
-// store shard and trace spill directory) and streams back a single merged,
-// job-ordered NDJSON response. The coordinator speaks the same protocol as
+// store shard) and streams back a single merged, job-ordered NDJSON
+// response. The coordinator speaks the same protocol as
 // a single labd, so existing clients point at a cluster unchanged.
 //
 // Usage:

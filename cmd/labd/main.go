@@ -31,13 +31,11 @@ import (
 	"io"
 	"net"
 	"os"
-	"path/filepath"
 	"time"
 
 	"flywheel/internal/lab"
 	"flywheel/internal/lab/store"
 	"flywheel/internal/labd"
-	"flywheel/internal/sim"
 )
 
 func main() {
@@ -61,7 +59,7 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 		storeDir = fs.String("store", "", "persistent result-store directory (empty = memory only; results die with the process)")
 		shard    = fs.Int("shard", -1, "shard index: open <store>/shard-<n> instead of <store> (requires -store; for labcoord clusters)")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
-		scrub    = fs.Bool("scrub", false, "one-shot integrity audit: verify the store and trace spill, quarantine corrupt files, exit (0 clean, 3 corruption found; requires -store)")
+		scrub    = fs.Bool("scrub", false, "one-shot integrity audit: verify every store entry, quarantine corrupt files, exit (0 clean, 3 corruption found; requires -store)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -91,10 +89,6 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 			return 1
 		}
 		cache = lab.NewCacheWithStore(st)
-		// Persist recorded dynamic traces next to the results: a restarted
-		// service replays from disk without re-emulating anything. Sharded
-		// workers spill under their own shard directory.
-		sim.SetTraceSpillDir(filepath.Join(dir, "traces"))
 		fmt.Fprintf(stdout, "labd: store %s (version %s)\n", st.Dir(), store.Version())
 	}
 
@@ -141,8 +135,8 @@ func runScrub(cache *lab.Cache, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "labd: scrub:", err)
 		return 1
 	}
-	fmt.Fprintf(stdout, "labd: scrub %s: %d entries, %d traces checked, %d quarantined\n",
-		rep.Dir, rep.Entries, rep.Traces, len(rep.Quarantined))
+	fmt.Fprintf(stdout, "labd: scrub %s: %d entries checked, %d quarantined\n",
+		rep.Dir, rep.Entries, len(rep.Quarantined))
 	for _, q := range rep.Quarantined {
 		fmt.Fprintf(stdout, "labd: quarantined %s -> %s (%s)\n", q.Path, q.To, q.Reason)
 	}

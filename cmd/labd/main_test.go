@@ -161,7 +161,7 @@ func TestShutdownDrainsInFlightSweep(t *testing.T) {
 }
 
 // TestShardFlag: -shard opens <store>/shard-<n>, giving each cluster
-// worker a disjoint store and trace-spill directory.
+// worker a disjoint store directory.
 func TestShardFlag(t *testing.T) {
 	root := t.TempDir()
 	base, stop := startLabd(t, "-store", root, "-shard", "2")

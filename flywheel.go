@@ -27,7 +27,6 @@ package flywheel
 
 import (
 	"fmt"
-	"path/filepath"
 
 	"flywheel/internal/cacti"
 	"flywheel/internal/lab"
@@ -182,17 +181,11 @@ type Store struct {
 }
 
 // OpenStore creates (if needed) and opens a result store rooted at dir.
-// Opening a store also attaches the trace cache's spill directory (a
-// "traces" subdirectory): completed dynamic-trace recordings persist next
-// to the results, so a second process over a warm store re-executes no
-// functional emulation at all. The spill attachment is process-wide; the
-// last OpenStore wins.
 func OpenStore(dir string) (*Store, error) {
 	st, err := store.Open(dir)
 	if err != nil {
 		return nil, err
 	}
-	sim.SetTraceSpillDir(filepath.Join(dir, "traces"))
 	return &Store{cache: lab.NewCacheWithStore(st)}, nil
 }
 
@@ -332,10 +325,9 @@ func publicResult(res sim.Result) Result {
 // Store.StatsLine.)
 type CacheStats struct {
 	// Trace-cache traffic: replays served from a recording, recordings
-	// made, runs that bypassed the cache, recordings evicted by the memory
-	// cap, and recordings exchanged with a store's spill directory.
+	// made, runs that bypassed the cache, and recordings evicted by the
+	// memory cap.
 	TraceHits, TraceMisses, TraceBypasses, TraceEvictions uint64
-	TraceSpillLoads, TraceSpillSaves                      uint64
 	// TraceEntries recordings are resident, TraceBytes their encoded size.
 	TraceEntries int
 	TraceBytes   int64
@@ -345,8 +337,7 @@ type CacheStats struct {
 func Caches() CacheStats {
 	ts := sim.TraceCacheStats()
 	return CacheStats{
-		TraceHits: ts.Hits, TraceMisses: ts.Misses, TraceBypasses: ts.Bypasses,
-		TraceEvictions: ts.Evictions, TraceSpillLoads: ts.SpillLoads, TraceSpillSaves: ts.SpillSaves,
+		TraceHits: ts.Hits, TraceMisses: ts.Misses, TraceBypasses: ts.Bypasses, TraceEvictions: ts.Evictions,
 		TraceEntries: ts.Entries, TraceBytes: ts.ResidentBytes,
 	}
 }

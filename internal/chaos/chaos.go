@@ -8,10 +8,10 @@
 //     bodies mid-stream (the NDJSON-sweep killer), and black-holes whole
 //     hosts for scripted windows (a worker crash and restart, as seen
 //     from the coordinator).
-//   - CorruptTree walks a directory (a store shard, a trace spill dir)
-//     and plants bit-flip and truncation corruption in a deterministic
-//     subset of files, returning a manifest of exactly what it broke so a
-//     scrubber can be held to finding 100% of it.
+//   - CorruptTree walks a directory (a store shard) and plants bit-flip
+//     and truncation corruption in a deterministic subset of files,
+//     returning a manifest of exactly what it broke so a scrubber can be
+//     held to finding 100% of it.
 //
 // Determinism: every decision is a pure function of (seed, scope,
 // occurrence counter) — no global RNG, no time. Two runs with the same

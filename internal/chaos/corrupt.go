@@ -22,9 +22,8 @@ type Corruption struct {
 // (seed, path relative to root), so the same seed plants the same damage
 // on the same tree. If frac > 0 and the tree has any eligible file, at
 // least one is corrupted (the one with the lowest selection roll), so a
-// scrub test can never vacuously pass. Empty files, temp files (put-*,
-// .trace-*), and anything already under a quarantine/ directory are
-// skipped.
+// scrub test can never vacuously pass. Empty files, temp files (put-*),
+// and anything already under a quarantine/ directory are skipped.
 func CorruptTree(root string, seed uint64, frac float64) ([]Corruption, error) {
 	if frac <= 0 {
 		return nil, nil
@@ -46,7 +45,7 @@ func CorruptTree(root string, seed uint64, frac float64) ([]Corruption, error) {
 			return nil
 		}
 		name := d.Name()
-		if strings.HasPrefix(name, "put-") || strings.HasPrefix(name, ".trace-") {
+		if strings.HasPrefix(name, "put-") {
 			return nil
 		}
 		info, err := d.Info()

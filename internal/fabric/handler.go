@@ -220,7 +220,6 @@ type WorkerScrub struct {
 // ClusterScrub is the coordinator's /v1/scrub body.
 type ClusterScrub struct {
 	Entries     int           `json:"entries"`
-	Traces      int           `json:"traces"`
 	Quarantined int           `json:"quarantined"`
 	Workers     []WorkerScrub `json:"workers"`
 }
@@ -252,7 +251,6 @@ func (c *Coordinator) handleScrub(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		total.Entries += ws.Scrub.Entries
-		total.Traces += ws.Scrub.Traces
 		total.Quarantined += len(ws.Scrub.Quarantined)
 	}
 	c.writeJSON(w, total)

@@ -1,7 +1,7 @@
 // Package fabric shards the lab batch service horizontally: a coordinator
 // consistent-hashes job keys across N labd workers, each owning its own
-// store shard and trace-cache spill directory, and streams one merged
-// NDJSON response that preserves job order. The fabric stays correct under
+// store shard, and streams one merged NDJSON response that preserves job
+// order. The fabric stays correct under
 // failure — per-shard retry with backoff, hedged requests to a replica
 // when a shard runs long, bounded in-flight jobs per shard with 503 +
 // Retry-After backpressure, and work-stealing reassignment of queued jobs

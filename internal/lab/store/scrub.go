@@ -12,12 +12,11 @@ import (
 
 // Scrub proactively audits the shard the way Get would only ever do
 // lazily, one key at a time: it walks every entry of the current version
-// (and, optionally, the trace spill directory) and verifies the full
-// integrity chain — parseable JSON, version stamp, key-to-address match
-// (the sha256 the file sits under must be derivable from its stamped
-// key), and the payload checksum. Anything that fails is moved to
-// <root>/quarantine/ preserving its relative path, and appended to
-// <root>/quarantine/MANIFEST.ndjson, one JSON line per file. A
+// and verifies the full integrity chain — parseable JSON, version stamp,
+// key-to-address match (the sha256 the file sits under must be derivable
+// from its stamped key), and the payload checksum. Anything that fails is
+// moved to <root>/quarantine/ preserving its relative path, and appended
+// to <root>/quarantine/MANIFEST.ndjson, one JSON line per file. A
 // quarantined entry is a plain miss afterwards, so the next request for
 // that key transparently re-simulates and re-persists it; the damaged
 // bytes are preserved for forensics instead of being served or deleted.
@@ -25,17 +24,6 @@ import (
 // Scrub is safe to run while the store serves traffic: only invalid
 // files are moved, readers of a file mid-rename keep their open handle,
 // and a concurrent Put of a fresh entry is never touched.
-
-// ScrubOptions configures one scrub pass.
-type ScrubOptions struct {
-	// TraceDir is a trace-spill directory to audit alongside the entry
-	// tree (by convention <root>/traces); empty skips traces.
-	TraceDir string
-	// VerifyTrace validates one spill file (use trace.VerifySpillFile);
-	// required when TraceDir is set. The store does not parse trace
-	// files itself — their format belongs to internal/trace.
-	VerifyTrace func(path string) error
-}
 
 // Quarantined describes one file a scrub moved aside.
 type Quarantined struct {
@@ -46,9 +34,8 @@ type Quarantined struct {
 
 // ScrubReport summarizes one scrub pass.
 type ScrubReport struct {
-	// Entries and Traces count files checked (healthy or not).
+	// Entries counts files checked (healthy or not).
 	Entries     int           `json:"entries"`
-	Traces      int           `json:"traces"`
 	Quarantined []Quarantined `json:"quarantined"`
 }
 
@@ -61,10 +48,7 @@ func (s *Store) QuarantineDir() string { return filepath.Join(s.dir, "quarantine
 // Scrub runs one audit pass and returns what it checked and quarantined.
 // The error reports infrastructure trouble (an unwalkable tree, a failed
 // move) — finding corrupt files is a normal outcome, not an error.
-func (s *Store) Scrub(opt ScrubOptions) (*ScrubReport, error) {
-	if opt.TraceDir != "" && opt.VerifyTrace == nil {
-		return nil, fmt.Errorf("store: scrub: TraceDir set without VerifyTrace")
-	}
+func (s *Store) Scrub() (*ScrubReport, error) {
 	rep := &ScrubReport{}
 
 	root := filepath.Join(s.dir, s.version)
@@ -88,28 +72,6 @@ func (s *Store) Scrub(opt ScrubOptions) (*ScrubReport, error) {
 		return rep, fmt.Errorf("store: scrub: %w", err)
 	}
 
-	if opt.TraceDir != "" {
-		err := filepath.WalkDir(opt.TraceDir, func(path string, d fs.DirEntry, err error) error {
-			if err != nil {
-				if os.IsNotExist(err) {
-					return nil
-				}
-				return err
-			}
-			name := filepath.Base(path)
-			if d.IsDir() || !strings.HasSuffix(name, ".trace") || strings.HasPrefix(name, ".") {
-				return nil
-			}
-			rep.Traces++
-			if verr := opt.VerifyTrace(path); verr != nil {
-				return s.quarantine(rep, path, verr.Error())
-			}
-			return nil
-		})
-		if err != nil {
-			return rep, fmt.Errorf("store: scrub traces: %w", err)
-		}
-	}
 	return rep, nil
 }
 
@@ -140,9 +102,8 @@ func (s *Store) checkEntry(path string) string {
 // relative to the store root, and appends a manifest line.
 func (s *Store) quarantine(rep *ScrubReport, path, reason string) error {
 	rel, err := filepath.Rel(s.dir, path)
-	if err != nil || strings.HasPrefix(rel, "..") {
-		// A trace dir outside the store root lands under quarantine/traces.
-		rel = filepath.Join("traces", filepath.Base(path))
+	if err != nil {
+		return err
 	}
 	dst := filepath.Join(s.QuarantineDir(), rel)
 	if err := os.MkdirAll(filepath.Dir(dst), 0o755); err != nil {

@@ -1,11 +1,8 @@
 package store
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -14,7 +11,6 @@ import (
 	"testing"
 
 	"flywheel/internal/chaos"
-	"flywheel/internal/trace"
 )
 
 // fillStore writes n entries and returns their keys.
@@ -30,32 +26,6 @@ func fillStore(t *testing.T, s *Store, n int) []string {
 	return keys
 }
 
-// writeMinimalSpill writes the smallest structurally valid trace spill (a
-// halted, zero-chunk recording) and cross-checks it against the real
-// verifier so a trace-format bump fails here loudly, not silently.
-func writeMinimalSpill(t *testing.T, path string) {
-	t.Helper()
-	var payload bytes.Buffer
-	binary.Write(&payload, binary.LittleEndian, uint64(0)) // startSeq
-	binary.Write(&payload, binary.LittleEndian, uint64(0)) // ceiling
-	payload.WriteByte(1)                                   // halted
-	binary.Write(&payload, binary.LittleEndian, uint64(0)) // no chunks
-	var file bytes.Buffer
-	file.WriteString("FWTRACE\x00")
-	binary.Write(&file, binary.LittleEndian, uint32(1)) // spill version
-	file.Write(payload.Bytes())
-	binary.Write(&file, binary.LittleEndian, crc32.ChecksumIEEE(payload.Bytes()))
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, file.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := trace.VerifySpillFile(path); err != nil {
-		t.Fatalf("hand-built spill no longer valid (trace format changed?): %v", err)
-	}
-}
-
 // TestScrubHealthyStore: a clean shard scrubs clean.
 func TestScrubHealthyStore(t *testing.T) {
 	s, err := Open(t.TempDir())
@@ -63,14 +33,12 @@ func TestScrubHealthyStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	fillStore(t, s, 10)
-	traces := filepath.Join(s.Dir(), "traces")
-	writeMinimalSpill(t, filepath.Join(traces, "aa.trace"))
 
-	rep, err := s.Scrub(ScrubOptions{TraceDir: traces, VerifyTrace: trace.VerifySpillFile})
+	rep, err := s.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Entries != 10 || rep.Traces != 1 || rep.Bad() != 0 {
+	if rep.Entries != 10 || rep.Bad() != 0 {
 		t.Fatalf("healthy scrub: %+v", rep)
 	}
 	if _, err := os.Stat(filepath.Join(s.QuarantineDir(), "MANIFEST.ndjson")); !os.IsNotExist(err) {
@@ -79,7 +47,7 @@ func TestScrubHealthyStore(t *testing.T) {
 }
 
 // TestScrubQuarantinesAllPlantedCorruption: chaos plants a seeded mix of
-// bit flips and truncations across entries and trace spills; one scrub
+// bit flips and truncations across entries; one scrub
 // pass must quarantine every manifest entry — and nothing else — move
 // the bytes under quarantine/, log them to MANIFEST.ndjson, and leave
 // every damaged key re-servable (miss, then Put repairs).
@@ -89,10 +57,6 @@ func TestScrubQuarantinesAllPlantedCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	keys := fillStore(t, s, 40)
-	traces := filepath.Join(s.Dir(), "traces")
-	for i := 0; i < 6; i++ {
-		writeMinimalSpill(t, filepath.Join(traces, fmt.Sprintf("t%02d.trace", i)))
-	}
 
 	planted, err := chaos.CorruptTree(s.Dir(), 42, 0.3)
 	if err != nil {
@@ -102,12 +66,12 @@ func TestScrubQuarantinesAllPlantedCorruption(t *testing.T) {
 		t.Fatalf("only %d corruptions planted; pick a better seed", len(planted))
 	}
 
-	rep, err := s.Scrub(ScrubOptions{TraceDir: traces, VerifyTrace: trace.VerifySpillFile})
+	rep, err := s.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Entries+rep.Traces != 46 {
-		t.Fatalf("checked %d entries + %d traces, want 46 total", rep.Entries, rep.Traces)
+	if rep.Entries != 40 {
+		t.Fatalf("checked %d entries, want 40", rep.Entries)
 	}
 	quarantined := map[string]bool{}
 	for _, q := range rep.Quarantined {
@@ -163,7 +127,7 @@ func TestScrubQuarantinesAllPlantedCorruption(t *testing.T) {
 		}
 	}
 	// A second pass over the repaired shard is clean.
-	rep2, err := s.Scrub(ScrubOptions{TraceDir: traces, VerifyTrace: trace.VerifySpillFile})
+	rep2, err := s.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +157,7 @@ func TestScrubCatchesAddressMismatch(t *testing.T) {
 	if err := os.WriteFile(s.path("b"), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := s.Scrub(ScrubOptions{})
+	rep, err := s.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,7 +307,7 @@ func TestScrubWhileServing(t *testing.T) {
 		}(w)
 	}
 	for pass := 0; pass < 5; pass++ {
-		if _, err := s.Scrub(ScrubOptions{}); err != nil {
+		if _, err := s.Scrub(); err != nil {
 			t.Errorf("scrub pass %d: %v", pass, err)
 			break
 		}
@@ -352,7 +316,7 @@ func TestScrubWhileServing(t *testing.T) {
 	wg.Wait()
 
 	// Converged state: everything either healthy or repairable.
-	rep, err := s.Scrub(ScrubOptions{})
+	rep, err := s.Scrub()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +328,7 @@ func TestScrubWhileServing(t *testing.T) {
 		}
 	}
 	_ = rep
-	if rep2, err := s.Scrub(ScrubOptions{}); err != nil || rep2.Bad() > 0 {
+	if rep2, err := s.Scrub(); err != nil || rep2.Bad() > 0 {
 		t.Fatalf("final scrub: %+v err=%v", rep2, err)
 	}
 }

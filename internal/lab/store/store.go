@@ -12,6 +12,8 @@
 // two-level fan-out so directories stay small), and key is the lab's
 // collision-free canonical job encoding. Bumping either version component
 // changes every address, orphaning stale entries rather than serving them.
+// Nothing else under <dir> is read: other directories (quarantine/, or a
+// traces/ directory left by older builds) are ignored.
 //
 // Writes are atomic: the entry is written to a temp file in the store root
 // and renamed into place, so a crash mid-write leaves at most a temp file,
@@ -99,8 +101,7 @@ type Store struct {
 
 // ShardDir returns the store root for one worker of a sharded cluster:
 // <root>/shard-<n>. A labd worker opened over a shard directory owns it
-// exclusively — its result entries and its trace-cache spill ("traces")
-// both live under it, so N workers can share one filesystem without ever
+// exclusively, so N workers can share one filesystem without ever
 // contending on a file. The coordinator's consistent hashing keeps a given
 // job key on the same shard across runs, so each shard's store stays as
 // warm as a single-process store would.

@@ -164,15 +164,17 @@ func TestVersionChangesAddress(t *testing.T) {
 }
 
 // TestFrontendModelVersionInvalidatesStore pins the current
-// sim.ModelVersion, 5, and that entries stamped by the versions before it
+// sim.ModelVersion, 6, and that entries stamped by the versions before it
 // are unreachable: version-3 entries lack the frontend observables and the
-// (predictor, prefetcher) identity, and version-4 sampled Flywheel entries
-// were computed with the since-deleted divergence storm breaker.
+// (predictor, prefetcher) identity, version-4 sampled Flywheel entries
+// were computed with the since-deleted divergence storm breaker, and
+// version-5 sampled entries depended on whether their run recorded,
+// replayed or bypassed the trace cache.
 func TestFrontendModelVersionInvalidatesStore(t *testing.T) {
-	if sim.ModelVersion != 5 {
-		t.Fatalf("sim.ModelVersion = %d; the storm-breaker deletion shipped as version 5 — bump this test (and make sure the bump was intentional)", sim.ModelVersion)
+	if sim.ModelVersion != 6 {
+		t.Fatalf("sim.ModelVersion = %d; the one-rule fast-forward shipped as version 6 — bump this test (and make sure the bump was intentional)", sim.ModelVersion)
 	}
-	for _, stamp := range []string{"s2-m3", "s2-m4"} {
+	for _, stamp := range []string{"s2-m3", "s2-m4", "s2-m5"} {
 		dir := t.TempDir()
 		prev := &Store{dir: dir, version: stamp}
 		if err := prev.Put("k", testResult(1)); err != nil {
@@ -183,7 +185,7 @@ func TestFrontendModelVersionInvalidatesStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		if _, ok := cur.Get("k"); ok {
-			t.Fatalf("a %s entry served as a hit under model v5", stamp)
+			t.Fatalf("a %s entry served as a hit under model v6", stamp)
 		}
 	}
 }

@@ -34,9 +34,9 @@
 //	                   uptime and the store version stamp.
 //	GET  /v1/health    liveness probe: {"status":"ok",...}. Coordinators
 //	                   (internal/fabric) use it to register workers.
-//	POST /v1/scrub     audit the disk tier: verify every store entry and
-//	                   trace spill file, quarantine corrupt ones, return
-//	                   the report. Safe while serving.
+//	POST /v1/scrub     audit the disk tier: verify every store entry,
+//	                   quarantine corrupt ones, return the report. Safe
+//	                   while serving.
 //
 // Request lifecycle: sweep jobs start in job order, each gated on the
 // request context — a client that disconnects mid-stream stops consuming
@@ -52,7 +52,6 @@ import (
 	"log"
 	"net/http"
 	"net/url"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -288,10 +287,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// Scrub audits the worker's disk tier — every store entry plus the trace
-// spill directory that lives alongside it — quarantining anything corrupt
-// so the next request for that key re-simulates instead of trusting bad
-// bytes. Safe (and intended) to run while the worker serves traffic.
+// Scrub audits the worker's disk tier — every store entry — quarantining
+// anything corrupt so the next request for that key re-simulates instead
+// of trusting bad bytes. Safe (and intended) to run while the worker
+// serves traffic.
 func (s *Server) Scrub() (ScrubReply, error) {
 	reply := ScrubReply{Version: store.Version()}
 	reply.Quarantined = []store.Quarantined{}
@@ -301,10 +300,7 @@ func (s *Server) Scrub() (ScrubReply, error) {
 	}
 	s.scrubMu.Lock()
 	defer s.scrubMu.Unlock()
-	rep, err := st.Scrub(store.ScrubOptions{
-		TraceDir:    filepath.Join(st.Dir(), "traces"),
-		VerifyTrace: trace.VerifySpillFile,
-	})
+	rep, err := st.Scrub()
 	if rep != nil {
 		reply.ScrubReport = *rep
 		if reply.Quarantined == nil {

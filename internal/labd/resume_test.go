@@ -217,9 +217,9 @@ func TestSweepResumeMisalignmentIsFatal(t *testing.T) {
 	}
 }
 
-// TestScrubEndpoint: POST /v1/scrub audits the worker's store and trace
-// spill, quarantines planted corruption, and surfaces the pass in
-// /v1/stats; a healthy follow-up pass is clean.
+// TestScrubEndpoint: POST /v1/scrub audits the worker's store,
+// quarantines planted corruption, and surfaces the pass in /v1/stats; a
+// healthy follow-up pass is clean.
 func TestScrubEndpoint(t *testing.T) {
 	dir := t.TempDir()
 	st, err := store.Open(dir)

@@ -82,49 +82,63 @@ func (g *Gate) Fill(buf []emu.Trace) int {
 }
 
 // Skipper is the optional fast-skip capability of an instruction source
-// (the trace cache's Reader implements it via chunk-indexed seek).
+// (the trace cache's Reader implements it via chunk-indexed seek). Skip may
+// advance fewer than n records; FastForward discards the rest itself.
 type Skipper interface {
 	Skip(n uint64) uint64
 }
 
-// FastForward consumes up to n records from src, feeding each into the
-// warmer (functional warming: state updates, no timing), and returns how
-// many records were actually consumed. When src supports fast skipping and
-// the gap is longer than the warming horizon, the excess beyond the last
-// WarmHorizon records is skipped without decoding.
+// FastForward consumes up to n records from src and returns how many it
+// consumed. Whatever the source, it warms exactly the last
+// min(n, WarmHorizon) records of the gap (functional warming: state
+// updates, no timing) and passes over the records before them unobserved,
+// so a sampled result does not depend on where its records come from.
+// Skipper only makes the unobserved part cheaper.
 func FastForward(src pipe.InstSource, warm *pipe.Warmer, n uint64) uint64 {
-	if n == 0 {
-		return 0
-	}
 	var done uint64
-	if sk, ok := src.(Skipper); ok && n > WarmHorizon {
-		done = sk.Skip(n - WarmHorizon)
+	if n > WarmHorizon {
+		pass := n - WarmHorizon
+		if sk, ok := src.(Skipper); ok {
+			done = sk.Skip(pass)
+		}
+		done += drain(src, pass-done, nil)
+		if done < pass {
+			return done
+		}
 	}
-	var buf [512]emu.Trace
-	filler, _ := src.(pipe.Filler)
-	for done < n {
-		want := n - done
-		if filler != nil {
-			b := buf[:]
-			if uint64(len(b)) > want {
-				b = b[:want]
-			}
+	return done + drain(src, n-done, warm)
+}
+
+// drain consumes up to n records from src, feeding each into warm unless
+// warm is nil, and returns how many it consumed.
+func drain(src pipe.InstSource, n uint64, warm *pipe.Warmer) uint64 {
+	var done uint64
+	if filler, ok := src.(pipe.Filler); ok {
+		var buf [512]emu.Trace
+		for done < n {
+			b := buf[:min(uint64(len(buf)), n-done)]
 			m := filler.Fill(b)
 			if m == 0 {
 				break
 			}
-			for i := range b[:m] {
-				warm.Observe(b[i])
+			if warm != nil {
+				for i := range b[:m] {
+					warm.Observe(b[i])
+				}
 			}
 			done += uint64(m)
-		} else {
-			tr, ok := src.Next()
-			if !ok {
-				break
-			}
-			warm.Observe(tr)
-			done++
 		}
+		return done
+	}
+	for done < n {
+		tr, ok := src.Next()
+		if !ok {
+			break
+		}
+		if warm != nil {
+			warm.Observe(tr)
+		}
+		done++
 	}
 	return done
 }

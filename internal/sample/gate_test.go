@@ -6,6 +6,7 @@ import (
 
 	"flywheel/internal/branch"
 	"flywheel/internal/emu"
+	"flywheel/internal/isa"
 	"flywheel/internal/mem"
 	"flywheel/internal/pipe"
 )
@@ -17,7 +18,9 @@ func (s *seqSource) Next() (emu.Trace, bool) {
 	if s.next >= s.end {
 		return emu.Trace{}, false
 	}
-	tr := emu.Trace{Seq: s.next, PC: 0x1000 + 4*(s.next%256)}
+	// Every record is a load of a distinct line, so a warmer's demand
+	// statistics count (and order-sensitively sum) the records it observed.
+	tr := emu.Trace{Seq: s.next, PC: 0x1000 + 4*(s.next%256), Inst: isa.Instruction{Op: isa.LD}, Addr: 64 * s.next}
 	s.next++
 	return tr, true
 }
@@ -151,10 +154,67 @@ func TestFastForward(t *testing.T) {
 			t.Errorf("%s: skips %v, want %v", tc.name, src.skips, tc.skips)
 		}
 	}
-	// Without the Skipper capability every record is warmed, batched or not.
+	// Without the Skipper capability the records before the horizon are
+	// still consumed, batched or not.
 	for _, src := range []pipe.InstSource{&seqSource{end: 100_000}, &fillSource{seqSource{end: 100_000}}} {
 		if n := FastForward(src, w, WarmHorizon+1_000); n != WarmHorizon+1_000 {
 			t.Errorf("%T: consumed %d", src, n)
+		}
+	}
+}
+
+// shortSkipSource is a Skipper that skips at most max records per call,
+// like a trace reader trailing an in-progress recording.
+type shortSkipSource struct {
+	fillSource
+	max uint64
+}
+
+func (s *shortSkipSource) Skip(n uint64) uint64 {
+	n = min(n, s.max, s.end-s.next)
+	s.next += n
+	return n
+}
+
+// TestFastForwardWarmsSameRecordsForEverySource pins the one warming rule:
+// next-only, batched, skipping and short-skipping sources leave the warmer
+// in the same state, having observed exactly the last min(gap, WarmHorizon)
+// records of the gap.
+func TestFastForwardWarmsSameRecordsForEverySource(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		end, gap    uint64
+		wantWarmed  uint64
+		wantSkipped uint64
+	}{
+		{"within horizon", 100_000, 1_000, 1_000, 1_000},
+		{"beyond horizon", 100_000, WarmHorizon + 5_000, WarmHorizon, WarmHorizon + 5_000},
+		{"ends inside warmed part", WarmHorizon + 10, WarmHorizon + 5_000, WarmHorizon - 4_990, WarmHorizon + 10},
+		{"ends in passed-over part", 3_000, WarmHorizon + 5_000, 0, 3_000},
+	} {
+		sources := map[string]pipe.InstSource{
+			"next":       &seqSource{end: tc.end},
+			"fill":       &fillSource{seqSource{end: tc.end}},
+			"skip":       &skipSource{seqSource: seqSource{end: tc.end}},
+			"short skip": &shortSkipSource{fillSource: fillSource{seqSource{end: tc.end}}, max: 700},
+		}
+		var want mem.DemandStats
+		first := true
+		for _, name := range []string{"next", "fill", "skip", "short skip"} {
+			hier := mem.NewHierarchy(mem.DefaultHierarchyConfig(500))
+			w := pipe.NewWarmer(branch.New(branch.DefaultConfig()), hier)
+			if n := FastForward(sources[name], w, tc.gap); n != tc.wantSkipped {
+				t.Errorf("%s/%s: consumed %d, want %d", tc.name, name, n, tc.wantSkipped)
+			}
+			got := hier.DemandStats()
+			if got.DataAccesses != tc.wantWarmed {
+				t.Errorf("%s/%s: warmed %d records, want %d", tc.name, name, got.DataAccesses, tc.wantWarmed)
+			}
+			if first {
+				want, first = got, false
+			} else if got != want {
+				t.Errorf("%s/%s: warmer state %+v, want %+v (next-only source)", tc.name, name, got, want)
+			}
 		}
 	}
 }

@@ -49,14 +49,20 @@ const (
 	// mid-stream under different conditions.
 	BootstrapInsts = 8_192
 
-	// WarmHorizon is the functional-warming horizon: when a fast-forward
-	// gap is longer than this, the excess is skipped outright (the trace
-	// reader's chunk-indexed seek) and only the last WarmHorizon records
-	// before the next window are warmed. The cores' caches and predictor
-	// persist across windows, so the horizon only has to refresh recency
-	// state, not rebuild it from cold; on the repo suite the estimates
-	// are insensitive to the horizon down to well below this value while
-	// fast-forward cost drops with it.
+	// WarmHorizon is the functional-warming horizon: FastForward warms
+	// only the last WarmHorizon records of a gap and passes over the rest
+	// unobserved, whatever the instruction source. The cores' caches and
+	// predictor persist across windows, so the horizon refreshes recency
+	// state rather than rebuilding it from cold, but estimates are not
+	// insensitive to it. At 300k instructions, default schedule, warming
+	// every record instead moves sampled IPC on vpr/baseline 1.1503 →
+	// 1.0635 (exact 1.0443), vpr/regalloc 0.9028 → 0.8411 (exact 0.8470),
+	// parser/baseline 0.6916 → 0.6620 (exact 0.6604) and gcc/baseline
+	// 0.6465 → 0.6409 (exact 0.6505); the Flywheel cells of those three
+	// kernels do not move. Withholding the passed-over records from the
+	// predictor alone reproduces the horizon's results in all nine cells,
+	// so the predictor carries the difference (see DESIGN.md,
+	// "Fast-forward").
 	WarmHorizon = 24_576
 )
 

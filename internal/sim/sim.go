@@ -178,10 +178,11 @@ func (c RunConfig) normalize() (RunConfig, error) {
 }
 
 // replay calls fn with the workload and its measured instruction stream.
-// The stream starts at the workload's warm snapshot (workload.WarmState)
-// and comes from the trace cache: the first run of a workload records the
-// functional emulator's output while consuming it, later runs replay the
-// recording (see tracecache.go).
+// The stream starts at the workload's warm snapshot (workload.WarmState).
+// The trace cache decides where its records come from — a recording pass
+// over live emulation, a replay of an earlier recording, or plain live
+// emulation on a bypass (see tracecache.go) — and fn sees the same records
+// in every case.
 func replay(cfg RunConfig, fn func(w *workload.Workload, stream pipe.InstSource) error) error {
 	w, err := workload.Get(cfg.Workload)
 	if err != nil {
@@ -349,7 +350,7 @@ func RunSource(name, source string, cfg RunConfig) (Result, error) {
 		return Result{}, err
 	}
 	if cfg.Sampling.Enabled() {
-		return Result{}, fmt.Errorf("sim: sampled execution needs the trace-cache path; RunSource is exact-only")
+		return Result{}, fmt.Errorf("sim: RunSource runs exact only; sampled execution is supported for registered workloads")
 	}
 	cfg, err = cfg.normalize()
 	if err != nil {

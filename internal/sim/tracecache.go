@@ -1,10 +1,6 @@
 package sim
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"sync"
-
 	"flywheel/internal/emu"
 	"flywheel/internal/pipe"
 	"flywheel/internal/trace"
@@ -17,8 +13,11 @@ import (
 // consumes it, and every later run — any architecture, boost or node, and
 // any instruction budget up to the recorded ceiling — replays the recording
 // instead of re-executing the functional emulator. Runs are identical
-// either way (pinned by differential tests); the cache only changes where
-// the records come from.
+// either way (pinned by differential tests), sampled runs included:
+// sample.FastForward warms the same records whatever the source, so the
+// cache only changes where the records come from. Recordings live only in this process's memory and
+// are keyed by workload name, which workload.Register keeps unique per
+// source text.
 
 var traceCache = trace.NewCache(trace.Policy{})
 
@@ -30,34 +29,12 @@ func SetTraceCachePolicy(p trace.Policy) { traceCache.SetPolicy(p) }
 // TraceCachePolicy returns the current policy.
 func TraceCachePolicy() trace.Policy { return traceCache.Policy() }
 
-// SetTraceSpillDir attaches (or, with "", detaches) a directory into which
-// completed recordings are spilled and from which misses are revived, so a
-// second process over a warm directory records nothing.
-func SetTraceSpillDir(dir string) { traceCache.SetSpillDir(dir) }
-
 // TraceCacheStats reports the trace cache's traffic counters.
 func TraceCacheStats() trace.Stats { return traceCache.Stats() }
 
 // ResetTraceCache drops every recording and zeroes the counters (tests and
 // cold-start benchmarks). In-flight readers finish unaffected.
 func ResetTraceCache() { traceCache.Reset() }
-
-// traceKeys memoizes the cache key per workload. The key binds the
-// workload's name to a digest of its source text, so a spill directory
-// shared across processes can never alias two workloads that happen to
-// reuse a name (synthetic profiles are registered at runtime; nothing
-// guarantees cross-process name stability).
-var traceKeys sync.Map // *workload.Workload -> string
-
-func traceKey(w *workload.Workload) string {
-	if k, ok := traceKeys.Load(w); ok {
-		return k.(string)
-	}
-	sum := sha256.Sum256([]byte(w.Source))
-	key := w.Name + "\x00" + hex.EncodeToString(sum[:])
-	traceKeys.Store(w, key)
-	return key
-}
 
 // acquireSource picks the instruction source for one run: a replaying
 // reader on a hit, a recording pass-through on a miss, or a plain live
@@ -80,7 +57,7 @@ func acquireSource(w *workload.Workload, snap *emu.Snapshot, maxInstructions uin
 		return emu.NewStream(m, limit), nil
 	}
 
-	g := traceCache.Acquire(traceKey(w), snap.Retired(), maxInstructions, liveStream)
+	g := traceCache.Acquire(w.Name, snap.Retired(), maxInstructions, liveStream)
 	switch {
 	case g.Replay != nil:
 		return g.Replay, noop, nil

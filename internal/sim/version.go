@@ -15,5 +15,10 @@ package sim
 // entries stored under version 3 keys must never satisfy version 4
 // lookups. Version 5 drops the Flywheel core's sampled-mode divergence
 // storm breaker: exact results are unchanged, but some sampled Flywheel
-// cells move, so version 4 sampled entries must not be served.
-const ModelVersion = 5
+// cells move, so version 4 sampled entries must not be served. Version 6
+// gives sample.FastForward one warming rule for every instruction source:
+// a sampled cell computed by a run that recorded its trace, or bypassed the
+// trace cache, warmed every record of each long gap and now warms only the
+// last sample.WarmHorizon, so version 5 sampled entries must not be served.
+// Exact results and job keys are unchanged.
+const ModelVersion = 6

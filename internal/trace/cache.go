@@ -40,9 +40,6 @@ type Stats struct {
 	// live without recording (cache disabled, budget not covered by the
 	// in-flight recording, or a key blacklisted by the memory cap).
 	Hits, Misses, Bypasses uint64
-	// SpillLoads counts recordings revived from the spill directory;
-	// SpillSaves counts recordings written to it.
-	SpillLoads, SpillSaves uint64
 	// Evictions counts recordings dropped by the memory cap.
 	Evictions uint64
 	// ResidentBytes is the current encoded footprint; Entries the number of
@@ -52,10 +49,10 @@ type Stats struct {
 }
 
 // String renders the counters as one fixed-shape log line (the CLIs'
-// -storestats flags print it; CI greps it).
+// -storestats flags print it).
 func (s Stats) String() string {
-	return fmt.Sprintf("trace cache: %d replays, %d recordings, %d bypasses, %d evictions, %d spill loads, %d spill saves; %d recordings resident, %d bytes",
-		s.Hits, s.Misses, s.Bypasses, s.Evictions, s.SpillLoads, s.SpillSaves, s.Entries, s.ResidentBytes)
+	return fmt.Sprintf("trace cache: %d replays, %d recordings, %d bypasses, %d evictions; %d recordings resident, %d bytes",
+		s.Hits, s.Misses, s.Bypasses, s.Evictions, s.Entries, s.ResidentBytes)
 }
 
 // Cache is the per-process recording cache, keyed by workload identity.
@@ -68,7 +65,6 @@ type Cache struct {
 	clock   uint64          // LRU tick
 	nocache map[string]bool // keys vetoed by the memory cap
 	stats   Stats
-	spill   *spillDir
 }
 
 type cacheEntry struct {
@@ -99,19 +95,6 @@ func (c *Cache) Policy() Policy {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.policy
-}
-
-// SetSpillDir attaches a persistence directory: completed recordings are
-// written there, and misses consult it before recording, so a second
-// process over a warm directory records nothing. An empty dir detaches.
-func (c *Cache) SetSpillDir(dir string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if dir == "" {
-		c.spill = nil
-		return
-	}
-	c.spill = &spillDir{dir: dir}
 }
 
 // Stats returns a snapshot of the traffic counters.
@@ -149,8 +132,8 @@ type Grant struct {
 
 // Acquire decides how a run of the keyed workload with the given budget
 // (0 = run to completion) gets its instruction stream. startSeq is the
-// dynamic sequence number at the warm point; it guards spill revivals.
-// The fallback factory (see NewReader) is captured into replay grants.
+// dynamic sequence number at the warm point. The fallback factory (see
+// NewReader) is captured into replay grants.
 func (c *Cache) Acquire(key string, startSeq, budget uint64, fallback func(skip uint64) (*emu.Stream, error)) Grant {
 	c.mu.Lock()
 	if c.policy.Disabled || c.nocache[key] {
@@ -159,47 +142,24 @@ func (c *Cache) Acquire(key string, startSeq, budget uint64, fallback func(skip 
 		return Grant{}
 	}
 	c.clock++
-	triedSpill := false
-	for {
-		if e, ok := c.entries[key]; ok {
-			if e.rec.usableFor(budget) {
-				e.used = c.clock
-				c.stats.Hits++
-				c.mu.Unlock()
-				return Grant{Replay: NewReader(e.rec, budget, fallback)}
-			}
-			if done, failed := recStatus(e.rec); !done && !failed {
-				// A recording is in flight but its ceiling does not cover
-				// this budget; recording a second tape of the same workload
-				// concurrently would double the memory for no reuse.
-				c.stats.Bypasses++
-				c.mu.Unlock()
-				return Grant{}
-			}
-			// Completed-but-insufficient (or failed): replace with a
-			// recording at the larger budget. Readers of the old tape are
-			// unaffected.
-			c.dropLocked(key)
-		}
-		if c.spill != nil && !triedSpill {
-			// Disk I/O and chunk decode happen outside the lock so other
-			// acquirers (pure memory hits included) never stall behind a
-			// file read; the loop re-evaluates after relocking, since a
-			// concurrent acquirer may have installed an entry meanwhile.
-			triedSpill = true
-			spill := c.spill
+	if e, ok := c.entries[key]; ok {
+		if e.rec.usableFor(budget) {
+			e.used = c.clock
+			c.stats.Hits++
 			c.mu.Unlock()
-			rec := spill.load(key, startSeq, budget)
-			c.mu.Lock()
-			if rec != nil {
-				if _, ok := c.entries[key]; !ok {
-					c.stats.SpillLoads++
-					c.insertLocked(key, rec)
-				}
-			}
-			continue
+			return Grant{Replay: NewReader(e.rec, budget, fallback)}
 		}
-		break
+		if done, failed := recStatus(e.rec); !done && !failed {
+			// A recording is in flight but its ceiling does not cover this
+			// budget; recording a second tape of the same workload
+			// concurrently would double the memory for no reuse.
+			c.stats.Bypasses++
+			c.mu.Unlock()
+			return Grant{}
+		}
+		// Completed-but-insufficient (or failed): replace with a recording
+		// at the larger budget. Readers of the old tape are unaffected.
+		c.dropLocked(key)
 	}
 	rec := newRecording(key, startSeq, budget)
 	rec.onPublish = func(delta int64) bool { return c.addBytes(key, delta) }
@@ -210,29 +170,13 @@ func (c *Cache) Acquire(key string, startSeq, budget uint64, fallback func(skip 
 }
 
 // FinishRecorder completes a recording run: Finish on success, Abort on
-// error, and spills completed recordings when a spill directory is set.
+// error.
 func (c *Cache) FinishRecorder(t *Recorder, runErr error) {
 	if runErr != nil {
 		t.Abort()
 		return
 	}
 	t.Finish()
-	c.mu.Lock()
-	spill := c.spill
-	c.mu.Unlock()
-	if spill == nil {
-		return
-	}
-	t.rec.mu.Lock()
-	clean := t.rec.st == stateDone && t.rec.err == nil
-	t.rec.mu.Unlock()
-	if clean {
-		if spill.save(t.rec) == nil {
-			c.mu.Lock()
-			c.stats.SpillSaves++
-			c.mu.Unlock()
-		}
-	}
 }
 
 // recStatus reads a recording's lifecycle state. Lock order is always

@@ -18,7 +18,12 @@
 // Shorter instruction budgets replay a prefix of a longer recording; the
 // per-workload cache layer (cache.go) keys usability on the recorded
 // ceiling, so one recording at the sweep's largest budget serves every
-// smaller budget in the grid.
+// smaller budget in the grid. Recordings live only in process memory.
+//
+// Where the records come from never changes a result: a replay delivers
+// exactly the records live emulation would, and Reader.Skip (seek.go) is
+// only a faster way to pass over records a consumer would otherwise read
+// and discard.
 package trace
 
 import (

@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -293,103 +291,6 @@ func TestCacheCapBlacklistsOversizedKey(t *testing.T) {
 	s := c.Stats()
 	if s.ResidentBytes != 0 {
 		t.Fatalf("vetoed recording left %d resident bytes", s.ResidentBytes)
-	}
-}
-
-func TestSpillRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	live := liveRecords(t, 0)
-
-	c := NewCache(Policy{})
-	c.SetSpillDir(dir)
-	g := c.Acquire("w", 0, 0, nil)
-	if g.Record == nil {
-		t.Fatal("first acquisition must record")
-	}
-	prog, err := asm.Assemble("trace-test.s", testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trc := NewRecorder(g.Record, emu.NewStream(emu.New(prog), 0))
-	buf := make([]emu.Trace, 64)
-	for trc.Fill(buf) > 0 {
-	}
-	c.FinishRecorder(trc, nil)
-	if s := c.Stats(); s.SpillSaves != 1 {
-		t.Fatalf("SpillSaves = %d, want 1", s.SpillSaves)
-	}
-
-	// A second cache over the same directory — a new process — replays
-	// without recording anything.
-	c2 := NewCache(Policy{})
-	c2.SetSpillDir(dir)
-	g2 := c2.Acquire("w", 0, 0, nil)
-	if g2.Replay == nil {
-		t.Fatal("warm spill directory must serve a replay grant")
-	}
-	var got []emu.Trace
-	for {
-		n := g2.Replay.Fill(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if !reflect.DeepEqual(got, live) {
-		t.Fatal("spill-revived replay diverged from live execution")
-	}
-	s := c2.Stats()
-	if s.SpillLoads != 1 || s.Misses != 0 {
-		t.Fatalf("stats = %+v, want 1 spill load and 0 misses", s)
-	}
-
-	// Wrong warm point: must read as a miss.
-	c3 := NewCache(Policy{})
-	c3.SetSpillDir(dir)
-	if g3 := c3.Acquire("w", 7, 0, nil); g3.Record == nil {
-		t.Fatal("mismatched startSeq must not revive the spill file")
-	}
-}
-
-func TestSpillRejectsCorruptedPayload(t *testing.T) {
-	dir := t.TempDir()
-	c := NewCache(Policy{})
-	c.SetSpillDir(dir)
-	g := c.Acquire("w", 0, 0, nil)
-	prog, err := asm.Assemble("trace-test.s", testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trc := NewRecorder(g.Record, emu.NewStream(emu.New(prog), 0))
-	buf := make([]emu.Trace, 64)
-	for trc.Fill(buf) > 0 {
-	}
-	c.FinishRecorder(trc, nil)
-
-	// Flip one byte in the middle of the payload: structurally plausible,
-	// semantically wrong. The CRC trailer must turn it into a miss instead
-	// of a silent wrong instruction stream.
-	entries, err := os.ReadDir(dir)
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("expected one spill file, got %v (%v)", entries, err)
-	}
-	path := filepath.Join(dir, entries[0].Name())
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[len(raw)/2] ^= 0x40
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	c2 := NewCache(Policy{})
-	c2.SetSpillDir(dir)
-	if g2 := c2.Acquire("w", 0, 0, nil); g2.Record == nil {
-		t.Fatal("corrupted spill file must read as a miss and re-record")
-	}
-	if s := c2.Stats(); s.SpillLoads != 0 {
-		t.Fatalf("corrupted file counted as a spill load: %+v", s)
 	}
 }
 
