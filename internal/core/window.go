@@ -33,8 +33,19 @@ type oracleWindow struct {
 	requeue []emu.Trace
 }
 
+// windowRecords is the window's initial capacity. It covers the
+// compaction bound (compact keeps the window below 4*margin consumed
+// records plus what is buffered past them; the paper kernels peak near
+// 700), so a run does not regrow the window by doubling from empty.
+// append still grows past it when a run needs more.
+const windowRecords = 1024
+
 func newOracleWindow(stream pipe.InstSource) *oracleWindow {
-	w := &oracleWindow{stream: stream}
+	w := &oracleWindow{
+		stream:   stream,
+		entries:  make([]emu.Trace, 0, windowRecords),
+		consumed: make([]bool, 0, windowRecords),
+	}
 	if f, ok := stream.(pipe.Filler); ok {
 		w.filler = f
 		w.fbuf = make([]emu.Trace, 64)

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"flywheel/internal/cacti"
 	"flywheel/internal/lab/store"
 	"flywheel/internal/sample"
 	"flywheel/internal/sim"
@@ -36,9 +37,9 @@ func purityJobs() []Job {
 
 // TestResultIsPureFunctionOfJob requires every job's Result to be
 // byte-identical JSON however it was produced: on a cold, warm, disabled
-// or cap-blacklisted trace cache, through a 2-worker batch where a replay
-// trails an in-progress recording, from the result store, and at any
-// worker count and job order.
+// or cap-blacklisted trace cache, from warm templates another node built,
+// through a 2-worker batch where a replay trails an in-progress recording,
+// from the result store, and at any worker count and job order.
 func TestResultIsPureFunctionOfJob(t *testing.T) {
 	jobs := purityJobs()
 	prev := sim.TraceCachePolicy()
@@ -73,6 +74,7 @@ func TestResultIsPureFunctionOfJob(t *testing.T) {
 		return encode(res)
 	}
 
+	sim.ResetWarmTemplates()
 	want := sequential(trace.Policy{}, true)
 	if s := sim.TraceCacheStats(); s.Misses == 0 || s.Hits == 0 {
 		t.Fatalf("cold pass did not both record and replay: %s", s)
@@ -96,6 +98,21 @@ func TestResultIsPureFunctionOfJob(t *testing.T) {
 	if s := sim.TraceCacheStats(); s.Bypasses == 0 {
 		t.Errorf("a 1-byte cap bypassed nothing: %s", s)
 	}
+
+	// Warm templates are keyed on cache geometry, which the nodes share:
+	// after 90 nm runs build every template, the 130 nm jobs seed from
+	// templates warmed under another node's memory latency.
+	sim.ResetWarmTemplates()
+	at90 := make([]Job, len(jobs))
+	for i, j := range jobs {
+		j.Node = cacti.Node90
+		at90[i] = j
+	}
+	sim.SetTraceCachePolicy(trace.Policy{})
+	if _, err := Run(at90, Options{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	check("templates built at 90 nm", sequential(trace.Policy{}, false))
 
 	// Two workers over a cold cache: each workload's first job records,
 	// and the other worker's job of the same workload replays behind it.

@@ -19,6 +19,8 @@ func (c CacheConfig) Validate() error {
 		return fmt.Errorf("mem: %s: sizes must be positive", c.Name)
 	case c.LineBytes&(c.LineBytes-1) != 0:
 		return fmt.Errorf("mem: %s: line size %d is not a power of two", c.Name, c.LineBytes)
+	case c.LineBytes < minLineBytes:
+		return fmt.Errorf("mem: %s: line size %d is below %d bytes", c.Name, c.LineBytes, minLineBytes)
 	case c.SizeBytes%(c.Ways*c.LineBytes) != 0:
 		return fmt.Errorf("mem: %s: size %d not divisible by ways*line", c.Name, c.SizeBytes)
 	}
@@ -27,6 +29,14 @@ func (c CacheConfig) Validate() error {
 		return fmt.Errorf("mem: %s: set count %d is not a power of two", c.Name, sets)
 	}
 	return nil
+}
+
+// Geometry returns the configuration with its timing fields (HitLatency,
+// Ports) zeroed: the part that decides which lines a cache holds. Two
+// caches of equal geometry fed the same accesses hold the same state.
+func (c CacheConfig) Geometry() CacheConfig {
+	c.HitLatency, c.Ports = 0, 0
+	return c
 }
 
 // CacheStats accumulates access counts for performance and power reporting.
@@ -52,20 +62,30 @@ func (s CacheStats) MissRate() float64 {
 	return 0
 }
 
+// A cache line is 16 bytes: the tag word, with the valid and dirty bits in
+// its top two bits, and the LRU stamp. Tags never reach those bits: a tag
+// is an address shifted right by at least log2(minLineBytes) bits.
 type cacheLine struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	lru   uint64 // last-use stamp; larger = more recent
+	tag uint64 // lineValid | lineDirty | tag
+	lru uint64 // last-use stamp; larger = more recent
 }
+
+const (
+	lineValid uint64 = 1 << 63
+	lineDirty uint64 = 1 << 62
+	// minLineBytes keeps two free bits above every tag.
+	minLineBytes = 4
+)
 
 // Cache is a set-associative, write-back, write-allocate cache model with
 // true LRU replacement. It models hit/miss behaviour and replacement only;
 // data payloads live in the backing Memory.
 type Cache struct {
 	cfg      CacheConfig
-	sets     [][]cacheLine
+	lines    []cacheLine // set-major: set s is lines[s*ways : (s+1)*ways]
+	ways     int
 	setMask  uint64
+	setBits  uint
 	lineBits uint
 	clock    uint64
 	Stats    CacheStats
@@ -77,48 +97,53 @@ func NewCache(cfg CacheConfig) *Cache {
 		panic(err)
 	}
 	numSets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	sets := make([][]cacheLine, numSets)
-	lines := make([]cacheLine, numSets*cfg.Ways)
-	for i := range sets {
-		sets[i], lines = lines[:cfg.Ways], lines[cfg.Ways:]
+	return &Cache{
+		cfg:      cfg,
+		lines:    make([]cacheLine, numSets*cfg.Ways),
+		ways:     cfg.Ways,
+		setMask:  uint64(numSets - 1),
+		setBits:  log2(numSets),
+		lineBits: log2(cfg.LineBytes),
 	}
-	lb := uint(0)
-	for 1<<lb < cfg.LineBytes {
-		lb++
+}
+
+// log2 returns the exponent of a power of two.
+func log2(n int) uint {
+	b := uint(0)
+	for 1<<b < n {
+		b++
 	}
-	return &Cache{cfg: cfg, sets: sets, setMask: uint64(numSets - 1), lineBits: lb}
+	return b
 }
 
 // Config returns the cache configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// CopyStateFrom copies the tag/LRU state and statistics of an
-// identically configured cache into this one. It lets a warmed cache be
-// cloned into a fresh core for the cost of a memcpy instead of replaying
-// the warm access stream. It panics on configuration mismatch (caller bug).
+// CopyStateFrom copies the tag/LRU state and statistics of a cache of the
+// same geometry into this one; timing fields may differ. It lets a warmed
+// cache be cloned into a fresh core for the cost of a memcpy instead of
+// replaying the warm access stream. It panics on a geometry mismatch
+// (caller bug).
 func (c *Cache) CopyStateFrom(src *Cache) {
-	if c.cfg != src.cfg {
-		panic(fmt.Sprintf("mem: %s: CopyStateFrom with mismatched config", c.cfg.Name))
+	if c.cfg.Geometry() != src.cfg.Geometry() {
+		panic(fmt.Sprintf("mem: %s: CopyStateFrom with mismatched geometry", c.cfg.Name))
 	}
-	for i := range c.sets {
-		copy(c.sets[i], src.sets[i])
-	}
+	copy(c.lines, src.lines)
 	c.clock = src.clock
 	c.Stats = src.Stats
 }
 
-func (c *Cache) index(addr uint64) (set, tag uint64) {
-	block := addr >> c.lineBits
-	return block & c.setMask, block >> uint(popcount(c.setMask))
+// set returns the lines of one set.
+func (c *Cache) set(set uint64) []cacheLine {
+	base := int(set) * c.ways
+	return c.lines[base : base+c.ways : base+c.ways]
 }
 
-func popcount(v uint64) int {
-	n := 0
-	for v != 0 {
-		v &= v - 1
-		n++
-	}
-	return n
+// index splits addr into its set and its tag word as a valid line stores
+// it (lineValid set, clean).
+func (c *Cache) index(addr uint64) (set, key uint64) {
+	block := addr >> c.lineBits
+	return block & c.setMask, block>>c.setBits | lineValid
 }
 
 // AccessResult describes one cache access.
@@ -136,18 +161,18 @@ type AccessResult struct {
 // updating replacement state and statistics. Misses allocate.
 func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	c.clock++
-	set, tag := c.index(addr)
-	lines := c.sets[set]
+	set, key := c.index(addr)
+	lines := c.set(set)
 	if write {
 		c.Stats.Writes++
 	} else {
 		c.Stats.Reads++
 	}
 	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
+		if lines[i].tag&^lineDirty == key {
 			lines[i].lru = c.clock
 			if write {
-				lines[i].dirty = true
+				lines[i].tag |= lineDirty
 			}
 			return AccessResult{Hit: true}
 		}
@@ -160,7 +185,7 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 	// Choose victim: first invalid, else least recently used.
 	victim := 0
 	for i := range lines {
-		if !lines[i].valid {
+		if lines[i].tag&lineValid == 0 {
 			victim = i
 			break
 		}
@@ -169,28 +194,30 @@ func (c *Cache) Access(addr uint64, write bool) AccessResult {
 		}
 	}
 	res := AccessResult{}
-	if lines[victim].valid {
+	if old := lines[victim].tag; old&lineValid != 0 {
 		res.Evicted = true
-		res.EvictedAddr = c.evictedAddr(lines[victim].tag, set)
-		if lines[victim].dirty {
+		res.EvictedAddr = c.evictedAddr(old&^(lineValid|lineDirty), set)
+		if old&lineDirty != 0 {
 			res.Writeback = true
 			c.Stats.Writebacks++
 		}
 	}
-	lines[victim] = cacheLine{tag: tag, valid: true, dirty: write, lru: c.clock}
+	if write {
+		key |= lineDirty
+	}
+	lines[victim] = cacheLine{tag: key, lru: c.clock}
 	return res
 }
 
 func (c *Cache) evictedAddr(tag, set uint64) uint64 {
-	setBits := uint(popcount(c.setMask))
-	return (tag<<setBits | set) << c.lineBits
+	return (tag<<c.setBits | set) << c.lineBits
 }
 
 // Probe reports whether addr currently hits, without changing any state.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, l := range c.sets[set] {
-		if l.valid && l.tag == tag {
+	set, key := c.index(addr)
+	for _, l := range c.set(set) {
+		if l.tag&^lineDirty == key {
 			return true
 		}
 	}
@@ -198,10 +225,4 @@ func (c *Cache) Probe(addr uint64) bool {
 }
 
 // Flush invalidates every line (used at workload boundaries in tests).
-func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = cacheLine{}
-		}
-	}
-}
+func (c *Cache) Flush() { clear(c.lines) }

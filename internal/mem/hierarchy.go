@@ -41,6 +41,17 @@ func DefaultHierarchyConfig(baselinePeriodPS int64) HierarchyConfig {
 	}
 }
 
+// Geometry returns the configuration with every latency and port count
+// zeroed, keeping cache sizes, ways, line sizes and the prefetcher: the
+// part that decides which lines the hierarchy holds and how its prefetcher
+// trains. Latencies only price accesses, so two hierarchies of equal
+// geometry fed the same accesses end in the same state.
+func (c HierarchyConfig) Geometry() HierarchyConfig {
+	c.L1I, c.L1D, c.L2 = c.L1I.Geometry(), c.L1D.Geometry(), c.L2.Geometry()
+	c.L2Latency, c.MemLatencyPS = 0, 0
+	return c
+}
+
 // DemandStats aggregates the demand data-access stream (loads and stores
 // through L1D), independent of any prefetcher.
 type DemandStats struct {
@@ -159,8 +170,8 @@ func (h *Hierarchy) PrefetchStats() PrefetchStats { return h.pfStats }
 func (h *Hierarchy) DemandStats() DemandStats { return h.demand }
 
 // CopyStateFrom copies the cache state (tags, LRU, statistics) and the
-// prefetcher's training and in-flight state of an identically configured
-// hierarchy into this one.
+// prefetcher's training and in-flight state of a hierarchy of the same
+// geometry into this one.
 func (h *Hierarchy) CopyStateFrom(src *Hierarchy) {
 	h.L1I.CopyStateFrom(src.L1I)
 	h.L1D.CopyStateFrom(src.L1D)

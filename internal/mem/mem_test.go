@@ -92,6 +92,7 @@ func TestCacheConfigValidate(t *testing.T) {
 	bad := []CacheConfig{
 		{Name: "neg", SizeBytes: -1, Ways: 2, LineBytes: 32},
 		{Name: "line", SizeBytes: 1024, Ways: 2, LineBytes: 24},
+		{Name: "short", SizeBytes: 64, Ways: 2, LineBytes: 2},
 		{Name: "div", SizeBytes: 1000, Ways: 2, LineBytes: 32},
 		{Name: "sets", SizeBytes: 3 * 64, Ways: 1, LineBytes: 32},
 	}
@@ -190,6 +191,72 @@ func TestCacheFlush(t *testing.T) {
 	if c.Probe(0) {
 		t.Error("line survived flush")
 	}
+}
+
+// TestCacheMatchesReferenceLRU drives the packed cache and a plain
+// per-set LRU list with the same random accesses — including addresses
+// whose top bits are set, where the tag word also holds the valid and
+// dirty bits — and requires the same hits, evictions and writebacks.
+func TestCacheMatchesReferenceLRU(t *testing.T) {
+	type refLine struct {
+		block uint64
+		dirty bool
+	}
+	for _, cfg := range []CacheConfig{
+		{Name: "tiny", SizeBytes: 8, Ways: 2, LineBytes: 4},
+		{Name: "l1", SizeBytes: 512, Ways: 4, LineBytes: 32},
+	} {
+		c := NewCache(cfg)
+		sets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
+		ref := make([][]refLine, sets) // most recently used last
+		rng := rand.New(rand.NewSource(3))
+		hot := []uint64{0, 1 << 40, ^uint64(0) - 64, 1<<63 | 1<<62, 1 << 62}
+		for i := 0; i < 20_000; i++ {
+			addr := hot[rng.Intn(len(hot))] + uint64(rng.Intn(4*cfg.SizeBytes))
+			write := rng.Intn(3) == 0
+			block := addr / uint64(cfg.LineBytes)
+			set := &ref[block%uint64(sets)]
+			want := AccessResult{}
+			at := -1
+			for k, l := range *set {
+				if l.block == block {
+					at = k
+				}
+			}
+			line := refLine{block: block, dirty: write}
+			if at >= 0 {
+				want.Hit = true
+				line.dirty = line.dirty || (*set)[at].dirty
+				*set = append((*set)[:at], (*set)[at+1:]...)
+			} else if len(*set) == cfg.Ways {
+				want.Evicted, want.EvictedAddr, want.Writeback = true, (*set)[0].block*uint64(cfg.LineBytes), (*set)[0].dirty
+				*set = (*set)[1:]
+			}
+			*set = append(*set, line)
+			if got := c.Access(addr, write); got != want {
+				t.Fatalf("%s: access %d (%#x, write=%v) = %+v, want %+v", cfg.Name, i, addr, write, got, want)
+			}
+		}
+	}
+}
+
+// TestCacheCopyStateFromGeometry: state copies between caches that differ
+// only in timing, and a geometry mismatch is a caller bug.
+func TestCacheCopyStateFromGeometry(t *testing.T) {
+	src := NewCache(CacheConfig{Name: "t", SizeBytes: 256, Ways: 2, LineBytes: 32, HitLatency: 2, Ports: 1})
+	src.Access(0, true)
+	src.Access(64, false)
+	dst := NewCache(CacheConfig{Name: "t", SizeBytes: 256, Ways: 2, LineBytes: 32, HitLatency: 5, Ports: 2})
+	dst.CopyStateFrom(src)
+	if !dst.Probe(0) || !dst.Probe(64) || dst.Probe(128) || dst.Stats != src.Stats {
+		t.Fatal("copied state differs from the source")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("CopyStateFrom across geometries did not panic")
+		}
+	}()
+	NewCache(CacheConfig{Name: "t", SizeBytes: 256, Ways: 4, LineBytes: 32}).CopyStateFrom(src)
 }
 
 func TestCacheMissRate(t *testing.T) {

@@ -209,8 +209,8 @@ func collectPS(v reflect.Value, ps *[]int64) {
 		if !v.CanInterface() {
 			break // a method of an unexported field cannot be called
 		}
-		m := t.Method(i).Type
-		if strings.HasSuffix(t.Method(i).Name, "PS") && m.NumIn() == 1 && m.NumOut() == 1 && m.Out(0).Kind() == reflect.Int64 {
+		m := t.Method(i) // allocates: read it once
+		if strings.HasSuffix(m.Name, "PS") && m.Type.NumIn() == 1 && m.Type.NumOut() == 1 && m.Type.Out(0).Kind() == reflect.Int64 {
 			*ps = append(*ps, v.Method(i).Call(nil)[0].Int())
 		}
 	}

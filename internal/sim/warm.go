@@ -13,10 +13,10 @@ import (
 // the architectural state at the warm point as a copy-on-write snapshot
 // (workload.WarmState); every run clones that snapshot. Its caches and
 // branch predictor are seeded from a template that re-executes the
-// initialization phase functionally once per configuration.
+// initialization phase functionally once per cache geometry and predictor.
 
 // warmState is a fully warmed predictor + cache hierarchy, built once per
-// (workload, hierarchy config, predictor config) by observing the
+// (workload, hierarchy geometry, predictor config) by observing the
 // initialization phase, then copied into each run's core as a pair of
 // memcpys.
 type warmState struct {
@@ -24,9 +24,14 @@ type warmState struct {
 	hier *mem.Hierarchy
 }
 
+// warmStateKey keys a template on the hierarchy's geometry, not its full
+// configuration: warming runs at period 1 and Warmer.Finish clears the
+// only latency-dependent state (the demand latency sum), so the latencies
+// a node or clock plan sets never change what warming leaves behind, and
+// the nodes of one workload share a template.
 type warmStateKey struct {
 	workload string
-	hier     mem.HierarchyConfig
+	hier     mem.HierarchyConfig // Geometry()
 	branch   branch.Config
 }
 
@@ -40,13 +45,13 @@ var warmStates sync.Map // warmStateKey -> *warmStateEntry
 
 // template returns the warmed predictor/hierarchy template for the given
 // configuration, executing the initialization phase at most once per
-// configuration.
+// hierarchy geometry and predictor configuration.
 func template(w *workload.Workload, hierCfg mem.HierarchyConfig, branchCfg branch.Config) (*warmState, error) {
-	key := warmStateKey{workload: w.Name, hier: hierCfg, branch: branchCfg}
+	key := warmStateKey{workload: w.Name, hier: hierCfg.Geometry(), branch: branchCfg}
 	e, _ := warmStates.LoadOrStore(key, &warmStateEntry{})
 	entry := e.(*warmStateEntry)
 	entry.once.Do(func() {
-		st := &warmState{pred: branch.New(branchCfg), hier: mem.NewHierarchy(hierCfg)}
+		st := &warmState{pred: branch.New(branchCfg), hier: mem.NewHierarchy(key.hier)}
 		warmer := pipe.NewWarmer(st.pred, st.hier)
 		if _, entry.err = w.RunInit(warmer.Observe); entry.err == nil {
 			warmer.Finish()
@@ -55,6 +60,10 @@ func template(w *workload.Workload, hierCfg mem.HierarchyConfig, branchCfg branc
 	})
 	return entry.st, entry.err
 }
+
+// ResetWarmTemplates drops every warmed predictor/hierarchy template, so
+// the next run of each configuration builds its template again (tests).
+func ResetWarmTemplates() { warmStates.Clear() }
 
 // warm seeds a core's caches and branch predictor with the workload's
 // initialization-phase observations by copying the warmed template's state.

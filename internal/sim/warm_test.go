@@ -63,11 +63,12 @@ func TestRunsShareOneWarmSnapshot(t *testing.T) {
 }
 
 // TestWarmTemplateBuiltOncePerConfig pins how often the initialization
-// phase is re-executed for warming: once per (workload, hierarchy,
-// predictor) configuration, however many runs, architectures, boosts,
-// budgets and nodes use that configuration.
+// phase is re-executed for warming: once per (workload, cache geometry and
+// prefetcher, predictor), however many runs, architectures, boosts,
+// budgets and nodes use it. The nodes differ only in memory latency, which
+// warming never reads, so 130 nm and 90 nm runs share one template.
 func TestWarmTemplateBuiltOncePerConfig(t *testing.T) {
-	resetWarmStates()
+	ResetWarmTemplates()
 	w := workload.MustGet("ijpeg")
 	want := map[warmStateKey]bool{}
 	built := map[warmStateKey]*warmState{}
@@ -87,6 +88,10 @@ func TestWarmTemplateBuiltOncePerConfig(t *testing.T) {
 				} else {
 					fc := flywheelConfig(cfg, period)
 					key.hier, key.branch = fc.Mem, fc.Branch
+				}
+				key.hier = key.hier.Geometry()
+				if node == cacti.Node90 && !want[key] {
+					t.Fatalf("%v: the 90 nm run does not share the 130 nm template", arch)
 				}
 				want[key] = true
 			}
@@ -150,21 +155,12 @@ func TestWarmingRetainsNoInitializationTrace(t *testing.T) {
 	}
 }
 
-// resetWarmStates drops the warmed predictor/hierarchy templates, so the
-// next run of each configuration builds its template again.
-func resetWarmStates() {
-	warmStates.Range(func(k, _ any) bool {
-		warmStates.Delete(k)
-		return true
-	})
-}
-
 // TestWarmTemplateDeterminism checks that a run seeded from an existing
 // warm template is numerically identical to the run that built it: the
 // snapshot/seed path must not perturb any observable.
 func TestWarmTemplateDeterminism(t *testing.T) {
 	for _, arch := range []Arch{ArchBaseline, ArchFlywheel, ArchRegAlloc} {
-		resetWarmStates()
+		ResetWarmTemplates()
 		cold, err := Run(snapCfg(arch, cacti.Node130))
 		if err != nil {
 			t.Fatal(err)

@@ -21,8 +21,9 @@ type Policy struct {
 	MaxBytes int64
 }
 
-// DefaultMaxBytes is the default resident cap (256 MiB — roughly 25M
-// recorded instructions, far beyond a paper-scale sweep's needs).
+// DefaultMaxBytes is the default resident cap (256 MiB — about 480M
+// recorded instructions of the paper kernels at 0.55 B each, far beyond a
+// full-length sweep's needs).
 const DefaultMaxBytes int64 = 256 << 20
 
 func (p Policy) maxBytes() int64 {

@@ -4,29 +4,31 @@ import (
 	"encoding/binary"
 	"fmt"
 
+	"flywheel/internal/asm"
 	"flywheel/internal/emu"
 	"flywheel/internal/isa"
 )
 
 // The columnar chunk encoding. A dynamic instruction stream is highly
 // redundant: the PC of every record equals the NextPC of the record before
-// it, the next PC of almost every instruction is statically determined by
-// the instruction itself, and sequence numbers are consecutive. A chunk
-// therefore stores only the irreducible dynamic information, one column per
-// kind so each compresses on its own terms:
+// it, the instruction at a PC is the program text there, the next PC of
+// almost every instruction is statically determined by the instruction
+// itself, and sequence numbers are consecutive. A chunk therefore stores
+// only the irreducible dynamic information, one column per kind so each
+// compresses on its own terms:
 //
-//   - insts:   the executed instruction per record (packed op/regs/imm,
-//     8 bytes) — the only per-record column with fixed width.
 //   - taken:   one bit per record, the branch outcome stream.
 //   - addrs:   zigzag-varint deltas of effective addresses, present only
 //     for loads and stores (strided kernels collapse to ~1 byte/access).
 //   - targets: indirect jump targets (JALR is the only instruction whose
 //     next PC is not derivable), 8 bytes each, rare.
 //
-// Everything else — Seq, PC, NextPC, the Taken flag of unconditional
+// Everything else — Seq, PC, Inst, NextPC, the Taken flag of unconditional
 // jumps — is reconstructed during decode by replaying the PC chain from the
-// chunk's base. Decode is exact: a decoded record is byte-identical to the
-// emu.Trace record that was encoded (pinned by the differential tests).
+// chunk's base and reading each instruction from the recorded program's
+// predecoded code, which every chunk references and none copies. Decode is
+// exact: a decoded record is byte-identical to the emu.Trace record that
+// was encoded (pinned by the differential tests).
 //
 // Chunks are immutable once published, so a recording can stream: the
 // recorder fills a private open chunk while earlier chunks are already
@@ -43,20 +45,21 @@ type chunk struct {
 	basePC  uint64 // PC of record 0
 	n       int    // records encoded
 
-	insts   []isa.Instruction
-	taken   []byte   // bitset, bit i = record i's Taken flag
-	addrs   []byte   // zigzag varint address deltas, loads/stores only
-	targets []uint64 // JALR next PCs, in record order
+	code    []isa.Instruction // the program's text (asm.Program.Code), shared
+	taken   []byte            // bitset, bit i = record i's Taken flag
+	addrs   []byte            // zigzag varint address deltas, loads/stores only
+	targets []uint64          // JALR next PCs, in record order
 }
 
 // sizeBytes is the chunk's resident footprint (column payloads only; the
-// fixed header is noise).
+// fixed header is noise and the shared code belongs to the program).
 func (c *chunk) sizeBytes() int64 {
-	return int64(len(c.insts))*8 + int64(len(c.taken)) + int64(len(c.addrs)) + int64(len(c.targets))*8
+	return int64(len(c.taken)) + int64(len(c.addrs)) + int64(len(c.targets))*8
 }
 
-// encoder builds chunks from a sequential record stream.
+// encoder builds chunks from a sequential record stream of one program.
 type encoder struct {
+	prog     *asm.Program // the recorded program
 	open     *chunk
 	nextSeq  uint64
 	nextPC   uint64
@@ -68,7 +71,8 @@ type encoder struct {
 // appendRecord encodes one record into the open chunk, opening one as
 // needed, and returns the chunk if this record filled it (the caller
 // publishes full chunks). It fails when the stream violates the sequential
-// contract (Seq or PC chain breaks), which would make reconstruction wrong.
+// contract (Seq or PC chain breaks) or a record's instruction is not the
+// program text at its PC, either of which would make reconstruction wrong.
 func (e *encoder) appendRecord(tr emu.Trace) (full *chunk, err error) {
 	if e.started {
 		if tr.Seq != e.nextSeq {
@@ -78,18 +82,20 @@ func (e *encoder) appendRecord(tr emu.Trace) (full *chunk, err error) {
 			return nil, fmt.Errorf("trace: control-flow break: record %d at pc %#x, previous NextPC %#x", tr.Seq, tr.PC, e.nextPC)
 		}
 	}
+	if in, ok := e.prog.InstAt(tr.PC); !ok || in != tr.Inst {
+		return nil, fmt.Errorf("trace: record %d at pc %#x is not the program's instruction there", tr.Seq, tr.PC)
+	}
 	if e.open == nil {
 		e.open = &chunk{
 			baseSeq: tr.Seq,
 			basePC:  tr.PC,
-			insts:   make([]isa.Instruction, 0, chunkRecords),
+			code:    e.prog.Code,
 			taken:   make([]byte, 0, chunkRecords/8),
 		}
 		e.prevAddr = 0
 	}
 	c := e.open
 	i := c.n
-	c.insts = append(c.insts, tr.Inst)
 	if i%8 == 0 {
 		c.taken = append(c.taken, 0)
 	}
@@ -143,7 +149,7 @@ func newDecoder(c *chunk) decoder {
 func (d *decoder) next() emu.Trace {
 	c := d.c
 	i := d.i
-	in := c.insts[i]
+	in := c.code[(d.pc-asm.CodeBase)/isa.InstBytes]
 	tr := emu.Trace{
 		Seq:    c.baseSeq + uint64(i),
 		PC:     d.pc,

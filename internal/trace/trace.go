@@ -174,12 +174,12 @@ type Recorder struct {
 	src  *emu.Stream
 	rec  *Recording
 	enc  encoder
-	dead bool // recording aborted (cap veto or chain break); keep passing through
+	dead bool // recording aborted (cap veto or contract break); keep passing through
 }
 
 // NewRecorder wraps the stream, recording into rec.
 func NewRecorder(rec *Recording, src *emu.Stream) *Recorder {
-	return &Recorder{src: src, rec: rec}
+	return &Recorder{src: src, rec: rec, enc: encoder{prog: src.Machine().Prog}}
 }
 
 // observe encodes one delivered record.
@@ -189,8 +189,8 @@ func (t *Recorder) observe(tr emu.Trace) {
 	}
 	full, err := t.enc.appendRecord(tr)
 	if err != nil {
-		// A sequential-contract violation means the encoding would be
-		// wrong; drop the recording, never the consumer's stream.
+		// A record the encoding cannot reconstruct (see appendRecord):
+		// drop the recording, never the consumer's stream.
 		t.abort()
 		return
 	}

@@ -2,11 +2,14 @@ package trace
 
 import (
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"flywheel/internal/asm"
 	"flywheel/internal/emu"
+	"flywheel/internal/isa"
+	"flywheel/internal/workload"
 )
 
 // testProgram exercises every reconstruction path of the encoding: ALU
@@ -313,5 +316,141 @@ func TestSetPolicyClearsCapBlacklist(t *testing.T) {
 	c.SetPolicy(Policy{})
 	if g3 := c.Acquire("w", 0, 0, nil); g3.Record == nil {
 		t.Fatal("raised cap must allow the key to record again")
+	}
+}
+
+// TestEncoderRejectsUnreconstructableRecords: a record the encoding could
+// not reproduce on decode must fail appendRecord and abort the recording,
+// and a reader of the aborted recording must fall back to live emulation
+// and still deliver exactly the live stream.
+func TestEncoderRejectsUnreconstructableRecords(t *testing.T) {
+	prog, err := asm.Assemble("seek-test.s", seekProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var live []emu.Trace
+	s := emu.NewStream(emu.New(prog), 0)
+	for tr, ok := s.Next(); ok; tr, ok = s.Next() {
+		live = append(live, tr)
+	}
+	jalr := -1 // an indirect jump past the first published chunk
+	for i := chunkRecords + 1; i < len(live); i++ {
+		if live[i].Inst.Op == isa.JALR {
+			jalr = i
+			break
+		}
+	}
+	if jalr < 0 {
+		t.Fatal("seek program has no JALR past the first chunk")
+	}
+	const at = chunkRecords + chunkRecords/2 // mid-chunk, after one chunk published
+	cases := []struct {
+		name string
+		// corrupt edits the stream and returns the index of the record
+		// appendRecord must reject.
+		corrupt func(recs []emu.Trace) int
+		wantErr string
+	}{
+		{"sequence break", func(recs []emu.Trace) int {
+			recs[at].Seq++
+			return at
+		}, "sequence break"},
+		{"control-flow break", func(recs []emu.Trace) int {
+			recs[at].PC += isa.InstBytes
+			return at
+		}, "control-flow break"},
+		{"instruction differs from the program text", func(recs []emu.Trace) int {
+			recs[at].Inst.Imm++
+			return at
+		}, "not the program's instruction"},
+		{"first pc outside the code section", func(recs []emu.Trace) int {
+			recs[0].PC = prog.CodeEnd()
+			return 0
+		}, "not the program's instruction"},
+		{"indirect jump out of the code section", func(recs []emu.Trace) int {
+			recs[jalr].NextPC = asm.CodeBase - isa.InstBytes
+			recs[jalr+1].PC = recs[jalr].NextPC
+			return jalr + 1
+		}, "not the program's instruction"},
+	}
+	fallback := func(skip uint64) (*emu.Stream, error) {
+		m := emu.New(prog)
+		if _, err := m.Run(skip); err != nil {
+			return nil, err
+		}
+		return emu.NewStream(m, 0), nil
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			recs := append([]emu.Trace(nil), live...)
+			bad := tc.corrupt(recs)
+
+			enc := encoder{prog: prog}
+			for i, tr := range recs[:bad] {
+				if _, err := enc.appendRecord(tr); err != nil {
+					t.Fatalf("record %d rejected before the corruption: %v", i, err)
+				}
+			}
+			if _, err := enc.appendRecord(recs[bad]); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+				t.Fatalf("appendRecord(record %d) = %v, want an error containing %q", bad, err, tc.wantErr)
+			}
+
+			rec := newRecording("k", 0, 0)
+			trc := NewRecorder(rec, emu.NewStream(emu.New(prog), 0))
+			for _, tr := range recs {
+				trc.observe(tr)
+			}
+			trc.Finish()
+			if done, _ := rec.Complete(); done {
+				t.Fatal("recording with a rejected record completed")
+			}
+			r := NewReader(rec, 0, fallback)
+			got := drainReader(t, r)
+			if !r.FellBack() {
+				t.Fatal("reader of the aborted recording did not fall back to live emulation")
+			}
+			if !reflect.DeepEqual(got, live) {
+				t.Fatalf("fallback delivered %d records diverging from the %d live ones", len(got), len(live))
+			}
+		})
+	}
+}
+
+// TestRecordingBytesPerRecord fences the encoding's footprint on the
+// paper's kernels: recording each at 40k instructions from its warm point,
+// as the simulator does, must cost at most 1 byte per record. The
+// instruction of every record is the program text at its PC, so only
+// branch outcomes, address deltas and indirect targets are stored.
+func TestRecordingBytesPerRecord(t *testing.T) {
+	const budget = 40_000
+	c := NewCache(Policy{})
+	var records uint64
+	buf := make([]emu.Trace, 256)
+	for _, w := range workload.All() {
+		snap, err := w.WarmState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := c.Acquire(w.Name, snap.Retired(), budget, nil)
+		if g.Record == nil {
+			t.Fatalf("%s: first acquisition did not record", w.Name)
+		}
+		trc := NewRecorder(g.Record, emu.NewStream(snap.NewMachine(), snap.Retired()+budget))
+		for trc.Fill(buf) > 0 {
+		}
+		trc.Finish()
+		if done, _ := g.Record.Complete(); !done {
+			t.Fatalf("%s: recording did not complete", w.Name)
+		}
+		records += g.Record.Records()
+	}
+	s := c.Stats()
+	if s.Entries != len(workload.Names()) || records == 0 {
+		t.Fatalf("recorded %d records in %d recordings, want all %d kernels", records, s.Entries, len(workload.Names()))
+	}
+	perRecord := float64(s.ResidentBytes) / float64(records)
+	t.Logf("%d records, %d resident bytes: %.3f B/record", records, s.ResidentBytes, perRecord)
+	if perRecord > 1 {
+		t.Fatalf("recordings cost %.3f B/record, want <= 1", perRecord)
 	}
 }
