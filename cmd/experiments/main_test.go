@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -121,10 +122,30 @@ func TestStoreWarmPasses(t *testing.T) {
 	if out1 != out2 {
 		t.Errorf("pass 2 tables differ from pass 1:\n%s\nvs\n%s", out1, out2)
 	}
-	// Pass 1 records each workload's dynamic trace exactly once; the
-	// all-disk pass 2 simulates and re-emulates nothing.
-	expect("pass 1", stats1, "trace cache: 20 replays, 10 recordings, 0 bypasses")
+	// Pass 1 records each workload's dynamic trace exactly once, and every
+	// other run replays it or, if it overlapped the recording, emulates
+	// live; the all-disk pass 2 simulates and re-emulates nothing.
+	expect("pass 1", stats1, " 10 recordings, ")
+	expectRuns(t, "pass 1", stats1, 20)
 	expect("pass 2", stats2, " 0 sim runs (100.0% disk)", "trace cache: 0 replays, 0 recordings")
 	_, stats3 := pass("12")
-	expect("pass 3", stats3, " 10 recordings, 0 bypasses")
+	expect("pass 3", stats3, " 10 recordings, ")
+	expectRuns(t, "pass 3", stats3, 40)
+}
+
+// expectRuns checks that the trace-cache line of a -storestats report
+// counts want runs that replayed or bypassed.
+func expectRuns(t *testing.T, name, stats string, want uint64) {
+	t.Helper()
+	var replays, recordings, bypasses uint64
+	i := strings.Index(stats, "trace cache: ")
+	if i < 0 {
+		t.Fatalf("%s stats lack the trace-cache line:\n%s", name, stats)
+	}
+	if _, err := fmt.Sscanf(stats[i:], "trace cache: %d replays, %d recordings, %d bypasses", &replays, &recordings, &bypasses); err != nil {
+		t.Fatalf("%s trace-cache line: %v\n%s", name, err, stats)
+	}
+	if replays+bypasses != want {
+		t.Errorf("%s: %d replays + %d bypasses, want %d in all", name, replays, bypasses, want)
+	}
 }

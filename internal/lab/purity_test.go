@@ -24,7 +24,7 @@ func purityJobs() []Job {
 		panic("purity schedule's gap does not exceed the warming horizon")
 	}
 	// Jobs of one workload come in pairs, so two workers start both at
-	// once: one records and the other replays behind the recording.
+	// once: one records and the other overlaps the recording.
 	return []Job{
 		{Workload: "vpr", Arch: sim.ArchBaseline, MaxInstructions: 130_000, Sampling: samp},
 		{Workload: "vpr", Arch: sim.ArchRegAlloc, MaxInstructions: 130_000, Sampling: samp},
@@ -38,7 +38,7 @@ func purityJobs() []Job {
 // TestResultIsPureFunctionOfJob requires every job's Result to be
 // byte-identical JSON however it was produced: on a cold, warm, disabled
 // or cap-blacklisted trace cache, from warm templates another node built,
-// through a 2-worker batch where a replay trails an in-progress recording,
+// through a 2-worker batch where a run overlaps an in-flight recording,
 // from the result store, and at any worker count and job order.
 func TestResultIsPureFunctionOfJob(t *testing.T) {
 	jobs := purityJobs()
@@ -115,7 +115,8 @@ func TestResultIsPureFunctionOfJob(t *testing.T) {
 	check("templates built at 90 nm", sequential(trace.Policy{}, false))
 
 	// Two workers over a cold cache: each workload's first job records,
-	// and the other worker's job of the same workload replays behind it.
+	// and a job of the same workload that starts before the recording is
+	// done emulates live; which jobs do depends on scheduling.
 	sim.SetTraceCachePolicy(trace.Policy{})
 	sim.ResetTraceCache()
 	res, err := Run(jobs, Options{Workers: 2})
@@ -123,8 +124,8 @@ func TestResultIsPureFunctionOfJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("cold 2-worker batch", encode(res))
-	if s := sim.TraceCacheStats(); s.Misses != 2 || s.Bypasses != 0 {
-		t.Errorf("2-worker batch: want one recording per workload and every other job replayed: %s", s)
+	if s := sim.TraceCacheStats(); s.Misses != 2 || s.Hits+s.Bypasses != uint64(len(jobs)-2) {
+		t.Errorf("2-worker batch: want one recording per workload and every other job replayed or bypassed: %s", s)
 	}
 
 	// The result store: a second cache over the same directory serves

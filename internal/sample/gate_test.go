@@ -164,7 +164,7 @@ func TestFastForward(t *testing.T) {
 }
 
 // shortSkipSource is a Skipper that skips at most max records per call,
-// like a trace reader trailing an in-progress recording.
+// which the Skipper contract allows.
 type shortSkipSource struct {
 	fillSource
 	max uint64

@@ -192,14 +192,11 @@ func replay(cfg RunConfig, fn func(w *workload.Workload, stream pipe.InstSource)
 	if err != nil {
 		return err
 	}
-	stream, finish, err := acquireSource(w, snap, cfg.MaxInstructions)
-	if err != nil {
-		return err
-	}
+	stream, finish := acquireSource(w, snap, cfg.MaxInstructions)
 	// finish must run exactly once on every exit — including a panic in a
 	// timing core (the lab recovers panics into error results, so without
-	// this a recording would stay in-progress forever and concurrent
-	// replayers of it would block indefinitely).
+	// this a recording would stay in flight forever and every later run of
+	// the workload would bypass the cache).
 	finished := false
 	defer func() {
 		if !finished {

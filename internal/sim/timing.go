@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 
 	"flywheel/internal/cacti"
 	"flywheel/internal/pipe"
@@ -187,40 +188,76 @@ type clockPlan struct {
 // than the node means a future absolute-time parameter can only make two
 // plans differ, never make two runs share a record they should not.
 func planOf(cfg any) clockPlan {
-	var ps []int64
-	collectPS(reflect.ValueOf(cfg), &ps)
+	v := reflect.ValueOf(cfg)
+	locs := psLocsOf(v.Type())
+	ps := make([]int64, len(locs))
 	var g int64
-	for _, v := range ps {
-		g = gcd(g, v)
+	for i, l := range locs {
+		f := v.FieldByIndex(l.index)
+		if l.method >= 0 {
+			ps[i] = f.Method(l.method).Call(nil)[0].Int()
+		} else {
+			ps[i] = f.Int()
+		}
+		g = gcd(g, ps[i])
 	}
 	if g == 0 {
 		g = 1
 	}
-	parts := make([]string, len(ps))
-	for i, v := range ps {
-		parts[i] = strconv.FormatInt(v/g, 10)
+	var reduced []byte
+	for i, p := range ps {
+		if i > 0 {
+			reduced = append(reduced, ',')
+		}
+		reduced = strconv.AppendInt(reduced, p/g, 10)
 	}
-	return clockPlan{grain: g, reduced: strings.Join(parts, ",")}
+	return clockPlan{grain: g, reduced: string(reduced)}
 }
 
-func collectPS(v reflect.Value, ps *[]int64) {
-	t := v.Type()
+// psLoc locates one picosecond value in a configuration type: the field at
+// index (a path through nested structs) or, when method >= 0, that
+// method of the struct at index.
+type psLoc struct {
+	index  []int
+	method int
+}
+
+// psLocs caches psLocsOf: the locations depend only on the type.
+var psLocs sync.Map // reflect.Type → []psLoc
+
+// psLocsOf returns t's picosecond values in plan order: at each struct,
+// its methods first, then its fields in declaration order.
+func psLocsOf(t reflect.Type) []psLoc {
+	if locs, ok := psLocs.Load(t); ok {
+		return locs.([]psLoc)
+	}
+	var locs []psLoc
+	findPS(t, nil, true, &locs)
+	psLocs.Store(t, locs)
+	return locs
+}
+
+// findPS appends the picosecond values of struct type t, reached at index.
+// callable is false below an unexported field, whose methods cannot be
+// called through reflection.
+func findPS(t reflect.Type, index []int, callable bool, locs *[]psLoc) {
 	for i := range t.NumMethod() {
-		if !v.CanInterface() {
-			break // a method of an unexported field cannot be called
+		if !callable {
+			break
 		}
-		m := t.Method(i) // allocates: read it once
+		m := t.Method(i)
 		if strings.HasSuffix(m.Name, "PS") && m.Type.NumIn() == 1 && m.Type.NumOut() == 1 && m.Type.Out(0).Kind() == reflect.Int64 {
-			*ps = append(*ps, v.Method(i).Call(nil)[0].Int())
+			*locs = append(*locs, psLoc{index: index, method: i})
 		}
 	}
 	for i := range t.NumField() {
-		f := v.Field(i)
+		f := t.Field(i)
+		at := append(index[:len(index):len(index)], i)
 		switch {
-		case f.Kind() == reflect.Struct:
-			collectPS(f, ps)
-		case f.Kind() == reflect.Int64 && strings.HasSuffix(t.Field(i).Name, "PS"):
-			*ps = append(*ps, f.Int())
+		case f.Type.Kind() == reflect.Struct:
+			findPS(f.Type, at, callable && f.IsExported(), locs)
+		case f.Type.Kind() == reflect.Int64 && strings.HasSuffix(f.Name, "PS"):
+			*locs = append(*locs, psLoc{index: at, method: -1})
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"reflect"
 	"testing"
 
@@ -219,5 +221,93 @@ func TestRunByteIdenticalWithTraceCacheOnAndOff(t *testing.T) {
 		if !reflect.DeepEqual(a, b) {
 			t.Fatalf("%s/%s: results differ between trace cache on and off", k.wl, k.arch)
 		}
+	}
+}
+
+// TestOverlappingRunBypassesInFlightRecording: a run that starts while its
+// workload's recording is in flight emulates live rather than replay
+// behind the recorder, its exact and sampled results equal a fresh
+// cache's, and once the recording completes later runs replay it. The
+// test checks the source's type rather than reading it, so a source that
+// waited on the recorder fails the test instead of hanging it.
+func TestOverlappingRunBypassesInFlightRecording(t *testing.T) {
+	prev := TraceCachePolicy()
+	t.Cleanup(func() {
+		SetTraceCachePolicy(prev)
+		ResetTraceCache()
+	})
+	SetTraceCachePolicy(trace.Policy{})
+
+	const budget = 130_000
+	var fresh [][]byte
+	// On a fresh cache the sampled run records and the exact run replays a
+	// prefix. Gaps of about 37k instructions exceed sample.WarmHorizon, so
+	// the fast-forwards pass over records (Skip on a replay).
+	cfgs := []RunConfig{
+		{Workload: "vpr", Arch: ArchFlywheel, Node: cacti.Node130, MaxInstructions: budget,
+			Sampling: Sampling{Period: 40_000, WindowInsts: 2_000, WarmupInsts: 500}},
+		{Workload: "vpr", Arch: ArchBaseline, Node: cacti.Node130, MaxInstructions: 20_000},
+	}
+	check := func(row string, got [][]byte) {
+		t.Helper()
+		for i := range got {
+			if !bytes.Equal(got[i], fresh[i]) {
+				t.Errorf("%s: %s run differs from a fresh cache's:\n got  %s\n want %s", row, cfgs[i].Arch, got[i], fresh[i])
+			}
+		}
+	}
+	runAll := func() [][]byte {
+		t.Helper()
+		out := make([][]byte, len(cfgs))
+		for i, cfg := range cfgs {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out[i], err = json.Marshal(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return out
+	}
+	ResetTraceCache()
+	fresh = runAll()
+	if s := TraceCacheStats(); s.Misses != 1 || s.Hits != 1 {
+		t.Fatalf("fresh cache: %s, want 1 replay, 1 recording", s)
+	}
+
+	ResetTraceCache()
+	w := workload.MustGet("vpr")
+	snap, err := w.WarmState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := traceCache.Acquire(w.Name, snap.Retired(), budget, nil)
+	if g.Record == nil {
+		t.Fatal("first acquisition must record")
+	}
+	src, finish := acquireSource(w, snap, budget)
+	finish(nil)
+	if _, ok := src.(*emu.Stream); !ok {
+		t.Fatalf("acquisition during an in-flight recording got a %T, want a live *emu.Stream", src)
+	}
+	check("overlapping the recording", runAll())
+	if s := TraceCacheStats(); s.Misses != 1 || s.Hits != 0 || s.Bypasses != 3 {
+		t.Errorf("overlapping runs: %s, want 0 replays, 1 recording, 3 bypasses", s)
+	}
+
+	rec := trace.NewRecorder(g.Record, emu.NewStream(snap.NewMachine(), snap.Retired()+budget))
+	buf := make([]emu.Trace, 256)
+	for rec.Fill(buf) > 0 {
+	}
+	traceCache.FinishRecorder(rec, nil)
+	src, finish = acquireSource(w, snap, budget)
+	finish(nil)
+	if _, ok := src.(*trace.Reader); !ok {
+		t.Fatalf("acquisition after the recording completed got a %T, want a *trace.Reader", src)
+	}
+	check("after the recording completed", runAll())
+	if s := TraceCacheStats(); s.Misses != 1 || s.Hits != 3 {
+		t.Errorf("after the recording completed: %s, want 3 replays, 1 recording", s)
 	}
 }

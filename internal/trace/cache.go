@@ -35,11 +35,11 @@ func (p Policy) maxBytes() int64 {
 
 // Stats counts cache traffic.
 type Stats struct {
-	// Hits are replays served from a recording (including replays that ran
-	// concurrently with the recording). Misses are recordings started — the
-	// runs that executed the functional emulator and taped it. Bypasses ran
-	// live without recording (cache disabled, budget not covered by the
-	// in-flight recording, or a key blacklisted by the memory cap).
+	// Hits are replays served from a complete recording. Misses are
+	// recordings started — the runs that executed the functional emulator
+	// and taped it. Bypasses ran live without recording: the cache was
+	// disabled, the key's recording was still in flight, or the memory cap
+	// blacklisted the key.
 	Hits, Misses, Bypasses uint64
 	// Evictions counts recordings dropped by the memory cap.
 	Evictions uint64
@@ -109,7 +109,8 @@ func (c *Cache) Stats() Stats {
 }
 
 // Reset drops every recording and zeroes the counters (tests, benchmarks).
-// In-flight readers keep their references and finish unaffected.
+// Readers keep their references and finish unaffected; a recording in
+// flight finishes outside the cache and its bytes are not counted.
 func (c *Cache) Reset() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -127,19 +128,20 @@ type Grant struct {
 	// stream in NewRecorder(Record, stream) and must call Finish or Abort
 	// on the recorder when the run ends.
 	Record *Recording
-	// Replay is a positioned reader serving the whole run.
+	// Replay is a reader of a complete recording serving the whole run.
 	Replay *Reader
 }
 
 // Acquire decides how a run of the keyed workload with the given budget
 // (0 = run to completion) gets its instruction stream. startSeq is the
-// dynamic sequence number at the warm point. The fallback factory (see
-// NewReader) is captured into replay grants.
-func (c *Cache) Acquire(key string, startSeq, budget uint64, fallback func(skip uint64) (*emu.Stream, error)) Grant {
+// dynamic sequence number at the warm point. Only a complete recording
+// replays: while the key's recording is in flight, every other run of it
+// bypasses to live emulation. The fourth parameter is ignored.
+func (c *Cache) Acquire(key string, startSeq, budget uint64, _ func(skip uint64) (*emu.Stream, error)) Grant {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.policy.Disabled || c.nocache[key] {
 		c.stats.Bypasses++
-		c.mu.Unlock()
 		return Grant{}
 	}
 	c.clock++
@@ -147,26 +149,20 @@ func (c *Cache) Acquire(key string, startSeq, budget uint64, fallback func(skip 
 		if e.rec.usableFor(budget) {
 			e.used = c.clock
 			c.stats.Hits++
-			c.mu.Unlock()
-			return Grant{Replay: NewReader(e.rec, budget, fallback)}
+			return Grant{Replay: NewReader(e.rec, budget)}
 		}
-		if done, failed := recStatus(e.rec); !done && !failed {
-			// A recording is in flight but its ceiling does not cover this
-			// budget; recording a second tape of the same workload
-			// concurrently would double the memory for no reuse.
+		if e.rec.state() == stateRecording {
 			c.stats.Bypasses++
-			c.mu.Unlock()
 			return Grant{}
 		}
-		// Completed-but-insufficient (or failed): replace with a recording
-		// at the larger budget. Readers of the old tape are unaffected.
+		// Complete but too short, or failed: replace it with a recording
+		// at this budget. Readers of the old tape are unaffected.
 		c.dropLocked(key)
 	}
-	rec := newRecording(key, startSeq, budget)
-	rec.onPublish = func(delta int64) bool { return c.addBytes(key, delta) }
+	rec := newRecording(startSeq, budget)
+	rec.onPublish = func(delta int64) bool { return c.addBytes(key, rec, delta) }
 	c.insertLocked(key, rec)
 	c.stats.Misses++
-	c.mu.Unlock()
 	return Grant{Record: rec}
 }
 
@@ -178,15 +174,6 @@ func (c *Cache) FinishRecorder(t *Recorder, runErr error) {
 		return
 	}
 	t.Finish()
-}
-
-// recStatus reads a recording's lifecycle state. Lock order is always
-// cache.mu → Recording.mu, never the reverse (the publish hook runs before
-// the recording takes its own lock), so calling this under c.mu is safe.
-func recStatus(r *Recording) (done, failed bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.st == stateDone, r.st == stateFailed
 }
 
 // insertLocked adds a recording under key, accounting its current bytes.
@@ -208,16 +195,22 @@ func (c *Cache) dropLocked(key string) {
 // completed recordings to stay under the cap. It returns false — veto —
 // when the cap cannot be met even after eviction; the caller then aborts
 // the recording and the key is blacklisted so later runs bypass straight
-// to live emulation instead of re-recording and re-aborting.
-func (c *Cache) addBytes(key string, delta int64) bool {
+// to live emulation instead of re-recording and re-aborting. A recording
+// the cache no longer holds (Reset dropped it) is neither counted nor
+// vetoed. Lock order is always cache.mu → Recording.mu: the hook runs
+// before the recording takes its own lock.
+func (c *Cache) addBytes(key string, rec *Recording, delta int64) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if e, ok := c.entries[key]; !ok || e.rec != rec {
+		return true
+	}
 	max := c.policy.maxBytes()
 	c.bytes += delta
 	if c.bytes <= max {
 		return true
 	}
-	c.evictToLocked(max, key)
+	c.evictToLocked(max)
 	if c.bytes <= max {
 		return true
 	}
@@ -231,25 +224,15 @@ func (c *Cache) addBytes(key string, delta int64) bool {
 }
 
 // evictToLocked drops completed recordings, least recently used first,
-// until resident bytes fit in max. Keys in keep are never dropped.
-func (c *Cache) evictToLocked(max int64, keep ...string) {
+// until resident bytes fit in max.
+func (c *Cache) evictToLocked(max int64) {
 	for c.bytes > max {
 		var victim string
 		var oldest uint64
 		found := false
 		for k, e := range c.entries {
-			if done, failed := recStatus(e.rec); !done && !failed {
+			if e.rec.state() == stateRecording {
 				continue // never evict an in-flight recording
-			}
-			kept := false
-			for _, kk := range keep {
-				if k == kk {
-					kept = true
-					break
-				}
-			}
-			if kept {
-				continue
 			}
 			if !found || e.used < oldest {
 				victim, oldest, found = k, e.used, true

@@ -30,13 +30,14 @@ import (
 // exact: a decoded record is byte-identical to the emu.Trace record that
 // was encoded (pinned by the differential tests).
 //
-// Chunks are immutable once published, so a recording can stream: the
-// recorder fills a private open chunk while earlier chunks are already
-// being replayed by concurrent readers.
+// Chunks are immutable once published. The recorder fills a private open
+// chunk and publishes it when full, so the memory cap is checked as the
+// recording grows, not only at its end.
 
-// chunkRecords is the record capacity of one chunk. Small enough that an
-// in-progress recording publishes at a useful granularity for concurrent
-// readers, large enough that per-chunk overheads vanish.
+// chunkRecords is the record capacity of one chunk. Small enough that a
+// seek decodes little of its target chunk and the memory cap sees a
+// recording grow in fine steps, large enough that per-chunk overheads
+// vanish.
 const chunkRecords = 1024
 
 // chunk is one immutable run of consecutive records in columnar form.

@@ -13,38 +13,15 @@ import "sort"
 // paying full decode for regions it will neither warm nor measure.
 
 // Skip advances the replay cursor past up to n records without delivering
-// them. It skips only through records already published (it never blocks on
-// an in-progress recording) and never past the delivery limit or into an
-// activated live fallback, and returns the number of records actually
-// skipped — possibly less than n, in which case the caller consumes the
-// rest through Next/Fill as usual. The records skipped are exactly the
-// next records Fill would have delivered: a reader that skips k records and
-// then replays is positioned identically to one that read and discarded k.
+// them. It never skips past the delivery limit or the end of the recording,
+// and returns the number of records actually skipped — less than n only at
+// that end. The records skipped are exactly the next records Fill would
+// have delivered: a reader that skips k records and then replays is
+// positioned identically to one that read and discarded k.
 func (r *Reader) Skip(n uint64) uint64 {
-	if n == 0 || r.live != nil || r.fallbackErr != nil {
+	n = min(n, r.end-r.count)
+	if n == 0 {
 		return 0
-	}
-	if r.limit > 0 {
-		if r.count >= r.limit {
-			return 0
-		}
-		if left := r.limit - r.count; left < n {
-			n = left
-		}
-	}
-	// Non-blocking snapshot of the published state (refresh would wait for
-	// more chunks; a skip bounded by what exists must not).
-	rec := r.rec
-	rec.mu.Lock()
-	r.chunks = rec.chunks
-	r.avail = rec.total
-	r.final = rec.st
-	rec.mu.Unlock()
-	if r.count >= r.avail {
-		return 0
-	}
-	if left := r.avail - r.count; left < n {
-		n = left
 	}
 	target := r.count + n // global record index to position the cursor at
 	start := r.rec.startSeq
@@ -52,17 +29,18 @@ func (r *Reader) Skip(n uint64) uint64 {
 	// Records are consecutive across chunks, so chunk k covers global
 	// indices [baseSeq-start, baseSeq-start+n). Find the chunk holding the
 	// target index.
-	ci := sort.Search(len(r.chunks), func(k int) bool {
-		return r.chunks[k].baseSeq-start > target
+	chunks := r.rec.chunks
+	ci := sort.Search(len(chunks), func(k int) bool {
+		return chunks[k].baseSeq-start > target
 	}) - 1
-	c := r.chunks[ci]
+	c := chunks[ci]
 	within := int(target - (c.baseSeq - start))
 	r.ci = ci
 	switch {
 	case within == c.n:
 		// Exactly the chunk's end: mark the decoder exhausted so the next
-		// read advances to the following chunk (which may not be published
-		// yet). The stale chain state is never read at i == n.
+		// read advances to the following chunk (if the reader has one). The
+		// stale chain state is never read at i == n.
 		r.dec = decoder{c: c, i: c.n}
 	case r.dec.c == c && r.dec.i <= within:
 		// Same chunk, ahead of the cursor: replay only the gap.

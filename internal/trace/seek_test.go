@@ -3,7 +3,6 @@ package trace
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 
 	"flywheel/internal/asm"
@@ -41,7 +40,7 @@ func seekRecording(t *testing.T) (*Recording, []emu.Trace) {
 		t.Fatal(err)
 	}
 	m := emu.New(prog)
-	rec := newRecording("k", 0, 0)
+	rec := newRecording(0, 0)
 	tr := NewRecorder(rec, emu.NewStream(m, 0))
 	var seen []emu.Trace
 	buf := make([]emu.Trace, 64)
@@ -76,7 +75,7 @@ func TestSkipMatchesDiscard(t *testing.T) {
 	}
 
 	for _, k := range ks {
-		r := NewReader(rec, 0, nil)
+		r := NewReader(rec, 0)
 		skipped := r.Skip(k)
 		want := k
 		if want > total {
@@ -101,7 +100,7 @@ func TestSkipInterleavedWithReads(t *testing.T) {
 	rec, full := seekRecording(t)
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 8; trial++ {
-		r := NewReader(rec, 0, nil)
+		r := NewReader(rec, 0)
 		pos := uint64(0)
 		buf := make([]emu.Trace, 97)
 		for pos < uint64(len(full)) {
@@ -141,7 +140,7 @@ func TestSkipInterleavedWithReads(t *testing.T) {
 func TestSkipRespectsLimit(t *testing.T) {
 	rec, full := seekRecording(t)
 	const limit = 1500
-	r := NewReader(rec, limit, nil)
+	r := NewReader(rec, limit)
 	if got := r.Skip(1200); got != 1200 {
 		t.Fatalf("Skip(1200) = %d", got)
 	}
@@ -154,67 +153,12 @@ func TestSkipRespectsLimit(t *testing.T) {
 	if got := drainReader(t, r); len(got) != 0 {
 		t.Fatalf("reader delivered %d records past its limit", len(got))
 	}
-	r2 := NewReader(rec, limit, nil)
+	r2 := NewReader(rec, limit)
 	if got := r2.Skip(700); got != 700 {
 		t.Fatalf("Skip(700) = %d", got)
 	}
 	if got := drainReader(t, r2); !reflect.DeepEqual(got, full[700:limit]) {
 		t.Fatalf("limited replay after seek diverged (%d records, want %d)", len(got), limit-700)
-	}
-}
-
-// TestSkipMidRecording: while the recorder is still running, Skip must cap
-// at the published (sealed-chunk) record count without blocking, and the
-// reader must then stream the remainder identically once the recording
-// completes.
-func TestSkipMidRecording(t *testing.T) {
-	prog, err := asm.Assemble("seek-test.s", seekProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := emu.New(prog)
-	rec := newRecording("k", 0, 0)
-	trc := NewRecorder(rec, emu.NewStream(m, 0))
-
-	// Feed 1.5 chunks of records: exactly one chunk is sealed/published,
-	// the rest sit in the recorder's open chunk.
-	var fed []emu.Trace
-	buf := make([]emu.Trace, 64)
-	for uint64(len(fed)) < chunkRecords+chunkRecords/2 {
-		n := trc.Fill(buf)
-		if n == 0 {
-			t.Fatal("recording ended before reaching a chunk boundary")
-		}
-		fed = append(fed, buf[:n]...)
-	}
-
-	r := NewReader(rec, 0, nil)
-	if got := r.Skip(3 * chunkRecords); got != chunkRecords {
-		t.Fatalf("mid-recording Skip = %d, want published count %d", got, chunkRecords)
-	}
-	// A second skip with nothing newly published must be a no-op, not a stall.
-	if got := r.Skip(10); got != 0 {
-		t.Fatalf("second mid-recording Skip = %d, want 0", got)
-	}
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var got []emu.Trace
-	go func() {
-		defer wg.Done()
-		got = drainReader(t, r)
-	}()
-	for {
-		n := trc.Fill(buf)
-		if n == 0 {
-			break
-		}
-		fed = append(fed, buf[:n]...)
-	}
-	trc.Finish()
-	wg.Wait()
-	if !reflect.DeepEqual(got, fed[chunkRecords:]) {
-		t.Fatalf("post-recording drain diverged (got %d records, want %d)", len(got), len(fed)-int(chunkRecords))
 	}
 }
 

@@ -7,13 +7,10 @@
 // it (the recorder is a pass-through), and every other grid point replays
 // the recording from memory instead of re-executing the emulator.
 //
-// Recordings are chunked (see encode.go): the recorder publishes each
-// filled chunk immediately, so concurrent readers replay the prefix while
-// recording is still in progress, sleeping only when they catch up to the
-// recording head. A reader never deadlocks on an abandoned recording:
-// aborting a recording (timing-core error, memory-cap overflow) fails it,
-// and failed-recording readers fall back to live functional emulation,
-// fast-forwarded past the records they already consumed.
+// Only a complete recording replays. A run that starts while its
+// workload is still being recorded emulates live (a bypass), so a reader
+// reads an immutable recording and never waits. Aborting a recording (timing-core error, memory-cap overflow)
+// fails it, and the next run of the key records afresh.
 //
 // Shorter instruction budgets replay a prefix of a longer recording; the
 // per-workload cache layer (cache.go) keys usability on the recorded
@@ -27,7 +24,6 @@
 package trace
 
 import (
-	"fmt"
 	"sync"
 
 	"flywheel/internal/emu"
@@ -44,10 +40,9 @@ const (
 
 // Recording is one workload's recorded dynamic trace: an append-only
 // sequence of immutable columnar chunks plus completion metadata. One
-// goroutine records (through a Recorder); any number of goroutines replay
-// concurrently (through Readers).
+// goroutine records (through a Recorder); once the recording is done, any
+// number of goroutines replay it concurrently (through Readers).
 type Recording struct {
-	key      string
 	startSeq uint64 // Seq of the first record (the warm point's retired count)
 	// ceiling is the instruction budget the recording was made under
 	// (0 = run to completion). A recording that ended by halt serves any
@@ -55,7 +50,6 @@ type Recording struct {
 	ceiling uint64
 
 	mu     sync.Mutex
-	cond   *sync.Cond
 	chunks []*chunk
 	total  uint64 // records published (sum over chunks)
 	bytes  int64  // resident encoded bytes (published chunks)
@@ -69,10 +63,8 @@ type Recording struct {
 }
 
 // newRecording returns an empty in-progress recording.
-func newRecording(key string, startSeq, ceiling uint64) *Recording {
-	r := &Recording{key: key, startSeq: startSeq, ceiling: ceiling}
-	r.cond = sync.NewCond(&r.mu)
-	return r
+func newRecording(startSeq, ceiling uint64) *Recording {
+	return &Recording{startSeq: startSeq, ceiling: ceiling}
 }
 
 // StartSeq returns the sequence number of the first record.
@@ -100,29 +92,31 @@ func (r *Recording) Complete() (done, halted bool) {
 	return r.st == stateDone, r.halted
 }
 
-// usableFor reports whether a replay with the given budget (0 = run to
-// completion) can be served entirely from this recording.
+// state reads the recording's lifecycle state.
+func (r *Recording) state() recState {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.st
+}
+
+// usableFor reports whether the recording is done and a replay with the
+// given budget (0 = run to completion) can be served entirely from it.
 func (r *Recording) usableFor(budget uint64) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch r.st {
-	case stateFailed:
+	switch {
+	case r.st != stateDone:
 		return false
-	case stateDone:
-		if r.halted {
-			return true
-		}
+	case r.halted || r.ceiling == 0:
+		return true // the recording holds the whole program or run
 	}
-	// In progress or truncated at the ceiling: the budget must fit.
-	if r.ceiling == 0 {
-		return true // recording runs to halt
-	}
+	// Truncated at the ceiling: the budget must fit.
 	return budget > 0 && budget <= r.ceiling
 }
 
-// publish appends a finished chunk and wakes readers waiting at the head.
-// It returns false when the cache's memory cap vetoed the publication; the
-// caller must then abort the recording.
+// publish appends a finished chunk. It returns false when the cache's
+// memory cap vetoed the publication; the caller must then abort the
+// recording.
 func (r *Recording) publish(c *chunk) bool {
 	if c == nil || c.n == 0 {
 		return true
@@ -136,7 +130,6 @@ func (r *Recording) publish(c *chunk) bool {
 	r.total += uint64(c.n)
 	r.bytes += size
 	r.mu.Unlock()
-	r.cond.Broadcast()
 	return true
 }
 
@@ -147,22 +140,13 @@ func (r *Recording) markDone(halted bool, streamErr error) {
 	r.halted = halted
 	r.err = streamErr
 	r.mu.Unlock()
-	r.cond.Broadcast()
 }
 
-// Fail marks the recording unusable and wakes waiting readers, which then
-// fall back to live emulation (for a granted recording whose run could not
-// even start; a started run fails through Recorder.Abort).
-func (r *Recording) Fail() { r.fail() }
-
-// fail marks the recording unusable and wakes waiting readers, which then
-// fall back to live emulation. Published chunks stay readable (a reader
-// mid-prefix keeps replaying until it reaches the head).
+// fail marks the recording unusable; it is never replayed.
 func (r *Recording) fail() {
 	r.mu.Lock()
 	r.st = stateFailed
 	r.mu.Unlock()
-	r.cond.Broadcast()
 }
 
 // Recorder adapts a live emulator stream into the same Next/Fill iterator
@@ -257,146 +241,49 @@ func (t *Recorder) Finish() {
 // draining pointless). The pass-through contract is unaffected.
 func (t *Recorder) Abort() { t.abort() }
 
-// Reader replays a recording through the Next/Fill iterator contract. A
-// reader that catches up to an in-progress recording blocks until more
-// chunks are published; if the recording fails, the reader transparently
-// falls back to a live emulator stream fast-forwarded past the records it
-// already delivered (the fallback factory is supplied by the simulator).
-//
-// The hot path is lock-free: chunks are immutable once published, so the
-// reader keeps a private snapshot of the chunk table and the published
-// record count and only takes the recording's lock when the cursor reaches
-// the snapshot's edge. The Flywheel core's oracle window pulls one record
-// at a time, so Next in particular must cost no more than an array read.
+// Reader replays a complete recording through the Next/Fill iterator
+// contract. The recording no longer changes, so the reader takes no lock:
+// the Flywheel core's oracle window pulls one record at a time, and Next
+// in particular costs no more than an array read.
 type Reader struct {
 	rec   *Recording
 	limit uint64 // max records to deliver; 0 = all recorded
+	end   uint64 // records this reader delivers: min(limit, recorded)
 	count uint64 // records delivered
-
-	// Local snapshot of the published state (refreshed under the lock).
-	chunks []*chunk
-	avail  uint64
-	// final is the recording's observed end state (stateRecording while it
-	// is still in progress); when final, avail is the full extent.
-	final recState
 
 	ci  int // index of the chunk under the cursor
 	dec decoder
-
-	fallback     func(skip uint64) (*emu.Stream, error)
-	live         *emu.Stream
-	fallbackErr  error
-	fallbackUsed bool
 }
 
-// NewReader returns a replay cursor over rec delivering at most limit
-// records (0 = everything recorded). The fallback factory builds a live
-// stream positioned skip records past the recording's start; it is invoked
-// only if the recording fails mid-read.
-func NewReader(rec *Recording, limit uint64, fallback func(skip uint64) (*emu.Stream, error)) *Reader {
-	return &Reader{rec: rec, limit: limit, fallback: fallback}
-}
-
-// FellBack reports whether the reader switched to live emulation.
-func (r *Reader) FellBack() bool { return r.fallbackUsed }
-
-// refresh blocks until records beyond the cursor are published or the
-// recording reaches a final state, then re-snapshots the published chunks.
-// It reports whether records beyond the cursor are now available; on false
-// the recording ended, failed (fallback activated) or is irrecoverable.
-func (r *Reader) refresh() bool {
-	rec := r.rec
-	rec.mu.Lock()
-	for rec.total <= r.count && rec.st == stateRecording {
-		rec.cond.Wait()
+// NewReader returns a replay cursor over the complete recording rec
+// delivering at most limit records (0 = everything recorded).
+func NewReader(rec *Recording, limit uint64) *Reader {
+	end := rec.total
+	if limit > 0 && limit < end {
+		end = limit
 	}
-	r.chunks = rec.chunks
-	r.avail = rec.total
-	r.final = rec.st
-	rec.mu.Unlock()
-	if r.count < r.avail {
-		return true
-	}
-	if r.final == stateFailed {
-		r.switchToLive()
-	}
-	return false
-}
-
-// switchToLive activates the fallback stream.
-func (r *Reader) switchToLive() {
-	r.fallbackUsed = true
-	if r.fallback == nil {
-		r.fallbackErr = fmt.Errorf("trace: recording %q failed and reader has no fallback", r.rec.key)
-		return
-	}
-	live, err := r.fallback(r.count)
-	if err != nil {
-		r.fallbackErr = fmt.Errorf("trace: fallback for %q: %w", r.rec.key, err)
-		return
-	}
-	r.live = live
+	return &Reader{rec: rec, limit: limit, end: end}
 }
 
 // advanceChunk positions the decoder on the cursor's chunk. The cursor is
-// known to be inside the available snapshot.
+// known to be before the reader's end.
 func (r *Reader) advanceChunk() {
 	if r.dec.c != nil {
 		r.ci++
 	}
-	r.dec = newDecoder(r.chunks[r.ci])
+	r.dec = newDecoder(r.rec.chunks[r.ci])
 }
 
 // Fill batch-delivers records into the caller's buffer (pipe.Filler). Like
 // emu.Stream.Fill it returns the records produced before any terminating
 // condition: limit, end of recording, or a recorded mid-stream fault.
 func (r *Reader) Fill(buf []emu.Trace) int {
-	if r.live != nil {
-		n := r.live.Fill(buf)
-		r.count += uint64(n)
-		return n
-	}
-	if r.fallbackErr != nil {
-		return 0
-	}
-	want := uint64(len(buf))
-	if r.limit > 0 {
-		if r.count >= r.limit {
-			return 0
-		}
-		if left := r.limit - r.count; left < want {
-			want = left
-		}
-	}
 	n := 0
-	for uint64(n) < want {
-		if r.count >= r.avail {
-			exhausted := r.final != stateRecording
-			if exhausted && r.final == stateFailed && r.live == nil {
-				r.switchToLive()
-			} else if !exhausted {
-				exhausted = !r.refresh()
-			}
-			if exhausted {
-				if r.live != nil {
-					m := r.live.Fill(buf[n:int(want)])
-					r.count += uint64(m)
-					return n + m
-				}
-				break // done: everything recorded was delivered
-			}
-		}
+	for n < len(buf) && r.count < r.end {
 		if r.dec.c == nil || r.dec.i >= r.dec.c.n {
 			r.advanceChunk()
 		}
-		c := r.dec.c
-		stop := r.avail - r.count // records left in the snapshot
-		if rem := uint64(c.n - r.dec.i); rem < stop {
-			stop = rem
-		}
-		if left := want - uint64(n); left < stop {
-			stop = left
-		}
+		stop := min(uint64(r.dec.c.n-r.dec.i), r.end-r.count, uint64(len(buf)-n))
 		for k := uint64(0); k < stop; k++ {
 			buf[n] = r.dec.next()
 			n++
@@ -407,12 +294,9 @@ func (r *Reader) Fill(buf []emu.Trace) int {
 }
 
 // Next delivers one record (pipe.InstSource). The common case — the next
-// record sits decoded-side in the current chunk, under the limit — touches
-// no lock and no buffer.
+// record sits in the current chunk, before the end — touches no buffer.
 func (r *Reader) Next() (emu.Trace, bool) {
-	if r.live == nil && r.fallbackErr == nil &&
-		r.count < r.avail && (r.limit == 0 || r.count < r.limit) &&
-		r.dec.c != nil && r.dec.i < r.dec.c.n {
+	if r.count < r.end && r.dec.c != nil && r.dec.i < r.dec.c.n {
 		r.count++
 		return r.dec.next(), true
 	}
@@ -423,23 +307,12 @@ func (r *Reader) Next() (emu.Trace, bool) {
 	return one[0], true
 }
 
-// Err reports a terminating error: the recorded stream's own fault when the
-// reader consumed the full recording, or a fallback failure. A reader that
-// stopped at its own limit reports nil, mirroring a budgeted live stream.
+// Err reports the recorded stream's own fault once the reader consumed the
+// full recording. A reader that stopped at its own limit reports nil,
+// mirroring a budgeted live stream.
 func (r *Reader) Err() error {
-	if r.fallbackErr != nil {
-		return r.fallbackErr
-	}
-	if r.live != nil {
-		return r.live.Err()
-	}
-	if r.limit > 0 && r.count >= r.limit {
+	if r.limit > 0 && r.count >= r.limit || r.count < r.rec.total {
 		return nil
 	}
-	r.rec.mu.Lock()
-	defer r.rec.mu.Unlock()
-	if r.count >= r.rec.total && r.rec.st == stateDone {
-		return r.rec.err
-	}
-	return nil
+	return r.rec.err
 }

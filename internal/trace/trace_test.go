@@ -3,7 +3,6 @@ package trace
 import (
 	"reflect"
 	"strings"
-	"sync"
 	"testing"
 
 	"flywheel/internal/asm"
@@ -65,7 +64,7 @@ func record(t *testing.T, limit uint64) (*Recording, []emu.Trace) {
 		t.Fatal(err)
 	}
 	m := emu.New(prog)
-	rec := newRecording("k", 0, limit)
+	rec := newRecording(0, limit)
 	tr := NewRecorder(rec, emu.NewStream(m, limit))
 	var seen []emu.Trace
 	buf := make([]emu.Trace, 7) // odd size: chunks fill mid-buffer
@@ -82,7 +81,7 @@ func record(t *testing.T, limit uint64) (*Recording, []emu.Trace) {
 
 func replay(t *testing.T, rec *Recording, limit uint64) []emu.Trace {
 	t.Helper()
-	r := NewReader(rec, limit, nil)
+	r := NewReader(rec, limit)
 	var out []emu.Trace
 	buf := make([]emu.Trace, 13)
 	for {
@@ -150,123 +149,77 @@ func TestTruncatedRecordingServesSmallerBudgets(t *testing.T) {
 	}
 }
 
-func TestConcurrentReaderStreamsBehindRecorder(t *testing.T) {
-	prog, err := asm.Assemble("trace-test.s", testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := emu.New(prog)
-	rec := newRecording("k", 0, 0)
-	trc := NewRecorder(rec, emu.NewStream(m, 0))
-
-	var wg sync.WaitGroup
-	wg.Add(1)
-	var got []emu.Trace
-	go func() {
-		defer wg.Done()
-		r := NewReader(rec, 0, nil)
-		buf := make([]emu.Trace, 64)
-		for {
-			n := r.Fill(buf) // blocks while it is ahead of the recorder
-			if n == 0 {
-				return
-			}
-			got = append(got, buf[:n]...)
-		}
-	}()
-
-	var want []emu.Trace
-	buf := make([]emu.Trace, 64)
-	for {
-		n := trc.Fill(buf)
-		if n == 0 {
-			break
-		}
-		want = append(want, buf[:n]...)
-	}
-	trc.Finish()
-	wg.Wait()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("concurrent reader saw a different stream than the recorder delivered")
-	}
-}
-
-func TestFailedRecordingFallsBackMidStream(t *testing.T) {
-	prog, err := asm.Assemble("trace-test.s", testProgram)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := liveRecords(t, 0)
-	m := emu.New(prog)
-	rec := newRecording("k", 0, 0)
-	trc := NewRecorder(rec, emu.NewStream(m, 0))
-
-	// Record ~3 chunks worth, then abort (as a dying timing run would).
-	buf := make([]emu.Trace, 64)
-	pulled := 0
-	for pulled < 3*chunkRecords {
-		n := trc.Fill(buf)
-		if n == 0 {
-			break
-		}
-		pulled += n
-	}
-	trc.Abort()
-
-	fallback := func(skip uint64) (*emu.Stream, error) {
-		fm := emu.New(prog)
-		if _, err := fm.Run(skip); err != nil {
-			return nil, err
-		}
-		return emu.NewStream(fm, 0), nil
-	}
-	r := NewReader(rec, 0, fallback)
-	var got []emu.Trace
-	for {
-		n := r.Fill(buf)
-		if n == 0 {
-			break
-		}
-		got = append(got, buf[:n]...)
-	}
-	if err := r.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if !r.FellBack() {
-		t.Fatal("reader should have fallen back to live emulation")
-	}
-	if !reflect.DeepEqual(got, live) {
-		t.Fatalf("fallback replay diverged: got %d records, want %d", len(got), len(live))
-	}
-}
-
 func TestCacheGrantsAndStats(t *testing.T) {
 	c := NewCache(Policy{})
 	g := c.Acquire("w", 0, 500, nil)
 	if g.Record == nil {
 		t.Fatal("first acquisition must record")
 	}
-	// In-flight, covered budget: replay grant (would block; don't read it).
-	if g2 := c.Acquire("w", 0, 100, nil); g2.Replay == nil {
-		t.Fatal("covered budget during recording must replay")
-	}
-	// In-flight, larger budget: bypass.
-	if g3 := c.Acquire("w", 0, 900, nil); g3.Record != nil || g3.Replay != nil {
-		t.Fatal("uncovered budget during recording must bypass")
+	// In flight, covered or not: bypass. Only a complete recording replays.
+	for _, budget := range []uint64{100, 900} {
+		if g2 := c.Acquire("w", 0, budget, nil); g2.Record != nil || g2.Replay != nil {
+			t.Fatalf("budget %d during recording must bypass", budget)
+		}
 	}
 	s := c.Stats()
-	if s.Misses != 1 || s.Hits != 1 || s.Bypasses != 1 {
-		t.Fatalf("stats = %+v, want 1 miss / 1 hit / 1 bypass", s)
+	if s.Misses != 1 || s.Hits != 0 || s.Bypasses != 2 {
+		t.Fatalf("stats = %+v, want 1 miss / 0 hits / 2 bypasses", s)
 	}
 
-	// Complete the recording truncated at its ceiling; a bigger budget then
-	// replaces it with a fresh recording, a covered one replays.
+	// Complete the recording truncated at its ceiling: a covered budget
+	// replays, a bigger one replaces it with a fresh recording.
 	g.Record.markDone(false, nil)
-	if g4 := c.Acquire("w", 0, 900, nil); g4.Record == nil {
+	if g3 := c.Acquire("w", 0, 100, nil); g3.Replay == nil {
+		t.Fatal("covered budget of a complete recording must replay")
+	}
+	g4 := c.Acquire("w", 0, 900, nil)
+	if g4.Record == nil {
 		t.Fatal("budget past a truncated recording's ceiling must re-record")
 	}
-	if g5 := c.Acquire("w", 0, 900, nil); g5.Replay == nil {
-		t.Fatal("second covered acquisition must replay the in-flight replacement")
+	if g5 := c.Acquire("w", 0, 900, nil); g5.Record != nil || g5.Replay != nil {
+		t.Fatal("acquisition during the replacement recording must bypass")
+	}
+	g4.Record.markDone(false, nil)
+	if g6 := c.Acquire("w", 0, 900, nil); g6.Replay == nil {
+		t.Fatal("covered acquisition after the replacement completed must replay")
+	}
+}
+
+// TestCacheResetDuringRecordingLeaksNoBytes: a recording in flight when
+// the cache is reset finishes outside it, so its chunks must not count
+// against the cache, and a fresh recording of the key counts only its own.
+func TestCacheResetDuringRecordingLeaksNoBytes(t *testing.T) {
+	prog, err := asm.Assemble("seek-test.s", seekProgram)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recordAll := func(trc *Recorder) {
+		buf := make([]emu.Trace, 64)
+		for trc.Fill(buf) > 0 {
+		}
+	}
+	c := NewCache(Policy{})
+	g := c.Acquire("w", 0, 0, nil)
+	trc := NewRecorder(g.Record, emu.NewStream(emu.New(prog), 0))
+	c.Reset()
+	recordAll(trc)
+	c.FinishRecorder(trc, nil)
+	if g.Record.Bytes() == 0 {
+		t.Fatal("orphaned recording published nothing")
+	}
+	if s := c.Stats(); s.Entries != 0 || s.ResidentBytes != 0 {
+		t.Fatalf("after a reset mid-recording: %d entries, %d resident bytes, want 0 and 0", s.Entries, s.ResidentBytes)
+	}
+
+	g2 := c.Acquire("w", 0, 0, nil)
+	if g2.Record == nil {
+		t.Fatal("reset key must record afresh")
+	}
+	trc2 := NewRecorder(g2.Record, emu.NewStream(emu.New(prog), 0))
+	recordAll(trc2)
+	c.FinishRecorder(trc2, nil)
+	if s := c.Stats(); s.Entries != 1 || s.ResidentBytes != g2.Record.Bytes() {
+		t.Fatalf("re-recorded key: %d entries, %d resident bytes, want 1 and %d", s.Entries, s.ResidentBytes, g2.Record.Bytes())
 	}
 }
 
@@ -321,8 +274,7 @@ func TestSetPolicyClearsCapBlacklist(t *testing.T) {
 
 // TestEncoderRejectsUnreconstructableRecords: a record the encoding could
 // not reproduce on decode must fail appendRecord and abort the recording,
-// and a reader of the aborted recording must fall back to live emulation
-// and still deliver exactly the live stream.
+// and the aborted recording must never be granted as a replay.
 func TestEncoderRejectsUnreconstructableRecords(t *testing.T) {
 	prog, err := asm.Assemble("seek-test.s", seekProgram)
 	if err != nil {
@@ -373,13 +325,6 @@ func TestEncoderRejectsUnreconstructableRecords(t *testing.T) {
 			return jalr + 1
 		}, "not the program's instruction"},
 	}
-	fallback := func(skip uint64) (*emu.Stream, error) {
-		m := emu.New(prog)
-		if _, err := m.Run(skip); err != nil {
-			return nil, err
-		}
-		return emu.NewStream(m, 0), nil
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			recs := append([]emu.Trace(nil), live...)
@@ -395,22 +340,18 @@ func TestEncoderRejectsUnreconstructableRecords(t *testing.T) {
 				t.Fatalf("appendRecord(record %d) = %v, want an error containing %q", bad, err, tc.wantErr)
 			}
 
-			rec := newRecording("k", 0, 0)
-			trc := NewRecorder(rec, emu.NewStream(emu.New(prog), 0))
+			c := NewCache(Policy{})
+			g := c.Acquire("k", 0, 0, nil)
+			trc := NewRecorder(g.Record, emu.NewStream(emu.New(prog), 0))
 			for _, tr := range recs {
 				trc.observe(tr)
 			}
-			trc.Finish()
-			if done, _ := rec.Complete(); done {
+			c.FinishRecorder(trc, nil)
+			if done, _ := g.Record.Complete(); done {
 				t.Fatal("recording with a rejected record completed")
 			}
-			r := NewReader(rec, 0, fallback)
-			got := drainReader(t, r)
-			if !r.FellBack() {
-				t.Fatal("reader of the aborted recording did not fall back to live emulation")
-			}
-			if !reflect.DeepEqual(got, live) {
-				t.Fatalf("fallback delivered %d records diverging from the %d live ones", len(got), len(live))
+			if g2 := c.Acquire("k", 0, 0, nil); g2.Replay != nil {
+				t.Fatal("the aborted recording was granted as a replay")
 			}
 		})
 	}
