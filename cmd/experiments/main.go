@@ -35,7 +35,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		fig      = fs.String("fig", "all", "experiment: 1, 2, t1, t2, 11, 12, 13, 14, 15, residency or all (comma-separated)")
-		n        = fs.Uint64("n", 300_000, "measured dynamic instructions per run")
+		n        = fs.Uint64("n", 300_000, "measured dynamic instructions per run (0 = to completion)")
 		node     = fs.Float64("node", 0.13, "technology node in um for figures 2 and 11-14")
 		parallel = fs.Int("parallel", 0, "simulation worker-pool size (0 = GOMAXPROCS)")
 		markdown = fs.Bool("md", false, "emit markdown tables")

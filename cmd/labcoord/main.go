@@ -14,15 +14,13 @@
 //	curl -s -X POST localhost:8080/v1/sweep -d '{"jobs":[...]}'
 //	curl -s localhost:8080/v1/stats   # cluster-wide, per-worker breakdown
 //
-// Failure policy: per-shard retry with jittered exponential backoff across
-// replicas, hedged duplicate requests when a shard runs past its p99,
-// per-job deadlines so a stalled worker fails over instead of hanging a
-// sweep, a per-worker circuit breaker (repeated transport failures eject a
-// worker from routing; background health probes re-admit it after
-// -breaker-cooldown), bounded in-flight jobs per shard with 503 +
-// Retry-After once -max-pending is exceeded, and work stealing from skewed
-// shards. POST /v1/scrub fans an integrity audit out to every worker. See
-// DESIGN.md.
+// Failure policy: a transport failure moves the job to the next ring
+// replica after a jittered delay (-retry-backoff), hedged duplicate
+// requests go out when a shard runs past its p99, per-job deadlines make a
+// stalled worker fail over instead of hanging a sweep, in-flight jobs per
+// shard are bounded with 503 + Retry-After once -max-pending is exceeded,
+// and idle shards steal from skewed ones. POST /v1/scrub fans an integrity
+// audit out to every worker. See DESIGN.md.
 package main
 
 import (
@@ -62,12 +60,8 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 		inflight = fs.Int("max-inflight", 4, "concurrent requests per worker shard")
 		pending  = fs.Int("max-pending", 16384, "admitted-job cap before /v1/sweep sheds load with 503")
 		hedge    = fs.Duration("hedge-min", 250*time.Millisecond, "minimum stall before hedging a job to a replica (0 disables hedging)")
-		backoff  = fs.Duration("retry-backoff", 50*time.Millisecond, "base delay between retries of a failed shard request (doubles per retry, jittered)")
-		backmax  = fs.Duration("retry-backoff-max", 2*time.Second, "ceiling on the per-retry backoff")
+		backoff  = fs.Duration("retry-backoff", 50*time.Millisecond, "delay before a failed shard request moves to the next replica (jittered over its upper half)")
 		jobto    = fs.Duration("job-timeout", 2*time.Minute, "per-job deadline on a single worker request; an accepted-but-stalled job fails over to a replica (0 = default, negative disables)")
-		brkN     = fs.Int("breaker-threshold", 5, "consecutive transport failures before a worker is ejected from routing")
-		brkCool  = fs.Duration("breaker-cooldown", 5*time.Second, "how long an ejected worker sits out before a trial request may re-admit it")
-		probe    = fs.Duration("probe-interval", 2*time.Second, "background health-probe period driving breaker rejoin (0 disables the probe loop)")
 		wait     = fs.Duration("wait", 10*time.Second, "how long to wait at startup for every worker to report healthy (0 skips the gate)")
 		drain    = fs.Duration("drain", 30*time.Second, "graceful-shutdown deadline for in-flight requests on SIGINT/SIGTERM")
 	)
@@ -106,11 +100,7 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 		MaxPending:          *pending,
 		HedgeDelayMin:       hedgeMin,
 		RetryBackoff:        *backoff,
-		RetryBackoffMax:     *backmax,
 		JobTimeout:          *jobto,
-		BreakerThreshold:    *brkN,
-		BreakerCooldown:     *brkCool,
-		ProbeInterval:       *probe,
 		Logf: func(format string, args ...any) {
 			logMu.Lock()
 			defer logMu.Unlock()
@@ -139,14 +129,6 @@ func run(args []string, stdout, stderr io.Writer, ctl *control) int {
 	fmt.Fprintf(stdout, "labcoord: listening on %s, workers %s\n", ln.Addr(), strings.Join(urls, " "))
 	if ctl != nil && ctl.ready != nil {
 		ctl.ready <- ln.Addr().String()
-	}
-
-	// Background health probes drive breaker rejoin even when no sweep
-	// traffic reaches an ejected worker; they die with the process.
-	if *probe > 0 {
-		probeCtx, cancelProbes := context.WithCancel(context.Background())
-		defer cancelProbes()
-		coord.StartHealthProbes(probeCtx)
 	}
 
 	srv := labd.NewHTTPServer(coord.Handler())

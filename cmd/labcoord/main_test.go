@@ -157,16 +157,14 @@ func TestBadFlags(t *testing.T) {
 }
 
 // TestResilienceFlagsAndScrub: the packaged coordinator accepts the
-// breaker/probe/deadline flags, surfaces per-worker breaker state on
-// /v1/health, and fans POST /v1/scrub out to every worker.
+// failover/hedge/deadline flags, reports every worker on /v1/health, and
+// fans POST /v1/scrub out to every worker.
 func TestResilienceFlagsAndScrub(t *testing.T) {
 	workers := startWorkers(t, 2)
 	addr, _ := startCoord(t, workers,
-		"-breaker-threshold", "2",
-		"-breaker-cooldown", "100ms",
-		"-probe-interval", "25ms",
+		"-retry-backoff", "10ms",
+		"-hedge-min", "100ms",
 		"-job-timeout", "30s",
-		"-retry-backoff-max", "1s",
 	)
 
 	resp, err := http.Get("http://" + addr + "/v1/health")
@@ -178,12 +176,12 @@ func TestResilienceFlagsAndScrub(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
 		t.Fatal(err)
 	}
-	if len(health.Breakers) != 2 {
-		t.Fatalf("health lists %d breakers, want 2: %+v", len(health.Breakers), health)
+	if health.Status != "ok" || len(health.Workers) != 2 {
+		t.Fatalf("health: %+v, want ok with 2 workers", health)
 	}
 	for _, u := range workers {
-		if health.Breakers[u] != "closed" {
-			t.Fatalf("breaker for %s is %q, want closed", u, health.Breakers[u])
+		if !health.Workers[u] {
+			t.Fatalf("worker %s reported unhealthy: %+v", u, health)
 		}
 	}
 

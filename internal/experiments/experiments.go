@@ -29,7 +29,8 @@ import (
 
 // Options configures the experiment runs.
 type Options struct {
-	// Instructions is the measured dynamic instruction budget per run.
+	// Instructions is the measured dynamic instruction budget per run;
+	// zero runs each kernel to completion.
 	Instructions uint64
 	// Node is the technology point for the timing/power experiments
 	// (Figures 11-14); Figure 15 sweeps its own nodes.
@@ -50,9 +51,6 @@ func DefaultOptions() Options {
 }
 
 func (o Options) normalize() Options {
-	if o.Instructions == 0 {
-		o.Instructions = 300_000
-	}
 	if o.Node == 0 {
 		o.Node = cacti.Node130
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flywheel/internal/cacti"
+	"flywheel/internal/sim"
 )
 
 // tinyOptions keeps the smoke tests fast; cmd/experiments runs full budgets.
@@ -28,6 +29,20 @@ func lastCell(t *testing.T, rows [][]string, col int) float64 {
 		t.Fatalf("cell %q: %v", avg[col], err)
 	}
 	return v
+}
+
+// TestZeroInstructionsRunsToCompletion: a zero budget reaches the jobs as
+// zero, which the simulator reads as "run the kernel to completion", as
+// flywheelsim -n 0 and sim.RunConfig{MaxInstructions: 0} do; the default
+// budget lives in DefaultOptions alone.
+func TestZeroInstructionsRunsToCompletion(t *testing.T) {
+	opt := Options{Node: cacti.Node130}.normalize()
+	if j := opt.job("gzip", sim.ArchFlywheel, 50, 50); j.MaxInstructions != 0 {
+		t.Fatalf("zero budget reached the job as %d instructions", j.MaxInstructions)
+	}
+	if DefaultOptions().Instructions != 300_000 {
+		t.Fatalf("default budget %d, want 300000", DefaultOptions().Instructions)
+	}
 }
 
 func TestFigure1AndTable1Static(t *testing.T) {

@@ -36,28 +36,16 @@ type Options struct {
 	// count; a sweep that would exceed it (while others are in flight) is
 	// rejected with 503 + Retry-After. Zero defaults to 16384.
 	MaxPending int
-	// RetryBackoff is the base delay before retrying a failed shard
-	// request on the next replica; it doubles per attempt up to
-	// RetryBackoffMax, with full jitter so concurrent retries spread out
-	// instead of stampeding a recovering worker. Zero defaults to 50ms.
+	// RetryBackoff bounds the delay before a failed shard request moves
+	// to the next replica: each retry waits a uniform draw over
+	// [RetryBackoff/2, RetryBackoff], so concurrent failures spread out
+	// instead of stampeding the replica. Zero defaults to 50ms.
 	RetryBackoff time.Duration
-	// RetryBackoffMax caps the exponential growth. Zero defaults to 2s.
-	RetryBackoffMax time.Duration
 	// JobTimeout bounds one job request to one shard: a worker that
 	// accepts a request and then never writes its line is failed over
 	// instead of hanging the sweep. Zero defaults to 2m; negative
 	// disables the deadline.
 	JobTimeout time.Duration
-	// BreakerThreshold is the consecutive transport-failure count that
-	// trips a shard's circuit breaker (ejecting it from routing). Zero
-	// defaults to 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long a tripped shard stays ejected before
-	// trial traffic may re-admit it. Zero defaults to 5s.
-	BreakerCooldown time.Duration
-	// ProbeInterval paces StartHealthProbes' background health checks.
-	// Zero defaults to 2s.
-	ProbeInterval time.Duration
 	// HedgeDelayMin floors the hedging trigger: a job is duplicated to the
 	// next replica when its shard has not answered within
 	// max(HedgeDelayMin, shard p99). Zero defaults to 250ms; negative
@@ -99,20 +87,8 @@ func (o *Options) fill() error {
 	if o.RetryBackoff <= 0 {
 		o.RetryBackoff = 50 * time.Millisecond
 	}
-	if o.RetryBackoffMax <= 0 {
-		o.RetryBackoffMax = 2 * time.Second
-	}
 	if o.JobTimeout == 0 {
 		o.JobTimeout = 2 * time.Minute
-	}
-	if o.BreakerThreshold <= 0 {
-		o.BreakerThreshold = 5
-	}
-	if o.BreakerCooldown <= 0 {
-		o.BreakerCooldown = 5 * time.Second
-	}
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 2 * time.Second
 	}
 	if o.HedgeDelayMin == 0 {
 		o.HedgeDelayMin = 250 * time.Millisecond
@@ -139,7 +115,6 @@ type shard struct {
 	url    string
 	client *labd.Client
 	sem    chan struct{}
-	brk    breaker
 
 	requests atomic.Uint64
 	failures atomic.Uint64
@@ -194,7 +169,6 @@ type Coordinator struct {
 	steals   atomic.Uint64
 	rejected atomic.Uint64
 	dropped  atomic.Uint64
-	probes   atomic.Uint64
 }
 
 // New builds a coordinator over the given workers. It does not contact
@@ -213,15 +187,14 @@ func New(opt Options) (*Coordinator, error) {
 	for _, url := range c.order {
 		cl := labd.NewClient(url)
 		cl.HTTPClient = opt.HTTPClient
-		// The fabric owns failure policy — retry on a replica, hedge,
-		// breaker — so its shard clients must fail fast, not resume
-		// against the same possibly-dead worker.
+		// The fabric owns failure policy — retry on a replica, hedge —
+		// so its shard clients must fail fast, not resume against the
+		// same possibly-dead worker.
 		cl.MaxResumes = -1
 		c.shards[url] = &shard{
 			url:    url,
 			client: cl,
 			sem:    make(chan struct{}, opt.MaxInFlightPerShard),
-			brk:    breaker{threshold: opt.BreakerThreshold, cooldown: opt.BreakerCooldown},
 		}
 	}
 	return c, nil
@@ -337,7 +310,7 @@ func (c *Coordinator) Sweep(ctx context.Context, jobs []lab.Job, emit func(labd.
 	keys := make([]string, len(jobs))
 	for i, j := range jobs {
 		keys[i] = j.Key()
-		queues.push(c.routeOwner(keys[i]), i)
+		queues.push(c.ring.Owner(keys[i]), i)
 	}
 
 	ready := make([]chan labd.SweepLine, len(jobs))
@@ -388,12 +361,12 @@ func (c *Coordinator) Sweep(ctx context.Context, jobs []lab.Job, emit func(labd.
 	return nil
 }
 
-// runJob executes one job with the full failure policy: try the executing
-// shard, hedge to the next candidate when the shard's p99 says it is
-// running long, and retry with backoff on transport failure. Job-level
-// errors from a worker are terminal (retrying a deterministic failure
-// elsewhere reproduces it). The first successful answer wins; straggling
-// duplicates are canceled.
+// runJob executes one job with the fabric's failure policy: try the
+// executing shard, hedge to the next candidate when the shard's p99 says
+// it is running long, and on transport failure move to the next candidate
+// after a jittered delay. Job-level errors from a worker are terminal
+// (retrying a deterministic failure elsewhere reproduces it). The first
+// successful answer wins; straggling duplicates are canceled.
 func (c *Coordinator) runJob(ctx context.Context, execer *shard, job lab.Job, key string) labd.SweepLine {
 	cands := c.candidates(execer, key)
 	actx, acancel := context.WithCancel(ctx)
@@ -418,30 +391,34 @@ func (c *Coordinator) runJob(ctx context.Context, execer *shard, job lab.Job, ke
 
 	hedge := time.NewTimer(c.hedgeDelay(execer))
 	defer hedge.Stop()
-	var lastErr error
+	// retry fires once a failure's delay has elapsed; it is nil while no
+	// retry is pending. Waiting in the select rather than in a sleep lets
+	// an in-flight hedge's answer win meanwhile.
+	var retry <-chan time.Time
 	for {
 		select {
 		case <-ctx.Done():
 			return labd.SweepLine{Error: ctx.Err().Error()}
 		case <-hedge.C:
-			if c.opt.HedgeDelayMin > 0 && next < len(cands) {
+			// A pending retry already claims the next candidate: one
+			// failure must not cost both a retry and a hedge.
+			if c.opt.HedgeDelayMin > 0 && retry == nil && next < len(cands) {
 				c.hedges.Add(1)
 				launch()
 			}
+		case <-retry:
+			retry = nil
+			c.retries.Add(1)
+			launch()
 		case a := <-results:
 			inflight--
 			if a.err == nil {
 				return a.line
 			}
-			lastErr = a.err
-			if next < len(cands) {
-				c.retries.Add(1)
-				if !sleepCtx(ctx, c.retryDelay(next)) {
-					return labd.SweepLine{Error: ctx.Err().Error()}
-				}
-				launch()
-			} else if inflight == 0 {
-				return labd.SweepLine{Error: lastErr.Error()}
+			if retry == nil && next < len(cands) {
+				retry = time.After(c.retryDelay())
+			} else if retry == nil && inflight == 0 {
+				return labd.SweepLine{Error: a.err.Error()}
 			}
 		}
 	}
@@ -450,10 +427,7 @@ func (c *Coordinator) runJob(ctx context.Context, execer *shard, job lab.Job, ke
 // candidates orders the shards a job may run on: the shard that dequeued
 // it first (cache-warm for owners, already-idle for stealers), then the
 // ring owners it is not, so failover lands on the replicas that may
-// already hold the result on disk. Shards with an open breaker sink to
-// the back as a last resort — a job is never starved even with the whole
-// cluster ejected, and that desperate request doubles as the breaker's
-// half-open trial.
+// already hold the result on disk.
 func (c *Coordinator) candidates(execer *shard, key string) []*shard {
 	cands := []*shard{execer}
 	for _, url := range c.ring.Owners(key, c.opt.Replicas) {
@@ -461,45 +435,16 @@ func (c *Coordinator) candidates(execer *shard, key string) []*shard {
 			cands = append(cands, c.shards[url])
 		}
 	}
-	var up, down []*shard
-	for _, sh := range cands {
-		if sh.brk.routable() {
-			up = append(up, sh)
-		} else {
-			down = append(down, sh)
-		}
-	}
-	return append(up, down...)
+	return cands
 }
 
-// routeOwner picks the shard a job queues on: its first ring owner whose
-// breaker admits traffic, so an ejected worker's keys fail over to their
-// replicas (whose stores they warm) instead of queueing on a corpse. With
-// every owner ejected the primary keeps the job.
-func (c *Coordinator) routeOwner(key string) string {
-	owners := c.ring.Owners(key, len(c.order))
-	for _, url := range owners {
-		if c.shards[url].brk.routable() {
-			return url
-		}
-	}
-	return owners[0]
-}
-
-// retryDelay is exponential backoff with full jitter: attempt n (1-based)
-// draws uniformly from [base·2ⁿ⁻¹/2, base·2ⁿ⁻¹], capped at
-// RetryBackoffMax, so concurrent retries against a recovering worker
-// spread out instead of arriving as a synchronized wave.
-func (c *Coordinator) retryDelay(attempt int) time.Duration {
-	d := c.opt.RetryBackoff
-	for i := 1; i < attempt && d < c.opt.RetryBackoffMax; i++ {
-		d *= 2
-	}
-	if d > c.opt.RetryBackoffMax {
-		d = c.opt.RetryBackoffMax
-	}
-	half := d / 2
-	return half + rand.N(half+1)
+// retryDelay draws a failover delay uniformly from [RetryBackoff/2,
+// RetryBackoff], so concurrent retries spread out over the replica
+// instead of arriving as a synchronized wave. The delay does not grow per
+// attempt: each attempt of a job goes to a different shard.
+func (c *Coordinator) retryDelay() time.Duration {
+	half := c.opt.RetryBackoff / 2
+	return half + rand.N(c.opt.RetryBackoff-half+1)
 }
 
 func (c *Coordinator) hedgeDelay(sh *shard) time.Duration {
@@ -538,72 +483,23 @@ func (c *Coordinator) oneRequest(ctx context.Context, sh *shard, job lab.Job) (l
 		// Complete reply; a job-level error rides in the line and is
 		// terminal — the simulation is deterministic, so another shard
 		// would fail identically.
-		sh.brk.onSuccess()
 		return lines[0], nil
 	}
 	if err == nil {
 		err = fmt.Errorf("fabric: %s returned %d lines for 1 job", sh.url, len(lines))
 	}
 	sh.failures.Add(1)
-	if ctx.Err() == nil {
-		// Shard health signal — but not when the "failure" is our own
-		// cancellation (a hedged straggler reeled in, or the sweep ending).
-		sh.brk.onFailure()
-	}
 	c.opt.Logf("fabric: %s: %v", sh.url, err)
 	return labd.SweepLine{}, fmt.Errorf("fabric: %s: %w", sh.url, err)
 }
 
-// StartHealthProbes launches the background loop feeding the per-shard
-// circuit breakers independently of sweep traffic: every ProbeInterval
-// each shard's /v1/health is checked (an open breaker is left alone until
-// its cooldown elapses, then the probe is its half-open trial). Probe
-// successes rejoin ejected shards even when no sweeps are running; probe
-// failures eject a silently dead worker before a sweep trips over it.
-// The loop stops when ctx ends.
-func (c *Coordinator) StartHealthProbes(ctx context.Context) {
-	go func() {
-		t := time.NewTicker(c.opt.ProbeInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-			}
-			c.probeOnce(ctx)
-		}
-	}()
-}
-
-// probeOnce checks every due shard's health and feeds the results to the
-// breakers. Exposed to tests via Coordinator internals.
-func (c *Coordinator) probeOnce(ctx context.Context) {
-	var due []string
-	for _, url := range c.order {
-		if c.shards[url].brk.probeDue() {
-			due = append(due, url)
-		}
-	}
-	for i, err := range c.health(ctx, due) {
-		sh := c.shards[due[i]]
-		switch {
-		case err == nil:
-			sh.brk.onSuccess()
-		case ctx.Err() == nil:
-			old := sh.brk.label()
-			sh.brk.onFailure()
-			if now := sh.brk.label(); now == "open" && old != "open" {
-				c.opt.Logf("fabric: breaker opened for %s: %v", sh.url, err)
-			}
-		}
-	}
-	c.probes.Add(1)
-}
+// workerCallTimeout bounds each per-worker health or stats call, so a
+// worker that accepts a connection and never answers cannot hold the
+// caller.
+const workerCallTimeout = 2 * time.Second
 
 // health checks the named workers' /v1/health concurrently and returns one
-// error per worker, nil for a worker that answered "ok". Each call is
-// bounded by ProbeInterval, so one stalled worker cannot hold the caller.
+// error per worker, nil for a worker that answered "ok".
 func (c *Coordinator) health(ctx context.Context, urls []string) []error {
 	errs := make([]error, len(urls))
 	c.eachWorker(ctx, urls, func(ctx context.Context, i int, sh *shard) {
@@ -617,7 +513,7 @@ func (c *Coordinator) health(ctx context.Context, urls []string) []error {
 }
 
 // eachWorker calls fn for each named worker concurrently, passing the
-// worker's index in urls and a context bounded by ProbeInterval, and
+// worker's index in urls and a context bounded by workerCallTimeout, and
 // returns when every call has.
 func (c *Coordinator) eachWorker(ctx context.Context, urls []string, fn func(ctx context.Context, i int, sh *shard)) {
 	var wg sync.WaitGroup
@@ -625,28 +521,12 @@ func (c *Coordinator) eachWorker(ctx context.Context, urls []string, fn func(ctx
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			wctx, cancel := context.WithTimeout(ctx, c.opt.ProbeInterval)
+			wctx, cancel := context.WithTimeout(ctx, workerCallTimeout)
 			defer cancel()
 			fn(wctx, i, c.shards[url])
 		}()
 	}
 	wg.Wait()
-}
-
-// sleepCtx sleeps d or until ctx ends; it reports whether the full sleep
-// elapsed.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
 }
 
 // admit reserves n job slots, enforcing the pending cap. A lone oversized

@@ -84,6 +84,22 @@ func testBatch(n int) []lab.Job {
 	return jobs
 }
 
+// busiest returns the index in urls of the worker that owns the most of
+// jobs' keys on ring.
+func busiest(ring *Ring, urls []string, jobs []lab.Job) int {
+	owned := make([]int, len(urls))
+	for _, j := range jobs {
+		owned[slices.Index(urls, ring.Owner(j.Key()))]++
+	}
+	best := 0
+	for i, n := range owned {
+		if n > owned[best] {
+			best = i
+		}
+	}
+	return best
+}
+
 // collectSweep runs a sweep through the coordinator and returns the lines.
 func collectSweep(t *testing.T, c *Coordinator, jobs []lab.Job, mid func(i int)) []labd.SweepLine {
 	t.Helper()
@@ -156,15 +172,18 @@ func TestClusterMatchesInProcess(t *testing.T) {
 
 // TestClusterSurvivesWorkerKill: killing one of three workers mid-sweep
 // exercises the retry/failover path; the merged stream still matches the
-// in-process run line for line.
+// in-process run line for line. The victim is the worker that owns the
+// most jobs, so the kill meets queued work whatever ports the test
+// servers got.
 func TestClusterSurvivesWorkerKill(t *testing.T) {
 	tc := startCluster(t, 3, nil)
 	jobs := testBatch(36)
+	victim := busiest(tc.coord.ring, tc.urls, jobs)
 	killed := false
 	lines := collectSweep(t, tc.coord, jobs, func(done int) {
 		if done == 5 && !killed {
 			killed = true
-			tc.kill(1)
+			tc.kill(victim)
 		}
 	})
 	assertMatchesInProcess(t, jobs, lines)
@@ -507,8 +526,8 @@ func TestClusterStatsAndHealth(t *testing.T) {
 
 // TestHealthAndStatsBoundStalledWorker: a worker that accepts connections
 // and never answers must not hold the coordinator's /v1/health or
-// /v1/stats. Each per-worker call gives up after ProbeInterval, so both
-// answer within about two intervals and name the stalled worker.
+// /v1/stats. Each per-worker call gives up after workerCallTimeout, so
+// both answer within about two timeouts and name the stalled worker.
 func TestHealthAndStatsBoundStalledWorker(t *testing.T) {
 	good := httptest.NewServer(labd.NewServer(lab.NewCache()).Handler())
 	t.Cleanup(good.Close)
@@ -516,8 +535,8 @@ func TestHealthAndStatsBoundStalledWorker(t *testing.T) {
 		<-r.Context().Done()
 	}))
 	t.Cleanup(stall.Close)
-	const probe = 250 * time.Millisecond
-	coord, err := New(Options{Workers: []string{good.URL, stall.URL}, ProbeInterval: probe, Logf: t.Logf})
+	const probe = workerCallTimeout
+	coord, err := New(Options{Workers: []string{good.URL, stall.URL}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

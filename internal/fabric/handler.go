@@ -24,11 +24,6 @@ type WorkerStats struct {
 	Requests uint64  `json:"requests"`
 	Failures uint64  `json:"failures"`
 	P99Ms    float64 `json:"p99_ms"`
-	// Breaker is the shard's circuit-breaker state (closed / open /
-	// half-open); Trips and Rejoins count its lifecycle transitions.
-	Breaker        string `json:"breaker"`
-	BreakerTrips   uint64 `json:"breaker_trips"`
-	BreakerRejoins uint64 `json:"breaker_rejoins"`
 	// Stats is the worker's own /v1/stats reply; Error is set instead when
 	// the worker was unreachable.
 	Stats *labd.StatsReply `json:"stats,omitempty"`
@@ -45,8 +40,6 @@ type CoordStats struct {
 	Rejected       uint64 `json:"rejected"`
 	DroppedReplies uint64 `json:"dropped_replies"`
 	Pending        int64  `json:"pending"`
-	// ProbeRounds counts StartHealthProbes sweeps over the cluster.
-	ProbeRounds uint64 `json:"probe_rounds"`
 }
 
 // ClusterStats is the coordinator's /v1/stats body. Cache sums the
@@ -73,10 +66,6 @@ type ClusterStats struct {
 type ClusterHealth struct {
 	Status  string          `json:"status"` // "ok" when every worker is; "degraded" when some are
 	Workers map[string]bool `json:"workers"`
-	// Breakers maps each worker to its circuit-breaker state; any open
-	// breaker also degrades Status (the shard is ejected from routing even
-	// if a fresh probe would reach it).
-	Breakers map[string]string `json:"breakers"`
 }
 
 // Handler returns the coordinator's HTTP routes.
@@ -151,7 +140,6 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Rejected:       c.rejected.Load(),
 			DroppedReplies: c.dropped.Load(),
 			Pending:        c.pending.Load(),
-			ProbeRounds:    c.probes.Load(),
 		},
 		UptimeSeconds: time.Since(c.start).Seconds(),
 	}
@@ -167,9 +155,7 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 			Requests: sh.requests.Load(),
 			Failures: sh.failures.Load(),
 			P99Ms:    float64(sh.p99()) / float64(time.Millisecond),
-			Breaker:  sh.brk.label(),
 		}
-		ws.BreakerTrips, ws.BreakerRejoins = sh.brk.counters()
 		if err := errs[i]; err != nil {
 			ws.Error = err.Error()
 		} else {
@@ -193,15 +179,12 @@ func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
 
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	reply := ClusterHealth{
-		Status:   "ok",
-		Workers:  make(map[string]bool, len(c.order)),
-		Breakers: make(map[string]string, len(c.order)),
+		Status:  "ok",
+		Workers: make(map[string]bool, len(c.order)),
 	}
 	for i, err := range c.health(r.Context(), c.order) {
-		url := c.order[i]
-		reply.Workers[url] = err == nil
-		reply.Breakers[url] = c.shards[url].brk.label()
-		if err != nil || reply.Breakers[url] == "open" {
+		reply.Workers[c.order[i]] = err == nil
+		if err != nil {
 			reply.Status = "degraded"
 		}
 	}
