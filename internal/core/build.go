@@ -24,7 +24,6 @@ func (c *Core) fetch(now int64) {
 	if len(group) == 0 {
 		return
 	}
-	c.stats.FetchGroups++
 	hit := c.cfg.Mem.L1I.HitLatency
 	depth := int64(hit + c.cfg.DecodeStages)
 	readyAt := now + depth*p
@@ -126,7 +125,6 @@ func (c *Core) buildIssue(now int64) {
 	record := c.builder != nil
 	for _, d := range selected {
 		c.executeInst(d, now, p)
-		c.stats.IssuedBuild++
 		c.stats.UpdateOps++
 		if in := d.Inst(); in.HasDest() {
 			c.ren.UpdateSRT(in.Rd, d.LID[0])
@@ -217,7 +215,6 @@ func (c *Core) checkSeal(now int64) {
 // retirement in trace-creation mode: the trace ends here, the FRT
 // checkpoint runs, and the EC is searched for the corrected path (§3.3).
 func (c *Core) onMispredictRetire(now int64, d *pipe.DynInst) {
-	c.stats.Mispredicts++
 	if c.builder != nil {
 		c.builder.Finish(d.Trace.NextPC)
 		c.builder = nil

@@ -104,12 +104,14 @@ type Core struct {
 
 	halted  bool
 	sawHalt bool
-	stats   Stats
+	// stats holds the counters the core keeps itself; Counters adds those
+	// of its structures.
+	stats pipe.Counters
 
-	// Retirement marks for sampled execution: markFn fires with a stats
-	// snapshot the first time Retired reaches each ascending mark.
+	// Retirement marks for sampled execution: markFn fires with the
+	// counters the first time Retired reaches each ascending mark.
 	marks    []uint64
-	markFn   func(i int, s Stats)
+	markFn   func(i int, c pipe.Counters)
 	nextMark int
 }
 
@@ -153,8 +155,8 @@ const noFailedResume = ^uint64(0)
 // noDivergedPC is the idle value of the diverged-trace latch.
 const noDivergedPC = ^uint64(0)
 
-// Run simulates until the program halts and returns the run statistics.
-func (c *Core) Run() (Stats, error) {
+// Run simulates until the program halts and returns the run's counters.
+func (c *Core) Run() (pipe.Counters, error) {
 	guard := uint64(0)
 	lastRetired := uint64(0)
 	for !c.halted {
@@ -171,17 +173,17 @@ func (c *Core) Run() (Stats, error) {
 		}
 		if c.markFn != nil {
 			for c.nextMark < len(c.marks) && c.stats.Retired >= c.marks[c.nextMark] {
-				c.markFn(c.nextMark, c.StatsSnapshot())
+				c.markFn(c.nextMark, c.Counters())
 				c.nextMark++
 			}
 		}
 		if c.cfg.MaxCycles > 0 && c.be.Cycles > c.cfg.MaxCycles {
-			return c.stats, fmt.Errorf("core: exceeded max cycles (%d)", c.cfg.MaxCycles)
+			return c.Counters(), fmt.Errorf("core: exceeded max cycles (%d)", c.cfg.MaxCycles)
 		}
 		if c.stats.Retired == lastRetired {
 			guard++
 			if guard > 400_000 {
-				return c.stats, fmt.Errorf(
+				return c.Counters(), fmt.Errorf(
 					"core: no retirement progress at t=%dps (mode=%v rob=%d iw=%d front=%d drain=%v sealing=%v fetchBlocked=%v)",
 					now, c.mode, c.rob.Len(), c.iw.Len(), c.front.Len(), c.draining, c.sealing, c.fetcher.Blocked())
 			}
@@ -190,17 +192,36 @@ func (c *Core) Run() (Stats, error) {
 			lastRetired = c.stats.Retired
 		}
 	}
-	c.finalizeStats()
-	return c.stats, nil
+	return c.Counters(), nil
 }
 
-// SetMarks arranges for fn to be called with a statistics snapshot the
-// first time the retired-instruction count reaches each mark (ascending).
-// Sampled execution sets two marks per detailed window to delimit the
-// measurement interval. Replaces any previous marks.
-func (c *Core) SetMarks(marks []uint64, fn func(i int, s Stats)) {
+// Counters returns the run's counters as of now. It does not disturb the
+// running counts and may be called repeatedly.
+func (c *Core) Counters() pipe.Counters {
+	s := c.stats
+	s.ReadStructures(c.fetcher, c.iw, c.lsq, c.fu)
+	s.TimePS = c.sys.Now()
+	if c.mode == ModeReplay {
+		s.ReplayPS += s.TimePS - c.lastModeSwitch // the open interval
+	}
+	s.FECycles, s.FEGatedCycles, s.BECycles = c.fe.Cycles, c.fe.GatedCycles, c.be.Cycles
+	s.Mispredicts = c.fetcher.Mispredicts
+	s.Checkpoints, s.SRTSwaps = c.ren.Checkpoints, c.ren.SRTSwaps
+	s.EC = c.ec.Stats
+	return s
+}
+
+// SetMarks arranges for fn to be called with the counters the first time
+// the retired-instruction count reaches each mark (ascending). Sampled
+// execution sets two marks per detailed window to delimit the measurement
+// interval. Replaces any previous marks.
+func (c *Core) SetMarks(marks []uint64, fn func(i int, c pipe.Counters)) {
 	c.marks, c.markFn, c.nextMark = marks, fn, 0
 }
+
+// Warmer exposes functional warming over this core's caches and predictor;
+// call before Run, then Warmer().Finish() to clear the warm-up statistics.
+func (c *Core) Warmer() *pipe.Warmer { return pipe.NewWarmer(c.pred, c.hier) }
 
 // Resume clears the end-of-stream halt so Run can be called again after
 // the oracle window's source is replenished; sampled execution resumes the
@@ -252,9 +273,7 @@ func (c *Core) bePeriod() int64 { return c.be.Period() }
 // beTick runs one back-end clock edge.
 func (c *Core) beTick(now int64) {
 	if c.mode == ModeReplay {
-		c.stats.BECyclesReplay++
-	} else {
-		c.stats.BECyclesBuild++
+		c.stats.ReplayCycles++
 	}
 	c.retire(now)
 	c.maybeRedistribute(now)
@@ -362,11 +381,9 @@ func (c *Core) switchMode(now int64, m Mode) {
 	if m == c.mode {
 		return
 	}
-	// Account the time spent in the old mode.
+	// Account the time spent in trace-execution mode.
 	if c.mode == ModeReplay {
-		c.stats.ReplayTimePS += now - c.lastModeSwitch
-	} else {
-		c.stats.BuildTimePS += now - c.lastModeSwitch
+		c.stats.ReplayPS += now - c.lastModeSwitch
 	}
 	c.lastModeSwitch = now
 	c.mode = m

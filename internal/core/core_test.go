@@ -8,10 +8,11 @@ import (
 	"flywheel/internal/asm"
 	"flywheel/internal/emu"
 	"flywheel/internal/ooo"
+	"flywheel/internal/pipe"
 )
 
 // runFlywheel assembles src and runs it on the Flywheel core.
-func runFlywheel(t *testing.T, src string, cfg Config) (Stats, *emu.Machine) {
+func runFlywheel(t *testing.T, src string, cfg Config) (pipe.Counters, *emu.Machine) {
 	t.Helper()
 	p, err := asm.Assemble("test.s", src)
 	if err != nil {
@@ -27,7 +28,7 @@ func runFlywheel(t *testing.T, src string, cfg Config) (Stats, *emu.Machine) {
 }
 
 // runBaseline runs the same source on the baseline core for comparison.
-func runBaseline(t *testing.T, src string) ooo.Stats {
+func runBaseline(t *testing.T, src string) pipe.Counters {
 	t.Helper()
 	p, err := asm.Assemble("test.s", src)
 	if err != nil {
@@ -83,8 +84,8 @@ func TestFlywheelEntersReplayOnLoops(t *testing.T) {
 	if stats.EC.TracesReplayed == 0 {
 		t.Fatal("no traces were replayed")
 	}
-	if stats.ECResidency < 0.5 {
-		t.Errorf("EC residency = %.2f on a tight loop, want > 0.5", stats.ECResidency)
+	if r := float64(stats.ReplayPS) / float64(stats.TimePS); r < 0.5 {
+		t.Errorf("EC residency = %.2f on a tight loop, want > 0.5", r)
 	}
 	if stats.IssuedReplay == 0 {
 		t.Error("no instructions issued from the EC path")
@@ -98,7 +99,7 @@ func TestFlywheelMatchesOracleWithECDisabled(t *testing.T) {
 	if stats.Retired != m.Retired {
 		t.Errorf("register-allocation config retired %d, oracle %d", stats.Retired, m.Retired)
 	}
-	if stats.ECResidency != 0 || stats.IssuedReplay != 0 {
+	if stats.ReplayPS != 0 || stats.IssuedReplay != 0 {
 		t.Error("EC-disabled config used the EC")
 	}
 }
@@ -225,8 +226,39 @@ func TestFlywheelRedistributionTriggers(t *testing.T) {
 	if stats.Redistributions == 0 {
 		t.Error("pool redistribution never triggered under pressure")
 	}
+	if stats.EC.Invalidations != stats.Redistributions {
+		t.Errorf("%d EC invalidations for %d redistributions", stats.EC.Invalidations, stats.Redistributions)
+	}
 	if stats.Retired != m.Retired {
 		t.Errorf("retired %d, oracle %d", stats.Retired, m.Retired)
+	}
+}
+
+func TestFlywheelReplayResourceStalls(t *testing.T) {
+	// Two serial divides per iteration hold retirement while replay keeps
+	// issuing: a 12-entry ROB fills in trace execution.
+	src := `
+	li r1, 3000
+	li r2, 7
+	li r3, 3
+loop:
+	div r4, r2, r3
+	div r5, r4, r3
+	add r6, r6, r5
+	add r7, r7, r1
+	add r8, r8, r1
+	addi r1, r1, -1
+	bnez r1, loop
+	halt
+`
+	cfg := testConfig()
+	cfg.ROBSize = 12
+	stats, m := runFlywheel(t, src, cfg)
+	if stats.Retired != m.Retired {
+		t.Fatalf("retired %d, oracle %d", stats.Retired, m.Retired)
+	}
+	if stats.IssuedReplay == 0 || stats.ReplayStallResource == 0 {
+		t.Errorf("replay issued %d with %d resource stalls, want both nonzero", stats.IssuedReplay, stats.ReplayStallResource)
 	}
 }
 
@@ -254,12 +286,15 @@ buf:
 
 func TestFlywheelModeAccountingConsistent(t *testing.T) {
 	stats, _ := runFlywheel(t, loopSrc(2000), testConfig())
-	if got := stats.BuildTimePS + stats.ReplayTimePS; got != stats.TimePS {
-		t.Errorf("mode times %d + %d != total %d", stats.BuildTimePS, stats.ReplayTimePS, stats.TimePS)
+	if stats.ReplayPS <= 0 || stats.ReplayPS >= stats.TimePS {
+		t.Errorf("trace-execution time %d outside (0, total %d)", stats.ReplayPS, stats.TimePS)
 	}
-	if stats.IssuedBuild+stats.IssuedReplay != stats.Retired {
+	if stats.ReplayCycles == 0 || stats.ReplayCycles >= stats.BECycles {
+		t.Errorf("trace-execution cycles %d outside (0, total %d)", stats.ReplayCycles, stats.BECycles)
+	}
+	if stats.IWSelected+stats.IssuedReplay != stats.Retired {
 		t.Errorf("issued %d+%d != retired %d (no wrong path exists)",
-			stats.IssuedBuild, stats.IssuedReplay, stats.Retired)
+			stats.IWSelected, stats.IssuedReplay, stats.Retired)
 	}
 }
 
@@ -292,7 +327,7 @@ func (s *recordedSource) Next() (emu.Trace, bool) {
 // TestRegAllocIgnoresBEBoost: without the Execution Cache the machine
 // never enters trace-execution mode, so it has no fast back-end clock. Its
 // BEFastPeriodPS is the base period at any BEBoostPct, and a Register
-// Allocation core run over one recorded stream reports identical Stats at
+// Allocation core run over one recorded stream reports identical counters at
 // BE+0% and BE+100%.
 func TestRegAllocIgnoresBEBoost(t *testing.T) {
 	cfg := testConfig()
@@ -316,7 +351,7 @@ func TestRegAllocIgnoresBEBoost(t *testing.T) {
 		}
 		recs = append(recs, tr)
 	}
-	var stats [2]Stats
+	var stats [2]pipe.Counters
 	for i, be := range []int{0, 100} {
 		cfg.BEBoostPct = be
 		stats[i], err = New(cfg, &recordedSource{recs: recs}).Run()

@@ -38,13 +38,14 @@ func TestDebugIjpegProgress(t *testing.T) {
 		t.FailNow()
 	}
 	t.Logf("retired=%d cycles=%d resid=%.2f ipc=%.2f switches=%d built=%d replayed=%d div=%d units=%d avgUnit=%.2f",
-		stats.Retired, stats.Cycles(), stats.ECResidency, stats.IPC, stats.ModeSwitches,
+		stats.Retired, stats.BECycles, float64(stats.ReplayPS)/float64(stats.TimePS),
+		float64(stats.Retired)/float64(stats.BECycles), stats.ModeSwitches,
 		stats.EC.TracesBuilt, stats.EC.TracesReplayed, stats.Divergences, stats.ReplayUnits,
 		float64(stats.IssuedReplay)/float64(max64(stats.ReplayUnits, 1)))
 	t.Logf("replay cycles=%d units=%d fill-stall=%d data-stall=%d res-stall=%d rename-stall=%d changes=%d",
-		stats.BECyclesReplay, stats.ReplayUnits, stats.ReplayFillStalls, stats.ReplayStallData,
+		stats.ReplayCycles, stats.ReplayUnits, stats.ReplayFillStalls, stats.ReplayStallData,
 		stats.ReplayStallResource, stats.RenameStalls, stats.TraceChanges)
-	t.Logf("L1D miss=%.3f issuedBuild=%d issuedReplay=%d", stats.L1D.MissRate(), stats.IssuedBuild, stats.IssuedReplay)
+	t.Logf("L1D miss=%.3f issuedBuild=%d issuedReplay=%d", stats.L1D.MissRate(), stats.IWSelected, stats.IssuedReplay)
 }
 
 func max64(a, b uint64) uint64 {
@@ -132,9 +133,9 @@ func TestDebugVortexTraces(t *testing.T) {
 		t.Fatalf("%v", err)
 	}
 	t.Logf("resid=%.2f built=%d replayed=%d div=%d changes=%d broken=%d units=%d issuedReplay=%d issuedBuild=%d switches=%d",
-		stats.ECResidency, stats.EC.TracesBuilt, stats.EC.TracesReplayed, stats.Divergences,
-		stats.TraceChanges, stats.BrokenReplays, stats.ReplayUnits, stats.IssuedReplay, stats.IssuedBuild, stats.ModeSwitches)
+		float64(stats.ReplayPS)/float64(stats.TimePS), stats.EC.TracesBuilt, stats.EC.TracesReplayed, stats.Divergences,
+		stats.TraceChanges, stats.BrokenReplays, stats.ReplayUnits, stats.IssuedReplay, stats.IWSelected, stats.ModeSwitches)
 	t.Logf("mispredicts=%d predAcc=%.3f slotsStored=%d slotsReplayed=%d avgTraceLen=%.1f",
-		stats.Mispredicts, stats.BranchAccuracy, stats.EC.SlotsStored, stats.EC.SlotsReplayed,
+		stats.Mispredicts, stats.Pred.Accuracy(), stats.EC.SlotsStored, stats.EC.SlotsReplayed,
 		float64(stats.EC.SlotsStored)/float64(max64(stats.EC.TracesBuilt, 1)))
 }

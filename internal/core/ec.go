@@ -18,6 +18,7 @@ package core
 
 import (
 	"flywheel/internal/isa"
+	"flywheel/internal/pipe"
 )
 
 // Slot is one instruction as stored in the Execution Cache: the decoded
@@ -92,20 +93,6 @@ type taEntry struct {
 	lru     uint64
 }
 
-// ECStats counts Execution Cache activity for performance and power.
-type ECStats struct {
-	TagLookups     uint64
-	TagHits        uint64
-	BlockReads     uint64
-	BlockWrites    uint64
-	TracesBuilt    uint64
-	TracesReplayed uint64
-	SlotsStored    uint64
-	SlotsReplayed  uint64
-	BrokenChains   uint64
-	Invalidations  uint64
-}
-
 // EC is the Execution Cache: an associative Tag Array mapping trace start
 // addresses to the first data-array block, and a set-associative Data Array
 // whose blocks chain through consecutive sets (the next chunk of a trace
@@ -117,7 +104,7 @@ type EC struct {
 	tags    []taEntry
 	clock   uint64
 	nextTID uint64
-	Stats   ECStats
+	Stats   pipe.ECStats
 	// spare recycles the last finished Builder (and its pending buffer):
 	// the core runs at most one builder at a time, and trace creation is
 	// frequent enough that a fresh allocation per trace dominates the

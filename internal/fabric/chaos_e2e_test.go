@@ -23,6 +23,11 @@ import (
 	"flywheel/internal/labd"
 )
 
+// clientHopPlan is the chaos drill's seeded fault plan for the
+// client→coordinator hop: half the sweep replies are cut mid-NDJSON, a few
+// requests are dropped outright.
+var clientHopPlan = chaos.Plan{Seed: 99, Drop: 0.05, Truncate: 0.5, PathSubstr: "/v1/sweep"}
+
 // TestChaosSweepExactUnderFaults runs 48 jobs through a 2-worker cluster
 // with faults on both hops: a scripted outage window on the worker that
 // owns the most jobs (the coordinator retries each failed job on its
@@ -53,18 +58,12 @@ func TestChaosSweepExactUnderFaults(t *testing.T) {
 	front := httptest.NewServer(tc.coord.Handler())
 	t.Cleanup(front.Close)
 
-	// The outer client gets its own fault injector: half its sweep replies
-	// are cut mid-NDJSON, a few requests are dropped outright. Resume
-	// absorbs both; the budget is generous because faults also hit the
-	// re-requests.
+	// The outer client gets its own fault injector (clientHopPlan). Resume
+	// absorbs its faults; the budget is generous because faults also hit
+	// the re-requests.
 	client := labd.NewClient(front.URL)
 	client.MaxResumes = 50
-	client.HTTPClient = &http.Client{Transport: chaos.New(chaos.Plan{
-		Seed:       99,
-		Drop:       0.05,
-		Truncate:   0.5,
-		PathSubstr: "/v1/sweep",
-	}, nil)}
+	client.HTTPClient = &http.Client{Transport: chaos.New(clientHopPlan, nil)}
 
 	var combined []labd.SweepLine
 	for off := 0; off < len(jobs); off += 4 {
@@ -96,6 +95,39 @@ func TestChaosSweepExactUnderFaults(t *testing.T) {
 	// cluster is still exact.
 	again := collectSweep(t, tc.coord, jobs[:8], nil)
 	assertMatchesInProcess(t, jobs[:8], again)
+}
+
+// TestChaosClientHopNeedsResume is the removal test for labd.Client's
+// stream resume: the drill's client-hop faults, with resumption disabled,
+// over three passes of the drill's 4-job batches to a fault-free cluster.
+// The rolls are keyed by host and port, so how many batches fail varies
+// from run to run; three passes make a run in which none fails
+// vanishingly rare. Without resume batches fail, so the drill above
+// needs it.
+func TestChaosClientHopNeedsResume(t *testing.T) {
+	jobs := testBatch(48)
+	tc := startCluster(t, 2, nil)
+	front := httptest.NewServer(tc.coord.Handler())
+	t.Cleanup(front.Close)
+	client := labd.NewClient(front.URL)
+	client.MaxResumes = -1
+	client.HTTPClient = &http.Client{Transport: chaos.New(clientHopPlan, nil)}
+	failed, batches := 0, 0
+	for pass := 0; pass < 3; pass++ {
+		for off := 0; off < len(jobs); off += 4 {
+			batches++
+			if _, err := client.Sweep(labd.SweepRequest{Jobs: jobs[off : off+4]}); err != nil {
+				failed++
+			}
+		}
+	}
+	t.Logf("%d of %d batches failed without resume", failed, batches)
+	if failed == 0 {
+		t.Fatal("every batch survived the client-hop faults without resume")
+	}
+	if client.Resumes() != 0 {
+		t.Fatalf("client resumed %d times with resumption disabled", client.Resumes())
+	}
 }
 
 // TestClusterScrubFindsAllPlantedCorruption: a disk-backed 2-worker

@@ -8,6 +8,7 @@ package fabric
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand/v2"
 	"net"
@@ -527,7 +528,8 @@ func TestClusterStatsAndHealth(t *testing.T) {
 // TestHealthAndStatsBoundStalledWorker: a worker that accepts connections
 // and never answers must not hold the coordinator's /v1/health or
 // /v1/stats. Each per-worker call gives up after workerCallTimeout, so
-// both answer within about two timeouts and name the stalled worker.
+// both answer within about two timeouts and name the stalled worker. The
+// two probes run at once, so the test waits out the timeout once.
 func TestHealthAndStatsBoundStalledWorker(t *testing.T) {
 	good := httptest.NewServer(labd.NewServer(lab.NewCache()).Handler())
 	t.Cleanup(good.Close)
@@ -543,35 +545,42 @@ func TestHealthAndStatsBoundStalledWorker(t *testing.T) {
 	ts := httptest.NewServer(coord.Handler())
 	t.Cleanup(ts.Close)
 
-	get := func(path string, v any) {
-		t.Helper()
+	get := func(path string, v any) error {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*probe)
 		defer cancel()
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+path, nil)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
 		start := time.Now()
 		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			return fmt.Errorf("GET %s: %w", path, err)
 		}
 		defer resp.Body.Close()
 		if err := json.NewDecoder(resp.Body).Decode(v); err != nil {
-			t.Fatalf("GET %s: %v", path, err)
+			return fmt.Errorf("GET %s: %w", path, err)
 		}
 		if d := time.Since(start); d > 2*probe {
-			t.Fatalf("GET %s took %v with one stalled worker, want at most %v", path, d, 2*probe)
+			return fmt.Errorf("GET %s took %v with one stalled worker, want at most %v", path, d, 2*probe)
 		}
+		return nil
 	}
 
 	var health ClusterHealth
-	get("/v1/health", &health)
+	var stats ClusterStats
+	var healthErr, statsErr error
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() { defer wg.Done(); healthErr = get("/v1/health", &health) }()
+	go func() { defer wg.Done(); statsErr = get("/v1/stats", &stats) }()
+	wg.Wait()
+	if healthErr != nil || statsErr != nil {
+		t.Fatalf("health: %v; stats: %v", healthErr, statsErr)
+	}
 	if health.Status != "degraded" || health.Workers[stall.URL] || !health.Workers[good.URL] {
 		t.Fatalf("stalled worker not reported: %+v", health)
 	}
-	var stats ClusterStats
-	get("/v1/stats", &stats)
 	if len(stats.Workers) != 2 {
 		t.Fatalf("stats list %d workers, want 2", len(stats.Workers))
 	}

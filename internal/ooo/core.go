@@ -34,12 +34,14 @@ type Core struct {
 
 	halted  bool
 	sawHalt bool
-	stats   Stats
+	// stats holds the counters the core keeps itself; Counters adds those
+	// of its structures.
+	stats pipe.Counters
 
-	// Retirement marks for sampled execution: markFn fires with a stats
-	// snapshot the first time Retired reaches each ascending mark.
+	// Retirement marks for sampled execution: markFn fires with the
+	// counters the first time Retired reaches each ascending mark.
 	marks    []uint64
-	markFn   func(i int, s Stats)
+	markFn   func(i int, c pipe.Counters)
 	nextMark int
 }
 
@@ -72,8 +74,8 @@ func New(cfg Config, stream pipe.InstSource) *Core {
 }
 
 // Run simulates until the program halts (or the stream ends) and returns
-// the run statistics.
-func (c *Core) Run() (Stats, error) {
+// the run's counters.
+func (c *Core) Run() (pipe.Counters, error) {
 	guardCycles := uint64(0)
 	lastRetired := uint64(0)
 	for !c.halted {
@@ -82,17 +84,17 @@ func (c *Core) Run() (Stats, error) {
 
 		if c.markFn != nil {
 			for c.nextMark < len(c.marks) && c.stats.Retired >= c.marks[c.nextMark] {
-				c.markFn(c.nextMark, c.StatsSnapshot())
+				c.markFn(c.nextMark, c.Counters())
 				c.nextMark++
 			}
 		}
 		if c.cfg.MaxCycles > 0 && c.domain.Cycles > c.cfg.MaxCycles {
-			return c.stats, fmt.Errorf("ooo: exceeded max cycles (%d)", c.cfg.MaxCycles)
+			return c.Counters(), fmt.Errorf("ooo: exceeded max cycles (%d)", c.cfg.MaxCycles)
 		}
 		if c.stats.Retired == lastRetired {
 			guardCycles++
 			if guardCycles > 200_000 {
-				return c.stats, fmt.Errorf(
+				return c.Counters(), fmt.Errorf(
 					"ooo: no retirement progress for %d cycles at t=%dps (rob=%d iw=%d front=%d fetchBlocked=%v)",
 					guardCycles, now, c.rob.Len(), c.iw.Len(), c.front.Len(), c.fetcher.Blocked())
 			}
@@ -101,24 +103,40 @@ func (c *Core) Run() (Stats, error) {
 			lastRetired = c.stats.Retired
 		}
 	}
-	c.finalizeStats()
-	return c.stats, nil
+	return c.Counters(), nil
 }
 
-// SetMarks arranges for fn to be called with a statistics snapshot the
-// first time the retired-instruction count reaches each mark (ascending).
-// Sampled execution sets two marks per detailed window to delimit the
-// measurement interval. Replaces any previous marks.
-func (c *Core) SetMarks(marks []uint64, fn func(i int, s Stats)) {
+// Counters returns the run's counters as of now. It does not disturb the
+// running counts and may be called repeatedly. The single clock grid
+// spans both domains, so every edge is a front-end and a back-end edge.
+func (c *Core) Counters() pipe.Counters {
+	s := c.stats
+	s.ReadStructures(c.fetcher, c.iw, c.lsq, c.fu)
+	s.TimePS = c.sys.Now()
+	s.FECycles, s.BECycles = c.domain.Cycles, c.domain.Cycles
+	return s
+}
+
+// SetMarks arranges for fn to be called with the counters the first time
+// the retired-instruction count reaches each mark (ascending). Sampled
+// execution sets two marks per detailed window to delimit the measurement
+// interval. Replaces any previous marks.
+func (c *Core) SetMarks(marks []uint64, fn func(i int, c pipe.Counters)) {
 	c.marks, c.markFn, c.nextMark = marks, fn, 0
 }
+
+// Warmer exposes functional warming over this core's caches and predictor;
+// call before Run, then Warmer().Finish() to clear the warm-up statistics.
+func (c *Core) Warmer() *pipe.Warmer { return pipe.NewWarmer(c.pred, c.hier) }
 
 // Resume clears the end-of-stream halt so Run can be called again after
 // the instruction source is replenished; sampled execution resumes the
 // same core for each detailed window so that predictor, cache, and queue
 // state carry across. It reports false if the program truly halted
-// (retired a HALT) — there is nothing left to run then.
-func (c *Core) Resume() bool {
+// (retired a HALT) — there is nothing left to run then. The argument is
+// the Flywheel core's Execution Cache scratch span; the baseline has no
+// Execution Cache and ignores it.
+func (c *Core) Resume(uint64) bool {
 	if c.sawHalt {
 		return false
 	}
@@ -193,7 +211,6 @@ func (c *Core) issue(now int64) {
 		d.State = pipe.StateIssued
 		d.IssuedAt = now
 		lat := int64(c.fu.Latency(d.Class()))
-		c.stats.Issued++
 		c.stats.RegReads += uint64(d.Inst().NumSources())
 
 		switch {
@@ -249,7 +266,7 @@ func (c *Core) dispatch(now int64) {
 			return
 		}
 		if d.Inst().HasDest() && c.renameInFlight >= c.cfg.RenameCapacity() {
-			c.stats.DispatchStallRename++
+			c.stats.RenameStalls++
 			return
 		}
 		c.front.Pop(now)
@@ -265,6 +282,7 @@ func (c *Core) dispatch(now int64) {
 		d.State = pipe.StateDispatched
 		d.DispatchedAt = now
 		c.stats.Dispatched++
+		c.stats.Renamed++
 	}
 }
 
@@ -286,7 +304,6 @@ func (c *Core) fetch(now int64) {
 	if len(group) == 0 {
 		return
 	}
-	c.stats.FetchGroups++
 	hit := c.cfg.Mem.L1I.HitLatency
 	frontDepth := int64(hit + c.cfg.DecodeStages + c.cfg.ExtraFrontEndStages)
 	readyAt := now + frontDepth*p

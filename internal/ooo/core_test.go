@@ -7,11 +7,12 @@ import (
 
 	"flywheel/internal/asm"
 	"flywheel/internal/emu"
+	"flywheel/internal/pipe"
 )
 
 // runSrc assembles src, runs it through the baseline core and returns the
-// run statistics together with the (fully executed) architectural machine.
-func runSrc(t *testing.T, src string, cfg Config) (Stats, *emu.Machine) {
+// run counters together with the (fully executed) architectural machine.
+func runSrc(t *testing.T, src string, cfg Config) (pipe.Counters, *emu.Machine) {
 	t.Helper()
 	p, err := asm.Assemble("test.s", src)
 	if err != nil {
@@ -25,6 +26,9 @@ func runSrc(t *testing.T, src string, cfg Config) (Stats, *emu.Machine) {
 	}
 	return stats, m
 }
+
+// ipc is the run's instructions per cycle.
+func ipc(c pipe.Counters) float64 { return float64(c.Retired) / float64(c.BECycles) }
 
 func testConfig() Config {
 	cfg := DefaultConfig()
@@ -72,7 +76,7 @@ loop:
 	if m.IntRegs[2] != 50*51/2 {
 		t.Errorf("architectural result = %d, want %d", m.IntRegs[2], 50*51/2)
 	}
-	if stats.Cycles == 0 || stats.TimePS == 0 {
+	if stats.BECycles == 0 || stats.TimePS == 0 {
 		t.Error("no time elapsed")
 	}
 }
@@ -81,11 +85,11 @@ func TestDependentChainIPCNearOne(t *testing.T) {
 	stats, _ := runSrc(t, chainLoop(16, 400), testConfig())
 	// 18 instructions per iteration, the 16-op chain bounds throughput at
 	// ~1/cycle; loop control overlaps.
-	if stats.IPC > 1.35 {
-		t.Errorf("dependent chain IPC = %.2f, want near 1 (back-to-back bound)", stats.IPC)
+	if ipc(stats) > 1.35 {
+		t.Errorf("dependent chain IPC = %.2f, want near 1 (back-to-back bound)", ipc(stats))
 	}
-	if stats.IPC < 0.85 {
-		t.Errorf("dependent chain IPC = %.2f, want near 1", stats.IPC)
+	if ipc(stats) < 0.85 {
+		t.Errorf("dependent chain IPC = %.2f, want near 1", ipc(stats))
 	}
 }
 
@@ -93,8 +97,8 @@ func TestIndependentOpsReachFetchBound(t *testing.T) {
 	stats, _ := runSrc(t, wideLoop(16, 400), testConfig())
 	// 18 useful instructions per iteration; fetch delivers at most one
 	// aligned 4-instruction group per cycle, so ~2.5-3.6 IPC is healthy.
-	if stats.IPC < 2.2 {
-		t.Errorf("independent ops IPC = %.2f, want fetch-bound >= 2.2", stats.IPC)
+	if ipc(stats) < 2.2 {
+		t.Errorf("independent ops IPC = %.2f, want fetch-bound >= 2.2", ipc(stats))
 	}
 }
 
@@ -107,7 +111,7 @@ func TestBackToBackLostWithPipelinedWakeup(t *testing.T) {
 
 	// Dependent chain: every op waits one extra cycle -> roughly half the
 	// throughput (Figure 2's dark bars show ~30-40% loss on real mixes).
-	ratio := piped.IPC / base.IPC
+	ratio := ipc(piped) / ipc(base)
 	if ratio > 0.65 {
 		t.Errorf("pipelined wake-up IPC ratio = %.2f, want <= 0.65 (lost back-to-back)", ratio)
 	}
@@ -127,7 +131,7 @@ loop:
 	cfg := testConfig()
 	cfg.ExtraFrontEndStages = 1
 	deep, _ := runSrc(t, src, cfg)
-	ratio := float64(deep.Cycles) / float64(base.Cycles)
+	ratio := float64(deep.BECycles) / float64(base.BECycles)
 	if ratio > 1.10 {
 		t.Errorf("extra FE stage cost = %.1f%%, want small on predictable code", (ratio-1)*100)
 	}
@@ -163,8 +167,8 @@ skip:
 	// The same loop with the unpredictable branch removed must be faster.
 	predictable := strings.Replace(src, "beqz r5, skip", "nop", 1)
 	fast, _ := runSrc(t, predictable, testConfig())
-	if fast.IPC <= stats.IPC*1.1 {
-		t.Errorf("predictable IPC %.2f not clearly above unpredictable IPC %.2f", fast.IPC, stats.IPC)
+	if ipc(fast) <= ipc(stats)*1.1 {
+		t.Errorf("predictable IPC %.2f not clearly above unpredictable IPC %.2f", ipc(fast), ipc(stats))
 	}
 }
 
@@ -203,9 +207,9 @@ func TestCacheMissesSlowDependentLoads(t *testing.T) {
 	if miss.L1D.MissRate() < 0.4 {
 		t.Errorf("large chase L1D miss rate = %.2f, want >= 0.4", miss.L1D.MissRate())
 	}
-	if miss.Cycles < hit.Cycles*3 {
+	if miss.BECycles < hit.BECycles*3 {
 		t.Errorf("missing chase (%d cycles) not clearly slower than hitting chase (%d)",
-			miss.Cycles, hit.Cycles)
+			miss.BECycles, hit.BECycles)
 	}
 }
 
@@ -215,11 +219,11 @@ func TestRenameCapacityLimitsInFlight(t *testing.T) {
 	cfg.PhysRegs = 68 // only 4 in-flight destinations
 	small, _ := runSrc(t, src, cfg)
 	big, _ := runSrc(t, src, testConfig())
-	if small.DispatchStallRename == 0 {
+	if small.RenameStalls == 0 {
 		t.Error("tiny register file caused no rename stalls")
 	}
-	if small.IPC >= big.IPC*0.8 {
-		t.Errorf("tiny RF IPC %.2f not clearly below big RF IPC %.2f", small.IPC, big.IPC)
+	if ipc(small) >= ipc(big)*0.8 {
+		t.Errorf("tiny RF IPC %.2f not clearly below big RF IPC %.2f", ipc(small), ipc(big))
 	}
 }
 
@@ -247,8 +251,8 @@ func TestTimePSEqualsCyclesTimesPeriod(t *testing.T) {
 	cfg := testConfig()
 	cfg.PeriodPS = 777
 	stats, _ := runSrc(t, "\tli r1, 5\n\thalt\n", cfg)
-	if stats.TimePS != int64(stats.Cycles)*777 {
-		t.Errorf("time %d != cycles %d * period 777", stats.TimePS, stats.Cycles)
+	if stats.TimePS != int64(stats.BECycles)*777 {
+		t.Errorf("time %d != cycles %d * period 777", stats.TimePS, stats.BECycles)
 	}
 }
 
@@ -291,9 +295,9 @@ vec:
 
 func TestStatsConsistency(t *testing.T) {
 	stats, m := runSrc(t, chainLoop(4, 100), testConfig())
-	if stats.Dispatched != stats.Retired || stats.Issued != stats.Retired {
+	if stats.Dispatched != stats.Retired || stats.IWSelected != stats.Retired {
 		t.Errorf("dispatched/issued/retired = %d/%d/%d, want equal (no wrong path)",
-			stats.Dispatched, stats.Issued, stats.Retired)
+			stats.Dispatched, stats.IWSelected, stats.Retired)
 	}
 	if stats.Fetched != m.Retired {
 		t.Errorf("fetched %d != executed %d", stats.Fetched, m.Retired)

@@ -50,10 +50,8 @@ type IssueWindow struct {
 	ExtraWakeupDelayPS int64
 
 	// Stats
-	Inserted     uint64
-	Selected     uint64
-	OccupancySum uint64 // summed occupancy at each select edge (avg = /SelectEdges)
-	SelectEdges  uint64
+	Inserted uint64
+	Selected uint64
 }
 
 type iwEntry struct {
@@ -181,8 +179,6 @@ func (w *IssueWindow) Insert(d *DynInst, visibleAt int64) bool {
 // reused by the next Select call; callers must consume it before selecting
 // again.
 func (w *IssueWindow) Select(now, periodPS int64, width int, fu *FUPool, extra func(*DynInst) SelectVerdict) []*DynInst {
-	w.SelectEdges++
-	w.OccupancySum += uint64(w.count)
 	if w.count == 0 || width <= 0 {
 		return nil
 	}
@@ -402,12 +398,4 @@ func (w *IssueWindow) Flush() {
 	w.timers = w.timers[:0]
 	w.ready = w.ready[:0]
 	w.count = 0
-}
-
-// AvgOccupancy returns the mean occupancy observed at select edges.
-func (w *IssueWindow) AvgOccupancy() float64 {
-	if w.SelectEdges == 0 {
-		return 0
-	}
-	return float64(w.OccupancySum) / float64(w.SelectEdges)
 }

@@ -4,36 +4,21 @@ import (
 	"fmt"
 	"reflect"
 
-	"flywheel/internal/branch"
-	"flywheel/internal/mem"
+	"flywheel/internal/pipe"
 	"flywheel/internal/power"
 )
 
-// counters is the architecture-independent counter record every Result is
-// built from: the final record of an exact run, or the summed window
-// deltas of a sampled one. Every field is a plain counter or a struct or
-// array of counters, and none copies another (retirements, back-end cycles
-// and time live in Act only; conditional branches in Pred only), so an
-// interval's record is the fieldwise difference of two cumulative records.
-type counters struct {
-	Act         power.Activity
-	ReplayPS    int64 // time spent in Execution Cache replay
-	Mispredicts uint64
-	Divergences uint64
-	Pred        branch.Stats
-	Prefetch    mem.PrefetchStats
-	Demand      mem.DemandStats
-}
-
-// resultFrom fills a Result for cfg from one counter record. Ratios are
-// derived from the record's raw counts; energy is left to the caller,
-// which knows whether the record is one whole run or a sum of windows.
-func resultFrom(cfg RunConfig, c counters) Result {
+// resultFrom fills a Result for cfg from one counter record: the final
+// record of an exact run, or the summed window deltas of a sampled one.
+// Ratios are derived from the record's raw counts; energy is left to the
+// caller, which knows whether the record is one whole run or a sum of
+// windows.
+func resultFrom(cfg RunConfig, c pipe.Counters) Result {
 	r := Result{
 		Config:           cfg,
-		TimePS:           c.Act.TimePS,
-		Cycles:           c.Act.BECycles,
-		Retired:          c.Act.Retires,
+		TimePS:           c.TimePS,
+		Cycles:           c.BECycles,
+		Retired:          c.Retired,
 		Divergences:      c.Divergences,
 		Mispredicts:      c.Mispredicts,
 		BranchAccuracy:   c.Pred.Accuracy(),
@@ -55,18 +40,51 @@ func resultFrom(cfg RunConfig, c counters) Result {
 	return r
 }
 
+// activity converts a counter record into the power model's event record.
+// It is linear in the record, so the activity of an interval is the
+// activity of its counter delta.
+func activity(c pipe.Counters) power.Activity {
+	return power.Activity{
+		TimePS:      c.TimePS,
+		FECycles:    c.FECycles,
+		BECycles:    c.BECycles,
+		FetchGroups: c.FetchGroups,
+		Fetched:     c.Fetched,
+		Renamed:     c.Renamed,
+		BPLookups:   c.Pred.Lookups,
+		BPUpdates:   c.Pred.Updates,
+		IWInserts:   c.IWInserted,
+		IWSelects:   c.IWSelected,
+		RegReads:    c.RegReads,
+		RegWrites:   c.RegWrites,
+		FUOps:       c.FUIssued,
+		ROBWrites:   c.Dispatched + c.IssuedReplay,
+		Retires:     c.Retired,
+		LSQOps:      c.L1D.Accesses() + c.Forwards,
+		L1I:         c.L1I,
+		L1D:         c.L1D,
+		L2:          c.L2,
+
+		ECTagLookups:  c.EC.TagLookups,
+		ECBlockReads:  c.EC.BlockReads,
+		ECBlockWrites: c.EC.BlockWrites,
+		UpdateOps:     c.UpdateOps,
+		Checkpoints:   c.Checkpoints + c.SRTSwaps,
+	}
+}
+
 // diff returns the fieldwise difference a - b.
-func diff(a, b counters) counters { return combine(a, b, false) }
+func diff(a, b pipe.Counters) pipe.Counters { return combine(a, b, false) }
 
 // sum returns the fieldwise sum a + b.
-func sum(a, b counters) counters { return combine(a, b, true) }
+func sum(a, b pipe.Counters) pipe.Counters { return combine(a, b, true) }
 
 // combine adds or subtracts every integer field of two records, through
 // nested structs and arrays. It uses reflection so that a counter added to
 // any block of the record needs no edit here; it runs only at sampling
 // window marks, never per instruction.
-func combine(a, b counters, add bool) counters {
-	var out counters
+func combine(a, b pipe.Counters, add bool) pipe.Counters {
+	var out pipe.Counters
 	combineValue(reflect.ValueOf(&out).Elem(), reflect.ValueOf(a), reflect.ValueOf(b), add)
 	return out
 }

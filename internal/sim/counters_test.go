@@ -1,73 +1,73 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
+
+	"flywheel/internal/pipe"
 )
 
-// counterLeaves appends every integer field of v, through nested structs
-// and arrays, to out as a uint64 (signed fields two's-complement). It fails
-// the test on any field diff and sum could not handle.
-func counterLeaves(t *testing.T, v reflect.Value, path string, out *[]uint64) {
-	t.Helper()
+// counterFields calls fn with the path and value of every field of v that
+// is not a struct or an array, through nested structs and arrays.
+func counterFields(v reflect.Value, path string, fn func(path string, v reflect.Value)) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := range v.NumField() {
-			counterLeaves(t, v.Field(i), path+"."+v.Type().Field(i).Name, out)
+			name := v.Type().Field(i).Name
+			if path != "" {
+				name = path + "." + name
+			}
+			counterFields(v.Field(i), name, fn)
 		}
 	case reflect.Array:
 		for i := range v.Len() {
-			counterLeaves(t, v.Index(i), path+"[]", out)
+			counterFields(v.Index(i), fmt.Sprintf("%s[%d]", path, i), fn)
 		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		*out = append(*out, uint64(v.Int()))
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		*out = append(*out, v.Uint())
 	default:
-		t.Fatalf("counter record field %s is a %s, not a counter", path, v.Type())
+		fn(path, v)
 	}
 }
 
-func leavesOf(t *testing.T, c counters) []uint64 {
+// leavesOf returns every counter of c in field order as a uint64 (signed
+// fields two's-complement). It fails the test on any field diff and sum
+// could not handle.
+func leavesOf(t *testing.T, c pipe.Counters) []uint64 {
 	t.Helper()
 	var out []uint64
-	counterLeaves(t, reflect.ValueOf(c), "counters", &out)
+	counterFields(reflect.ValueOf(c), "", func(path string, v reflect.Value) {
+		switch {
+		case v.CanInt():
+			out = append(out, uint64(v.Int()))
+		case v.CanUint():
+			out = append(out, v.Uint())
+		default:
+			t.Fatalf("counter record field %s is a %s, not a counter", path, v.Type())
+		}
+	})
 	return out
 }
 
 // distinctCounters sets every integer field of a record to its own value,
 // first, first+1, ... in field order.
-func distinctCounters(first uint64) counters {
-	var c counters
+func distinctCounters(first uint64) pipe.Counters {
+	var c pipe.Counters
 	next := first
-	var fill func(v reflect.Value)
-	fill = func(v reflect.Value) {
-		switch v.Kind() {
-		case reflect.Struct:
-			for i := range v.NumField() {
-				fill(v.Field(i))
-			}
-		case reflect.Array:
-			for i := range v.Len() {
-				fill(v.Index(i))
-			}
-		case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+	counterFields(reflect.ValueOf(&c).Elem(), "", func(_ string, v reflect.Value) {
+		if v.CanInt() {
 			v.SetInt(int64(next))
-			next++
-		default:
+		} else {
 			v.SetUint(next)
-			next++
 		}
-	}
-	fill(reflect.ValueOf(&c).Elem())
+		next++
+	})
 	return c
 }
 
 // TestCounterDiffSum checks the generic record arithmetic field by field
-// over every counter of power.Activity (the FUOps array included),
-// branch.Stats, mem.PrefetchStats, mem.DemandStats and the record's own
-// fields: a counter added to any of them is covered without an edit in
-// this package.
+// over every counter of pipe.Counters, its FUIssued array and its nested
+// blocks included: a counter added to the record is covered without an
+// edit in this package.
 func TestCounterDiffSum(t *testing.T) {
 	a, b := distinctCounters(1), distinctCounters(1_000)
 	la, lb := leavesOf(t, a), leavesOf(t, b)
@@ -88,7 +88,7 @@ func TestCounterDiffSum(t *testing.T) {
 			t.Errorf("diff: counter %d is %d, want %d-%d", i, v, lb[i], la[i])
 		}
 	}
-	if got := diff(a, a); got != (counters{}) {
+	if got := diff(a, a); got != (pipe.Counters{}) {
 		t.Errorf("diff(a, a) = %+v, want zero", got)
 	}
 }

@@ -30,7 +30,7 @@ type SampledStats struct {
 // sampleLoop drives the alternation and records each complete window's
 // measurement delta, the final stream position and the detailed count
 // into t.
-func sampleLoop(sp Sampling, stream pipe.InstSource, gate *sample.Gate, m *machine, t *Timing) error {
+func sampleLoop(sp Sampling, stream pipe.InstSource, gate *sample.Gate, m machine, t *Timing) error {
 	span := sp.Span()
 	pos := uint64(0)         // stream position: records delivered or fast-forwarded
 	detailed := uint64(0)    // records run through the timing core
@@ -46,7 +46,7 @@ func sampleLoop(sp Sampling, stream pipe.InstSource, gate *sample.Gate, m *machi
 	// variants built mid-stream under different pipeline conditions.
 	boot := uint64(sample.BootstrapInsts)
 	gate.Open(boot)
-	if err := m.run(); err != nil {
+	if _, err := m.Run(); err != nil {
 		return err
 	}
 	delivered := gate.TakeDelivered()
@@ -61,28 +61,29 @@ func sampleLoop(sp Sampling, stream pipe.InstSource, gate *sample.Gate, m *machi
 		nextStart += sp.Period
 	}
 
+	warmer := m.Warmer()
 	streamDry := false
 	for !streamDry {
 		if nextStart > pos {
 			gap := nextStart - pos
-			n := sample.FastForward(stream, m.warmer, gap)
+			n := sample.FastForward(stream, warmer, gap)
 			pos += n
 			if n < gap {
 				break // stream ended during the fast-forward
 			}
 		}
-		if !m.resume(sp.WarmupInsts) {
+		if !m.Resume(sp.WarmupInsts) {
 			break // the program retired HALT inside an earlier window
 		}
-		start := m.counters().Act.Retires
-		var mk [2]counters
+		start := m.Counters().Retired
+		var mk [2]pipe.Counters
 		var got [2]bool
-		m.marks(
+		m.SetMarks(
 			[]uint64{start + sp.WarmupInsts, start + sp.WarmupInsts + sp.WindowInsts},
-			func(i int, c counters) { mk[i], got[i] = c, true },
+			func(i int, c pipe.Counters) { mk[i], got[i] = c, true },
 		)
 		gate.Open(span)
-		if err := m.run(); err != nil {
+		if _, err := m.Run(); err != nil {
 			return err
 		}
 		delivered := gate.TakeDelivered()
@@ -114,14 +115,14 @@ func (t Timing) estimate(cfg RunConfig, grain int64) (Result, error) {
 		return Result{}, err
 	}
 	var acc sample.Accumulator
-	var total counters // summed per-window measurement deltas
+	var total pipe.Counters // summed per-window measurement deltas
 	var sumEnergyPJ, sumLeakPJ float64
 	for _, w := range t.windows {
 		d := t.rescaled(w, grain)
 		// The power model is linear in the activity record, so the energy
 		// of a window is exactly the energy of its activity delta.
-		rep := power.Compute(d.Act, t.shape, tech)
-		acc.Observe(sample.Obs{Insts: d.Act.Retires, Cycles: d.Act.BECycles, TimePS: d.Act.TimePS, EnergyPJ: rep.TotalPJ})
+		rep := power.Compute(activity(d), t.shape, tech)
+		acc.Observe(sample.Obs{Insts: d.Retired, Cycles: d.BECycles, TimePS: d.TimePS, EnergyPJ: rep.TotalPJ})
 		sumEnergyPJ += rep.TotalPJ
 		sumLeakPJ += rep.TotalPJ * rep.LeakageFrac
 		total = sum(total, d)

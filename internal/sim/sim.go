@@ -209,28 +209,28 @@ func replay(cfg RunConfig, fn func(w *workload.Workload, stream pipe.InstSource)
 	return err
 }
 
-// machine adapts one timing core to the runners. A sampled run keeps one
-// machine for all its windows, so the Execution Cache, rename pools,
-// predictor and caches warm once and stay warm; it drives the core through
-// an instruction gate and resumes it window by window.
-type machine struct {
-	shape power.MachineShape
-	// warm seeds the core from the workload's initialization phase;
-	// warmer keeps its caches and predictor warm across fast-forwards.
-	warm     func(w *workload.Workload) error
-	warmer   *pipe.Warmer
-	resume   func(warmupInsts uint64) bool
-	run      func() error
-	counters func() counters
-	// marks calls fn with the counters as of each retirement count in ms.
-	marks func(ms []uint64, fn func(i int, c counters))
+// machine is one timing core as the runners drive it; *ooo.Core and
+// *core.Core implement it. A sampled run keeps one machine for all its
+// windows, so the Execution Cache, rename pools, predictor and caches warm
+// once and stay warm; it drives the core through an instruction gate and
+// resumes it window by window.
+type machine interface {
+	// Warmer warms the core's caches and predictor functionally.
+	Warmer() *pipe.Warmer
+	Resume(scratchInsts uint64) bool
+	Run() (pipe.Counters, error)
+	Counters() pipe.Counters
+	SetMarks(marks []uint64, fn func(i int, c pipe.Counters))
 }
 
 // design is one core's configuration, built but not yet instantiated: its
 // clock plan is known before any simulation state is allocated.
 type design struct {
-	plan  clockPlan
-	build func(src pipe.InstSource) *machine
+	plan   clockPlan
+	shape  power.MachineShape
+	mem    mem.HierarchyConfig
+	branch branch.Config
+	build  func(src pipe.InstSource) machine
 }
 
 // newDesign builds the configuration of the core cfg.Arch selects, clocked
@@ -239,47 +239,12 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 	switch cfg.Arch {
 	case ArchBaseline:
 		bc := baselineConfig(cfg, period)
-		return design{plan: planOf(bc), build: func(src pipe.InstSource) *machine {
-			c := ooo.New(bc, src)
-			read := func(s ooo.Stats) counters {
-				return counters{Act: s.Activity(), Mispredicts: s.Mispredicts, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
-			}
-			return &machine{
-				shape: power.BaselineShape(),
-				warm: func(w *workload.Workload) error {
-					return warm(c.Warmer(), w, bc.Mem, bc.Branch)
-				},
-				warmer:   c.Warmer(),
-				resume:   func(uint64) bool { return c.Resume() },
-				run:      func() error { _, err := c.Run(); return err },
-				counters: func() counters { return read(c.StatsSnapshot()) },
-				marks: func(ms []uint64, fn func(int, counters)) {
-					c.SetMarks(ms, func(i int, s ooo.Stats) { fn(i, read(s)) })
-				},
-			}
-		}}, nil
+		return design{plan: planOf(bc), shape: power.BaselineShape(), mem: bc.Mem, branch: bc.Branch,
+			build: func(src pipe.InstSource) machine { return ooo.New(bc, src) }}, nil
 	case ArchFlywheel, ArchRegAlloc:
 		fc := flywheelConfig(cfg, period)
-		return design{plan: planOf(fc), build: func(src pipe.InstSource) *machine {
-			c := core.New(fc, src)
-			read := func(s core.Stats) counters {
-				return counters{Act: s.Activity(), ReplayPS: s.ReplayTimePS, Mispredicts: s.Mispredicts,
-					Divergences: s.Divergences, Pred: s.Pred, Prefetch: s.Prefetch, Demand: s.Demand}
-			}
-			return &machine{
-				shape: power.FlywheelShape(),
-				warm: func(w *workload.Workload) error {
-					return warm(c.Warmer(), w, fc.Mem, fc.Branch)
-				},
-				warmer:   c.Warmer(),
-				resume:   c.Resume,
-				run:      func() error { _, err := c.Run(); return err },
-				counters: func() counters { return read(c.StatsSnapshot()) },
-				marks: func(ms []uint64, fn func(int, counters)) {
-					c.SetMarks(ms, func(i int, s core.Stats) { fn(i, read(s)) })
-				},
-			}
-		}}, nil
+		return design{plan: planOf(fc), shape: power.FlywheelShape(), mem: fc.Mem, branch: fc.Branch,
+			build: func(src pipe.InstSource) machine { return core.New(fc, src) }}, nil
 	}
 	return design{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
 }
@@ -288,21 +253,22 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 // caches and branch predictor are seeded with the state the initialization
 // phase leaves them in, so measurement starts from realistic state (the
 // paper fast-forwards 500M instructions).
-func (d design) warmed(src pipe.InstSource, w *workload.Workload) (*machine, error) {
+func (d design) warmed(src pipe.InstSource, w *workload.Workload) (machine, error) {
 	m := d.build(src)
-	if err := m.warm(w); err != nil {
+	if err := warm(m.Warmer(), w, d.mem, d.branch); err != nil {
 		return nil, err
 	}
 	return m, nil
 }
 
-// runExact runs the machine to the end of its source and returns its final
+// runExact runs m to the end of its source and returns its final
 // counters. name and arch label errors.
-func (m *machine) runExact(name string, arch Arch) (counters, error) {
-	if err := m.run(); err != nil {
-		return counters{}, fmt.Errorf("sim %s/%s: %w", name, arch, err)
+func runExact(m machine, name string, arch Arch) (pipe.Counters, error) {
+	c, err := m.Run()
+	if err != nil {
+		return pipe.Counters{}, fmt.Errorf("sim %s/%s: %w", name, arch, err)
 	}
-	return m.counters(), nil
+	return c, nil
 }
 
 func baselineConfig(cfg RunConfig, period int64) ooo.Config {
@@ -357,10 +323,9 @@ func RunSource(name, source string, cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	m := d.build(emu.NewStream(emu.New(prog), cfg.MaxInstructions))
-	c, err := m.runExact(name, cfg.Arch)
+	c, err := runExact(d.build(emu.NewStream(emu.New(prog), cfg.MaxInstructions)), name, cfg.Arch)
 	if err != nil {
 		return Result{}, err
 	}
-	return price(cfg, c, m.shape)
+	return price(cfg, c, d.shape)
 }

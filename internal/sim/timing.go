@@ -55,12 +55,12 @@ type Timing struct {
 	id    TimingID
 	grain int64 // picoseconds per clock-plan unit in the simulated run
 	shape power.MachineShape
-	c     counters // exact runs: the final record
+	c     pipe.Counters // exact runs: the final record
 
 	// Sampled runs only.
-	windows  []counters // complete windows' measurement deltas, in stream order
-	pos      uint64     // stream position at the end: records delivered or fast-forwarded
-	detailed uint64     // records run through the timing core
+	windows  []pipe.Counters // complete windows' measurement deltas, in stream order
+	pos      uint64          // stream position at the end: records delivered or fast-forwarded
+	detailed uint64          // records run through the timing core
 }
 
 // TimingOf returns the timing identity of the run cfg.
@@ -94,15 +94,14 @@ func Simulate(cfg RunConfig) (Timing, error) {
 	if err != nil {
 		return Timing{}, err
 	}
-	t := Timing{id: id, grain: d.plan.grain}
+	t := Timing{id: id, grain: d.plan.grain, shape: d.shape}
 	err = replay(cfg, func(w *workload.Workload, stream pipe.InstSource) error {
 		if !cfg.Sampling.Enabled() {
 			m, err := d.warmed(stream, w)
 			if err != nil {
 				return err
 			}
-			t.shape = m.shape
-			t.c, err = m.runExact(cfg.Workload, cfg.Arch)
+			t.c, err = runExact(m, cfg.Workload, cfg.Arch)
 			return err
 		}
 		gate := sample.NewGate(stream)
@@ -110,7 +109,6 @@ func Simulate(cfg RunConfig) (Timing, error) {
 		if err != nil {
 			return err
 		}
-		t.shape = m.shape
 		if err := sampleLoop(cfg.Sampling, stream, gate, m, &t); err != nil {
 			return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
 		}
@@ -147,21 +145,21 @@ func (t Timing) Price(cfg RunConfig) (Result, error) {
 
 // rescaled returns c with its picosecond fields converted from t's grain
 // to a grain of to picoseconds.
-func (t Timing) rescaled(c counters, to int64) counters {
-	c.Act.TimePS = rescale(c.Act.TimePS, t.grain, to)
+func (t Timing) rescaled(c pipe.Counters, to int64) pipe.Counters {
+	c.TimePS = rescale(c.TimePS, t.grain, to)
 	c.ReplayPS = rescale(c.ReplayPS, t.grain, to)
 	return c
 }
 
 // price builds cfg's Result from an exact run's final counters, with the
 // energy of the machine shape at cfg's node.
-func price(cfg RunConfig, c counters, shape power.MachineShape) (Result, error) {
+func price(cfg RunConfig, c pipe.Counters, shape power.MachineShape) (Result, error) {
 	tech, err := power.Tech(cfg.Node)
 	if err != nil {
 		return Result{}, err
 	}
 	res := resultFrom(cfg, c)
-	rep := power.Compute(c.Act, shape, tech)
+	rep := power.Compute(activity(c), shape, tech)
 	res.EnergyPJ, res.PowerW, res.LeakageFrac = rep.TotalPJ, rep.AvgPowerW, rep.LeakageFrac
 	return res, nil
 }

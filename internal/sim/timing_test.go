@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flywheel/internal/cacti"
+	"flywheel/internal/pipe"
 	"flywheel/internal/workload"
 )
 
@@ -28,10 +29,10 @@ var timingNodes = []cacti.Node{cacti.Node130, cacti.Node90, cacti.Node60}
 
 // inGrains returns t's counter record with its picosecond fields in units
 // of t's grain, failing if a field is not a whole number of grains.
-func inGrains(t *testing.T, tm Timing) counters {
+func inGrains(t *testing.T, tm Timing) pipe.Counters {
 	t.Helper()
 	c := tm.c
-	for _, ps := range []*int64{&c.Act.TimePS, &c.ReplayPS} {
+	for _, ps := range []*int64{&c.TimePS, &c.ReplayPS} {
 		if *ps%tm.grain != 0 {
 			t.Fatalf("%v: %d ps is not a whole number of %d ps grains", tm.id, *ps, tm.grain)
 		}
