@@ -26,13 +26,11 @@
 // Sampled execution trades a small, quantified error for ~5x cheaper
 // cycle-accurate cells: each run alternates fast-forwarded functional
 // warming with short detailed windows and reports confidence intervals.
-// `-tier sampled` runs the whole grid that way; combining `-sample-period`
-// with `-tier analytic` or `-tier auto` inserts it as a middle tier —
-// analytic screen, sampled shortlist, exact confirmation of only the cells
-// whose confidence interval leaves their frontier status ambiguous.
+// `-tier sampled` runs the whole grid that way; the sampling flags
+// (-sample-period, -window, -sample-warmup, -sample-seed) are a usage
+// error with any other tier.
 //
-//	explore -tier sampled -fe 0,25,50,75,100           # whole grid, sampled
-//	explore -tier analytic -sample-period 60000        # three-tier
+//	explore -tier sampled -fe 0,25,50,75,100
 package main
 
 import (

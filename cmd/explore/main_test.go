@@ -217,21 +217,19 @@ func TestRunTierSampledDefaultsPeriod(t *testing.T) {
 	}
 }
 
-func TestRunThreeTier(t *testing.T) {
-	// -sample-period with an analytic screen inserts the sampled middle
-	// tier; the summary must report both the sampled cells and how many
-	// escalated to exact.
-	args := append([]string{
-		"-tier", "analytic", "-sample-period", "12000", "-window", "1000",
-		"-sample-warmup", "500", "-fe", "0,25,50,75,100",
-	}, tiny[2:len(tiny)-2]...)
-	args = append(args, "-n", "60000")
-	var out, errb bytes.Buffer
-	if code := run(args, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	if !strings.Contains(errb.String(), "sampled") || !strings.Contains(errb.String(), "escalated") {
-		t.Errorf("three-tier summary missing sampled/escalated counts: %s", errb.String())
+// TestRunRejectsSamplingOffSampledTier: a sampling flag on any tier but
+// sampled is a usage error naming the sampled tier; it used to run the
+// tier without sampling.
+func TestRunRejectsSamplingOffSampledTier(t *testing.T) {
+	for _, tier := range []string{"exact", "analytic", "auto"} {
+		args := append([]string{"-tier", tier, "-sample-period", "60000"}, tiny...)
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("-tier %s: exit %d, want 2 (stderr: %s)", tier, code, errb.String())
+		}
+		if !strings.Contains(errb.String(), "tier sampled") {
+			t.Errorf("-tier %s: error %q does not name the sampled tier", tier, errb.String())
+		}
 	}
 }
 

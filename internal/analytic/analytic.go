@@ -198,15 +198,6 @@ type Model struct {
 	TrainingErr   Summary
 }
 
-// Anchored reports whether the profile was part of calibration for the
-// given architecture, node and frontend, so predictions carry its residual
-// anchor. Unanchored profiles predict from the global fit alone, with
-// correspondingly larger error.
-func (m *Model) Anchored(p synth.Profile, a sim.Arch, n cacti.Node, front Frontend) bool {
-	_, ok := m.anchors[anchorKey(p.Name(), a, n, front)]
-	return ok
-}
-
 // Covers reports whether the model was calibrated for the given
 // architecture, node and frontend.
 func (m *Model) Covers(a sim.Arch, n cacti.Node, front Frontend) bool {

@@ -110,9 +110,6 @@ func New(cfg Config) *Predictor {
 // Config returns the predictor configuration.
 func (p *Predictor) Config() Config { return p.cfg }
 
-// Direction returns the conditional-direction predictor's canonical name.
-func (p *Predictor) Direction() string { return p.dir.Kind() }
-
 // CopyStateFrom copies the table state (direction predictor, BTB, RAS) and
 // statistics of an identically configured predictor into this one. It lets
 // warmed predictor state be cloned into a fresh core instead of replaying

@@ -14,10 +14,14 @@
 //     held to finding 100% of it.
 //
 // Determinism: every decision is a pure function of (seed, scope,
-// occurrence counter) — no global RNG, no time. Two runs with the same
-// seed and the same per-scope request sequence inject the same fault
-// multiset, so a chaos test's invariants (byte-identical results, zero
-// lost jobs) are replayable, and a failure reproduces from its seed.
+// occurrence counter) — no global RNG, no time. A RoundTripper's scope is
+// the request's host name without its port, and its occurrence counter
+// counts requests per host and port. Two runs with the same seed and the
+// same request sequence per host inject the same fault multiset even when
+// the servers listen on fresh ephemeral ports, so a chaos test's
+// invariants (byte-identical results, zero lost jobs) are replayable, and
+// a failure reproduces from its seed. Servers that share a host name see
+// the same rolls at the same occurrence.
 //
 // RoundTrippers compose: stack one that truncates only /v1/sweep bodies
 // on top of one that drops a small fraction of everything.
@@ -155,8 +159,9 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 		}
 	}
 
-	// One deterministic roll stream per (seed, host, occurrence).
-	r := newRolls(t.plan.Seed, host, uint64(n))
+	// One deterministic roll stream per (seed, host name, occurrence): the
+	// port is left out, so a seed replays against servers on fresh ports.
+	r := newRolls(t.plan.Seed, req.URL.Hostname(), uint64(n))
 	if r.below(t.plan.Drop) {
 		t.drops.Add(1)
 		return nil, &droppedError{"drop", host}

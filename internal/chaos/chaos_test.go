@@ -13,15 +13,15 @@ import (
 )
 
 // TestScheduleDeterminism: the same seed over the same request sequence
-// injects the identical fault multiset; a different seed injects a
-// different one.
+// injects the identical fault multiset, even against a server on another
+// port; a different seed injects a different one.
 func TestScheduleDeterminism(t *testing.T) {
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprint(w, strings.Repeat("x", 2048))
-	}))
-	t.Cleanup(ts.Close)
-
 	run := func(seed uint64) Counts {
+		// A fresh server per run: each listens on its own ephemeral port.
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fmt.Fprint(w, strings.Repeat("x", 2048))
+		}))
+		defer ts.Close()
 		rt := New(Plan{Seed: seed, Drop: 0.2, Err5xx: 0.2, Truncate: 0.2}, nil)
 		client := &http.Client{Transport: rt}
 		for i := 0; i < 200; i++ {

@@ -31,9 +31,6 @@ func NewDomain(name string, periodPS, start int64) *Domain {
 	return &Domain{name: name, period: periodPS, next: start + periodPS}
 }
 
-// Name returns the domain name.
-func (d *Domain) Name() string { return d.name }
-
 // Period returns the current period in picoseconds.
 func (d *Domain) Period() int64 { return d.period }
 

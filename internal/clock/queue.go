@@ -29,9 +29,6 @@ func NewQueue[T any](capacity int) *Queue[T] {
 // Len returns the number of queued items (visible or not).
 func (q *Queue[T]) Len() int { return len(q.items) }
 
-// Cap returns the queue capacity.
-func (q *Queue[T]) Cap() int { return q.cap }
-
 // Full reports whether the queue is at capacity.
 func (q *Queue[T]) Full() bool { return len(q.items) >= q.cap }
 

@@ -126,9 +126,6 @@ func NewEC(cfg ECConfig) *EC {
 	return &EC{cfg: cfg, sets: sets, nextTID: 1}
 }
 
-// Config returns the cache configuration.
-func (e *EC) Config() ECConfig { return e.cfg }
-
 func (e *EC) startSet(pc uint64) int {
 	return int((pc >> 2) % uint64(len(e.sets)))
 }
@@ -263,12 +260,6 @@ type Reader struct {
 	successor uint64
 }
 
-// Valid reports whether the reader refers to a trace.
-func (r *Reader) Valid() bool { return r.ec != nil }
-
-// TraceID identifies the trace being read.
-func (r *Reader) TraceID() uint64 { return r.traceID }
-
 // Successor returns the recorded follow-on address, valid after ReadBlock
 // returned the last block.
 func (r *Reader) Successor() uint64 { return r.successor }
@@ -343,9 +334,6 @@ func (e *EC) NewBuilder(startPC uint64, startSeq uint64) *Builder {
 	}
 	return b
 }
-
-// StartPC returns the trace's entry address.
-func (b *Builder) StartPC() uint64 { return b.startPC }
 
 // StartSeq returns the dynamic sequence number of the trace's first
 // (program-order) instruction.

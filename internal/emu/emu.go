@@ -321,19 +321,6 @@ func (m *Machine) Run(limit uint64) (uint64, error) {
 	return m.Retired - start, nil
 }
 
-// RunUntil executes until the PC first reaches target (the paper's
-// fast-forward over initialization), until halt, or until limit
-// instructions. It reports the number of instructions executed.
-func (m *Machine) RunUntil(target uint64, limit uint64) (uint64, error) {
-	start := m.Retired
-	for !m.Halted && m.PC != target && m.Retired-start < limit {
-		if _, err := m.Step(); err != nil {
-			return m.Retired - start, err
-		}
-	}
-	return m.Retired - start, nil
-}
-
 // Stream adapts a Machine into the dynamic-trace iterator consumed by the
 // timing simulators.
 type Stream struct {

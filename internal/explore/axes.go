@@ -95,33 +95,6 @@ func (a Axes) Space() (Space, error) {
 	if err != nil {
 		return sp, err
 	}
-	for _, i := range ilps {
-		for _, e := range entropies {
-			for _, f := range fps {
-				for _, m := range mems {
-					for _, s := range strides {
-						for _, r := range reuses {
-							for _, c := range codes {
-								for _, bp := range periods {
-									for _, ch := range chases {
-										for _, sb := range sbytes {
-											sp.Profiles = append(sp.Profiles, synth.Profile{
-												ILP: i, BranchEntropy: e, FPMix: f,
-												MemFootprintKB: m, StrideFrac: s, RegReuse: r,
-												CodeFootprintKB: c, Seed: a.Seed, Passes: a.Passes,
-												BranchPeriod: bp, ChaseFrac: ch, StrideBytes: sb,
-											})
-										}
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-
 	for _, name := range splitList(a.Predictor) {
 		if !branch.KnownDirection(name) {
 			return sp, fmt.Errorf("unknown predictor %q (want %s)", name, strings.Join(branch.Directions(), ", "))
@@ -179,15 +152,46 @@ func (a Axes) Space() (Space, error) {
 	if maxPoints == 0 {
 		maxPoints = DefaultMaxPoints
 	}
-	preds, pfs := len(sp.Predictors), len(sp.Prefetchers)
-	if preds == 0 {
-		preds = 1 // normalize() will default the axis to one point
+	// The guard runs before the profile cross-product is built, so a
+	// query with many long knob lists cannot exhaust memory first. The
+	// product is taken in float64 so it cannot overflow.
+	size := 1.0
+	for _, n := range []int{
+		len(ilps), len(entropies), len(fps), len(mems), len(strides), len(reuses),
+		len(codes), len(periods), len(chases), len(sbytes),
+		max(len(sp.Predictors), 1), max(len(sp.Prefetchers), 1), // normalize() defaults an empty axis to one point
+		len(sp.Archs), len(sp.FEBoosts), len(sp.BEBoosts), len(sp.Nodes),
+	} {
+		size *= float64(n)
 	}
-	if pfs == 0 {
-		pfs = 1
+	if size > float64(maxPoints) {
+		return sp, fmt.Errorf("grid has %.0f points, max %d — trim an axis", size, maxPoints)
 	}
-	if size := len(sp.Profiles) * len(sp.Archs) * preds * pfs * len(sp.FEBoosts) * len(sp.BEBoosts) * len(sp.Nodes); size > maxPoints {
-		return sp, fmt.Errorf("grid has %d points, max %d — trim an axis", size, maxPoints)
+	for _, i := range ilps {
+		for _, e := range entropies {
+			for _, f := range fps {
+				for _, m := range mems {
+					for _, s := range strides {
+						for _, r := range reuses {
+							for _, c := range codes {
+								for _, bp := range periods {
+									for _, ch := range chases {
+										for _, sb := range sbytes {
+											sp.Profiles = append(sp.Profiles, synth.Profile{
+												ILP: i, BranchEntropy: e, FPMix: f,
+												MemFootprintKB: m, StrideFrac: s, RegReuse: r,
+												CodeFootprintKB: c, Seed: a.Seed, Passes: a.Passes,
+												BranchPeriod: bp, ChaseFrac: ch, StrideBytes: sb,
+											})
+										}
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 	return sp, nil
 }

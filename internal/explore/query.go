@@ -22,9 +22,8 @@ type Query struct {
 	// Tier is exact, sampled, analytic or auto. Auto screens analytically
 	// only when the grid has at least four times the calibration cells.
 	Tier string
-	// Sampling is the sampled schedule: the whole grid's under tier
-	// sampled (a zero period means sample.DefaultPeriod), the middle
-	// tier's under analytic or auto (a zero period means no middle tier).
+	// Sampling is tier sampled's schedule (a zero period means
+	// sample.DefaultPeriod). Every other tier rejects a non-zero one.
 	Sampling sim.Sampling
 	// Margin, Audit and AuditSeed configure the analytic screen (see
 	// TieredOptions).
@@ -69,33 +68,38 @@ func (q *Query) Bind(fs *flag.FlagSet) {
 	fs.Uint64Var(&q.AuditSeed, "auditseed", q.AuditSeed, "audit-sample seed")
 
 	s := &q.Sampling
-	fs.Uint64Var(&s.Period, "sample-period", s.Period, "sampled-execution period in instructions (0 = exact cells; with -tier sampled, 0 = default period)")
+	fs.Uint64Var(&s.Period, "sample-period", s.Period, "sampled-execution period in instructions for -tier sampled (0 = default)")
 	fs.Uint64Var(&s.WindowInsts, "window", s.WindowInsts, "measured instructions per detailed window (0 = default)")
 	fs.Uint64Var(&s.WarmupInsts, "sample-warmup", s.WarmupInsts, "detailed warm-up instructions before each window (0 = default)")
 	fs.Uint64Var(&s.Seed, "sample-seed", s.Seed, "window-phase seed (0 = 1)")
 }
 
-// sampling is the normalized schedule the query runs, with the sampled
-// tier's default period applied.
+// sampling is the normalized schedule of tier sampled, with the default
+// period applied.
 func (q Query) sampling() sim.Sampling {
 	s := q.Sampling
-	if q.Tier == "sampled" && s.Period == 0 {
+	if s.Period == 0 {
 		s.Period = sample.DefaultPeriod
 	}
 	return s.Normalize()
 }
 
 // Space validates the query and assembles its grid. It rejects an unknown
-// tier, an infeasible sampling schedule, and a margin or audit that would
-// confirm every cell; the grid-size guard is screenMaxPoints for the
-// analytic and auto tiers unless MaxPoints is set.
+// tier, a sampling schedule on any tier but sampled, an infeasible
+// schedule, and a margin or audit that would confirm every cell; the
+// grid-size guard is screenMaxPoints for the analytic and auto tiers unless
+// MaxPoints is set.
 func (q Query) Space() (Space, error) {
 	switch q.Tier {
 	case "exact", "sampled", "analytic", "auto":
 	default:
 		return Space{}, fmt.Errorf("unknown tier %q (want exact, sampled, analytic or auto)", q.Tier)
 	}
-	if err := q.sampling().Validate(); err != nil {
+	if q.Tier != "sampled" {
+		if q.Sampling != (sim.Sampling{}) {
+			return Space{}, fmt.Errorf("sampling parameters need tier sampled, not %s", q.Tier)
+		}
+	} else if err := q.sampling().Validate(); err != nil {
 		return Space{}, err
 	}
 	if err := (TieredOptions{Margin: q.Margin, Audit: q.Audit}).validate(); err != nil {
@@ -149,7 +153,6 @@ func (q Query) Run(s Space, opt Options) (*Outcome, error) {
 		}
 		out.Tiered, err = ExploreTiered(s, model, TieredOptions{
 			Options: opt, Margin: q.Margin, Audit: q.Audit, AuditSeed: q.AuditSeed,
-			Sampling: q.sampling(),
 		})
 	case "sampled":
 		out.Report, err = ExploreSampled(s, q.sampling(), opt)

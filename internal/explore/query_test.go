@@ -48,6 +48,43 @@ func TestQuerySpaceGuard(t *testing.T) {
 	}
 }
 
+// TestQuerySpaceSamplingNeedsSampledTier: any sampling field set on a tier
+// other than sampled is rejected; it used to be ignored by the exact tier.
+func TestQuerySpaceSamplingNeedsSampledTier(t *testing.T) {
+	set := []func(*Query){
+		func(q *Query) { q.Sampling.Period = 60_000 },
+		func(q *Query) { q.Sampling.WindowInsts = 1_000 },
+		func(q *Query) { q.Sampling.WarmupInsts = 500 },
+		func(q *Query) { q.Sampling.Seed = 2 },
+	}
+	for _, tier := range []string{"exact", "sampled", "analytic", "auto"} {
+		for i, f := range set {
+			q := DefaultQuery()
+			q.Tier = tier
+			f(&q)
+			_, err := q.Space()
+			if ok := tier == "sampled"; (err == nil) != ok {
+				t.Errorf("tier %s field %d: err = %v, want ok=%t", tier, i, err, ok)
+			}
+		}
+	}
+}
+
+// TestQuerySpaceGuardPrecedesProfiles: ten profile-knob lists of 40
+// values describe 40^10 profiles. The guard must reject them from the
+// list lengths alone; building the cross-product first would exhaust
+// memory.
+func TestQuerySpaceGuardPrecedesProfiles(t *testing.T) {
+	list := strings.TrimSuffix(strings.Repeat("1,", 40), ",")
+	q := DefaultQuery()
+	a := &q.Axes
+	a.ILP, a.Entropy, a.FPMix, a.Mem, a.Stride = list, list, list, list, list
+	a.Reuse, a.Code, a.Period, a.Chase, a.StrideBytes = list, list, list, list, list
+	if _, err := q.Space(); err == nil || !strings.Contains(err.Error(), "max 4096") {
+		t.Errorf("err = %v, want the 4,096-point guard", err)
+	}
+}
+
 // TestExploreTieredRejectsConfirmAll: the library entry point enforces the
 // same margin limit as Query.Space.
 func TestExploreTieredRejectsConfirmAll(t *testing.T) {

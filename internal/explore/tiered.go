@@ -62,12 +62,6 @@ type TieredOptions struct {
 	Audit float64
 	// AuditSeed seeds the deterministic audit sampler; zero means 1.
 	AuditSeed uint64
-	// Sampling, when enabled, inserts a sampled middle tier: the cells the
-	// analytic screen selects are evaluated with sampled execution first,
-	// and only the cells whose frontier status is ambiguous within their
-	// own confidence interval escalate to exact simulation. Zero keeps the
-	// two-tier analytic-then-exact flow.
-	Sampling sim.Sampling
 }
 
 // validate rejects a margin or audit that would confirm every cell. A
@@ -93,7 +87,6 @@ func (o TieredOptions) normalize() TieredOptions {
 	if o.AuditSeed == 0 {
 		o.AuditSeed = 1
 	}
-	o.Sampling = o.Sampling.Normalize()
 	return o
 }
 
@@ -115,22 +108,9 @@ type TieredReport struct {
 	MarginCells int
 	AuditCells  int
 
-	// SampledCells counts cells evaluated by the sampled middle tier (zero
-	// in two-tier mode); EscalatedCells counts the subset whose confidence
-	// interval could not settle their frontier status, so they were re-run
-	// exactly. Confirmed holds the sampled estimate for the rest.
-	SampledCells   int
-	EscalatedCells int
-
 	// Err compares the analytic prediction against the cycle-accurate
 	// result over every confirmed cell (per-instruction time and energy).
 	Err analytic.Summary
-
-	// SampledErr compares the sampled estimate against the exact result
-	// over the escalated cells — the only cells where both fidelities ran.
-	// It measures the sampled tier's real error, bias included, which the
-	// per-window confidence interval alone cannot see.
-	SampledErr analytic.Summary
 }
 
 // ExploreTiered screens the whole grid with the analytic model and
@@ -155,7 +135,7 @@ func ExploreTiered(s Space, model *analytic.Model, opt TieredOptions) (*TieredRe
 	}
 	markFrontier(pred)
 
-	selected := slackSelect(pred, func(Point) float64 { return opt.Margin })
+	selected := slackSelect(pred, opt.Margin)
 	rep := &TieredReport{Space: plan.Space, Margin: opt.Margin, Audit: opt.Audit, Predicted: pred}
 	for _, sel := range selected {
 		if sel {
@@ -174,12 +154,7 @@ func ExploreTiered(s Space, model *analytic.Model, opt TieredOptions) (*TieredRe
 		}
 	}
 
-	var confirmed []Point
-	if opt.Sampling.Enabled() {
-		confirmed, err = sampledConfirm(plan, selected, opt, rep)
-	} else {
-		confirmed, err = confirmCells(plan, selected, opt.Options, sim.Sampling{})
-	}
+	confirmed, err := confirmCells(plan, selected, opt.Options, sim.Sampling{})
 	if err != nil {
 		return nil, err
 	}
@@ -201,84 +176,13 @@ func ExploreTiered(s Space, model *analytic.Model, opt TieredOptions) (*TieredRe
 	return rep, nil
 }
 
-// sampledConfirm is the three-tier middle and final stage: evaluate the
-// selected cells with sampled execution, escalate to exact only the cells
-// whose 95% confidence interval could flip their frontier status, and
-// return the merged set — exact results where they ran, sampled estimates
-// elsewhere. The report's sampled counters and error summary are filled in
-// place.
-func sampledConfirm(plan *Plan, selected []bool, opt TieredOptions, rep *TieredReport) ([]Point, error) {
-	sampled, err := confirmCells(plan, selected, opt.Options, opt.Sampling)
-	if err != nil {
-		return nil, err
-	}
-	rep.SampledCells = len(sampled)
-	markFrontier(sampled)
-
-	// A cell escalates when crediting its speedup and discounting its
-	// energy by its own (and its baseline's) confidence interval would
-	// still leave it undominated — its frontier membership is within
-	// noise. Cells dominated by more than their interval are settled:
-	// the sampled estimate is kept and no exact run is spent.
-	escalate := slackSelect(sampled, pointCI)
-	escalated := make([]bool, len(plan.Grid))
-	for k, p := range sampled {
-		if escalate[k] {
-			escalated[p.gridIndex] = true
-		}
-	}
-	exact, err := confirmCells(plan, escalated, opt.Options, sim.Sampling{})
-	if err != nil {
-		return nil, err
-	}
-	rep.EscalatedCells = len(exact)
-
-	byGrid := map[int]Point{}
-	for _, p := range exact {
-		byGrid[p.gridIndex] = p
-	}
-	confirmed := make([]Point, len(sampled))
-	for k, p := range sampled {
-		if e, ok := byGrid[p.gridIndex]; ok {
-			confirmed[k] = e
-			if p.Result.Retired > 0 && e.Result.Retired > 0 &&
-				p.Result.TimePS > 0 && e.Result.EnergyPJ > 0 {
-				sn, en := float64(p.Result.Retired), float64(e.Result.Retired)
-				rep.SampledErr.Observe(
-					float64(p.Result.TimePS)/sn, float64(e.Result.TimePS)/en,
-					p.Result.EnergyPJ/sn, e.Result.EnergyPJ/en)
-			}
-		} else {
-			confirmed[k] = p
-		}
-	}
-	rep.SampledErr.Finish()
-	return confirmed, nil
-}
-
-// pointCI is the escalation slack of a sampled point: the sum of the
-// relative 95% confidence half-intervals of its own and its baseline's
-// time and energy estimates. Speedup and energy ratio each divide two
-// estimates, so first-order their relative error is bounded by the sum of
-// the operands' — one conservative slack serves both axes.
-func pointCI(p Point) float64 {
-	ci := 0.0
-	if s := p.Result.Sampled; s != nil {
-		ci += s.TimeRelCI95 + s.EnergyRelCI95
-	}
-	if s := p.Baseline.Sampled; s != nil {
-		ci += s.TimeRelCI95 + s.EnergyRelCI95
-	}
-	return ci
-}
-
-// slackSelect marks every finite point within its slack of the Pareto
+// slackSelect marks every finite point within margin of the Pareto
 // frontier of points: p survives unless some point dominates it even after
-// p's speedup is credited by (1+slack(p)) and its energy discounted by
-// (1-slack(p)). Frontier members always survive; with a slack of zero or
+// p's speedup is credited by (1+margin) and its energy discounted by
+// (1-margin). Frontier members always survive; with a margin of zero or
 // below p counts against itself, so exactly the frontier survives. One
 // sort plus a binary search per point — O(n log n).
-func slackSelect(points []Point, slack func(Point) float64) []bool {
+func slackSelect(points []Point, margin float64) []bool {
 	selected := make([]bool, len(points))
 	idx := make([]int, 0, len(points))
 	for i := range points {
@@ -300,13 +204,12 @@ func slackSelect(points []Point, slack func(Point) float64) []bool {
 	}
 	for _, i := range idx {
 		p := &points[i]
-		sl := slack(*p)
-		// L = number of points at least (1+slack) faster than p.
-		need := p.Speedup * (1 + sl)
+		// L = number of points at least (1+margin) faster than p.
+		need := p.Speedup * (1 + margin)
 		L := sort.Search(len(idx), func(k int) bool {
 			return points[idx[k]].Speedup < need
 		})
-		dominated := L > 0 && prefixMin[L-1] <= p.EnergyRatio*(1-sl)
+		dominated := L > 0 && prefixMin[L-1] <= p.EnergyRatio*(1-margin)
 		selected[i] = !dominated || p.OnFrontier
 	}
 	return selected
@@ -408,10 +311,6 @@ func (r *TieredReport) Summary() string {
 	pct := 0.0
 	if total > 0 {
 		pct = 100 * float64(conf) / float64(total)
-	}
-	if r.SampledCells > 0 {
-		return fmt.Sprintf("tiered: %d cells screened analytically, %d sampled (%.1f%%: %d near-frontier + %d audit, margin %g), %d escalated to exact; prediction error %s; sampled-vs-exact %s",
-			total, r.SampledCells, pct, r.MarginCells, r.AuditCells, r.Margin, r.EscalatedCells, r.Err, r.SampledErr)
 	}
 	return fmt.Sprintf("tiered: %d cells screened analytically, %d confirmed cycle-accurately (%.1f%%: %d near-frontier + %d audit, margin %g); prediction error %s",
 		total, conf, pct, r.MarginCells, r.AuditCells, r.Margin, r.Err)

@@ -405,9 +405,6 @@ func (c *Cache) Hits() uint64 { return c.Stats().Hits }
 // record as Repriced, not misses.
 func (c *Cache) Misses() uint64 { return c.Stats().Misses }
 
-// DiskHits counts memory misses that were served by the persistent store.
-func (c *Cache) DiskHits() uint64 { return c.Stats().DiskHits }
-
 // Len reports the number of cached configurations.
 func (c *Cache) Len() int { return c.Stats().Entries }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"flywheel/internal/explore"
+	"flywheel/internal/sim"
 )
 
 // frontierParams are the /v1/frontier parameter names clients have always
@@ -53,4 +54,32 @@ func TestFrontierQueryEmptyValueKeepsDefault(t *testing.T) {
 	if got != explore.DefaultQuery() {
 		t.Errorf("empty values parsed to %+v", got)
 	}
+}
+
+// FuzzFrontierQuery feeds arbitrary /v1/frontier parameters through
+// frontierQuery and Query.Space: neither may panic, and a query that sets
+// a sampling parameter on any tier but sampled must be rejected.
+func FuzzFrontierQuery(f *testing.F) {
+	for _, seed := range []string{
+		"", "ilp=1,4&fe=0,50", "tier=sampled&sample_period=60000",
+		"tier=auto&sample_period=60000", "tier=exact&window=1000",
+		"tier=analytic&margin=0.02&audit=0.05", "sample_seed=2&tier=sampled",
+		"margin=NaN&tier=analytic", "entropyy=1", "n=&ilp=",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw string) {
+		params, err := url.ParseQuery(raw)
+		if err != nil {
+			return
+		}
+		q, err := frontierQuery(params)
+		if err != nil {
+			return
+		}
+		_, err = q.Space()
+		if q.Tier != "sampled" && q.Sampling != (sim.Sampling{}) && err == nil {
+			t.Fatalf("tier %q accepted sampling %+v", q.Tier, q.Sampling)
+		}
+	})
 }

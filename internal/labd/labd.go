@@ -25,11 +25,10 @@
 //	                   frontier; tier=auto picks by grid size; tier=sampled
 //	                   runs every cell with sampled execution (periodic
 //	                   detailed windows over fast-forwarded warming, with
-//	                   confidence intervals). sample_period with
-//	                   tier=analytic/auto inserts the sampled middle tier
-//	                   and escalates only CI-ambiguous cells to exact. The
-//	                   calibration runs flow through the shared cache, so
-//	                   they persist in the store like any sweep job.
+//	                   confidence intervals); a sampling parameter on any
+//	                   other tier is a 400. The calibration runs flow
+//	                   through the shared cache, so they persist in the
+//	                   store like any sweep job.
 //	GET  /v1/stats     cache hit/miss/in-flight counters, store size,
 //	                   uptime and the store version stamp.
 //	GET  /v1/health    liveness probe: {"status":"ok",...}. Coordinators
@@ -116,12 +115,12 @@ type StatsReply struct {
 	CanceledJobs uint64 `json:"canceled_jobs"`
 	// AnalyticCells and ConfirmedCells account the two-tier frontier
 	// queries served so far: grid cells screened by the analytic model
-	// versus cells escalated to the cycle-accurate simulator. Their ratio
+	// versus cells confirmed by the cycle-accurate simulator. Their ratio
 	// is the service's observed screening leverage.
 	AnalyticCells  uint64 `json:"analytic_cells"`
 	ConfirmedCells uint64 `json:"confirmed_cells"`
-	// SampledCells counts grid cells evaluated with sampled execution
-	// (tier=sampled grids and the three-tier middle stage alike).
+	// SampledCells counts grid cells evaluated with sampled execution by
+	// tier=sampled queries.
 	SampledCells uint64 `json:"sampled_cells"`
 	// Scrubs counts /v1/scrub passes served; QuarantinedFiles totals the
 	// corrupt files those passes moved aside.
@@ -215,13 +214,9 @@ type FrontierReply struct {
 	// confirmed cells — measured, not in-sample, error.
 	PredictionErr *analytic.Summary `json:"prediction_err,omitempty"`
 
-	// SampledCells / EscalatedCells describe the sampled middle tier of a
-	// three-tier query: cells evaluated with sampled execution, and the
-	// subset whose confidence interval forced an exact re-run. SampledErr
-	// compares the sampled estimates against exact on the escalated cells.
-	SampledCells   int               `json:"sampled_cells,omitempty"`
-	EscalatedCells int               `json:"escalated_cells,omitempty"`
-	SampledErr     *analytic.Summary `json:"sampled_err,omitempty"`
+	// SampledCells counts the cells a tier=sampled query evaluated with
+	// sampled execution: the whole grid.
+	SampledCells int `json:"sampled_cells,omitempty"`
 }
 
 // Server fronts one shared cache. Every request — sweep or frontier, any
@@ -462,11 +457,6 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		reply.ConfirmedCells = len(rep.Confirmed)
 		reply.Margin = rep.Margin
 		reply.PredictionErr = &rep.Err
-		if rep.SampledCells > 0 {
-			reply.SampledCells = rep.SampledCells
-			reply.EscalatedCells = rep.EscalatedCells
-			reply.SampledErr = &rep.SampledErr
-		}
 		s.analyticCells.Add(uint64(reply.ScreenedCells))
 		s.confirmedCells.Add(uint64(reply.ConfirmedCells))
 		frontier = rep.Frontier()

@@ -457,52 +457,16 @@ func TestFrontierTierSampled(t *testing.T) {
 	}
 }
 
-// TestFrontierThreeTier: sample_period on an analytic query inserts the
-// sampled middle tier — the reply reports sampled and escalated cell
-// counts plus a sampled-vs-exact error summary, and /v1/stats accrues
-// sampled_cells alongside the two-tier counters.
-func TestFrontierThreeTier(t *testing.T) {
-	_, client := startServer(t, lab.NewCache())
-	reply, err := client.Frontier(map[string]string{
-		"ilp": "1,4", "entropy": "0,1", "mem": "4", "code": "1",
-		"passes": "1", "fe": "0,25,50,75,100", "be": "0,50,100", "n": "60000",
-		"tier": "analytic", "sample_period": "12000", "window": "1000",
-		"sample_warmup": "500",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reply.Tier != "analytic" {
-		t.Fatalf("tier %q, want analytic", reply.Tier)
-	}
-	if reply.SampledCells != reply.ConfirmedCells {
-		t.Fatalf("sampled %d cells but confirmed %d — middle tier must cover the whole shortlist",
-			reply.SampledCells, reply.ConfirmedCells)
-	}
-	if reply.EscalatedCells <= 0 || reply.EscalatedCells > reply.SampledCells {
-		t.Fatalf("escalated %d of %d sampled cells", reply.EscalatedCells, reply.SampledCells)
-	}
-	if reply.SampledErr == nil || reply.SampledErr.Cells != reply.EscalatedCells {
-		t.Fatalf("sampled error summary %+v does not cover the %d escalated cells",
-			reply.SampledErr, reply.EscalatedCells)
-	}
-	st, err := client.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.SampledCells != uint64(reply.SampledCells) || st.ConfirmedCells != uint64(reply.ConfirmedCells) {
-		t.Fatalf("stats %d sampled / %d confirmed, reply said %d / %d",
-			st.SampledCells, st.ConfirmedCells, reply.SampledCells, reply.ConfirmedCells)
-	}
-}
-
 // TestFrontierBadSamplingQuery: malformed or infeasible sampling
-// parameters are usage errors, not 500s.
+// parameters, and sampling parameters on any tier but sampled, are usage
+// errors, not 500s.
 func TestFrontierBadSamplingQuery(t *testing.T) {
 	ts, _ := startServer(t, lab.NewCache())
 	for _, q := range []string{
 		"?sample_period=x", "?window=x", "?sample_warmup=x", "?sample_seed=x",
 		"?tier=sampled&sample_period=1000&window=2000",
+		"?tier=auto&sample_period=60000", "?tier=analytic&sample_period=60000",
+		"?sample_period=60000", "?tier=exact&window=1000", "?tier=auto&sample_seed=2",
 	} {
 		resp, err := http.Get(ts.URL + "/v1/frontier" + q)
 		if err != nil {

@@ -152,17 +152,6 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 	return h
 }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() HierarchyConfig { return h.cfg }
-
-// Prefetcher returns the active prefetcher's canonical name.
-func (h *Hierarchy) Prefetcher() string {
-	if h.pf == nil {
-		return PFNone
-	}
-	return h.pf.Kind()
-}
-
 // PrefetchStats returns the prefetch counters (zero when no prefetcher).
 func (h *Hierarchy) PrefetchStats() PrefetchStats { return h.pfStats }
 

@@ -328,6 +328,37 @@ func TestHierarchyMemoryLatencyScalesWithClock(t *testing.T) {
 	}
 }
 
+// TestHierarchyLatePrefetch: a load demands a line the delta prefetcher
+// issued fewer than prefetchDelay data accesses ago. The fill is in
+// flight, so the access counts as late, stays a demand miss and pays
+// L1 + L2 latency plus half the memory penalty.
+func TestHierarchyLatePrefetch(t *testing.T) {
+	cfg := DefaultHierarchyConfig(1000)
+	cfg.Prefetch = DefaultPrefetchConfig(PFDelta)
+	h := NewHierarchy(cfg)
+	const pc, base, stride = 0x400, 0x10000, 64 // one L2 line per access
+	// Accesses 1–3 train the stride to confidence 2; access 4 issues the
+	// next two lines, ready at data access 4+prefetchDelay.
+	for i := uint64(0); i < 4; i++ {
+		h.Access(AccessLoad, pc, base+i*stride, 1000)
+	}
+	if st := h.PrefetchStats(); st.Issued != 2 || st.DemandMisses != 4 || st.Late != 0 {
+		t.Fatalf("after training: %+v, want 2 issued, 4 demand misses, 0 late", st)
+	}
+	lat := h.Access(AccessLoad, pc, base+4*stride, 1000) // data access 5 < 8
+	st := h.PrefetchStats()
+	if st.Late != 1 || st.Useful != 0 {
+		t.Errorf("late %d, useful %d, want 1 and 0", st.Late, st.Useful)
+	}
+	if st.DemandMisses != 5 {
+		t.Errorf("demand misses %d, want 5: a late prefetch is still a miss", st.DemandMisses)
+	}
+	memCycles := int(cfg.MemLatencyPS / 1000)
+	if want := cfg.L1D.HitLatency + cfg.L2Latency + memCycles/2; lat.Cycles != want || lat.L1Hit || lat.L2Hit {
+		t.Errorf("late access %+v, want a %d-cycle miss", lat, want)
+	}
+}
+
 func TestHierarchyResetStats(t *testing.T) {
 	h := NewHierarchy(DefaultHierarchyConfig(1000))
 	h.Access(AccessLoad, 0, 0, 1000)

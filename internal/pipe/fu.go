@@ -117,9 +117,6 @@ func NewFUPool(cfg FUConfig) *FUPool {
 	return p
 }
 
-// Config returns the pool configuration.
-func (p *FUPool) Config() FUConfig { return p.cfg }
-
 // Latency returns the execution latency for a class, in cycles.
 func (p *FUPool) Latency(c isa.Class) int { return p.cfg.Latency[c] }
 

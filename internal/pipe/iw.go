@@ -137,9 +137,6 @@ func NewIssueWindow(capacity int) *IssueWindow {
 	}
 }
 
-// Cap returns the window capacity.
-func (w *IssueWindow) Cap() int { return len(w.slots) }
-
 // Len returns the current occupancy.
 func (w *IssueWindow) Len() int { return w.count }
 

@@ -21,7 +21,7 @@ var uncounted = map[string]string{
 	"L2.Writes":           "the L2 is written only by L1D writebacks",
 	"L2.WriteMiss":        "the L2 is written only by L1D writebacks",
 	"L2.Writebacks":       "the L2 is written only by L1D writebacks",
-	"Prefetch.Late":       "no kernel demands a delta-prefetched line within the 4-access fill delay (none at 300k either)",
+	"Prefetch.Late":       "no kernel demands a delta-prefetched line within the 4-access fill delay (none at 300k either); mem's TestHierarchyLatePrefetch does",
 }
 
 // TestEveryCounterCounts finds dead counters: over the paper kernels at
