@@ -82,29 +82,36 @@ type Predictor struct {
 // the Direction name is canonicalized ("" means G-share). Unknown direction
 // names panic: validate with KnownDirection first (sim does).
 func New(cfg Config) *Predictor {
-	if cfg.TableSize <= 0 {
-		cfg.TableSize = 2048
-	}
-	if cfg.BTBSize <= 0 {
-		cfg.BTBSize = 512
-	}
-	cfg.TableSize = ceilPow2(cfg.TableSize)
-	cfg.BTBSize = ceilPow2(cfg.BTBSize)
-	if cfg.RASDepth <= 0 {
-		cfg.RASDepth = 16
-	}
-	if cfg.HistoryBits <= 0 {
-		cfg.HistoryBits = 12
-	}
-	if cfg.Direction == "" {
-		cfg.Direction = DirGShare
-	}
+	cfg = cfg.normalize()
 	return &Predictor{
 		cfg: cfg,
 		dir: newDirection(cfg),
 		btb: make([]btbEntry, cfg.BTBSize),
 		ras: make([]uint64, cfg.RASDepth),
 	}
+}
+
+// normalize fills c's defaults and rounds its table sizes up to powers of
+// two.
+func (c Config) normalize() Config {
+	if c.TableSize <= 0 {
+		c.TableSize = 2048
+	}
+	if c.BTBSize <= 0 {
+		c.BTBSize = 512
+	}
+	c.TableSize = ceilPow2(c.TableSize)
+	c.BTBSize = ceilPow2(c.BTBSize)
+	if c.RASDepth <= 0 {
+		c.RASDepth = 16
+	}
+	if c.HistoryBits <= 0 {
+		c.HistoryBits = 12
+	}
+	if c.Direction == "" {
+		c.Direction = DirGShare
+	}
+	return c
 }
 
 // Config returns the predictor configuration.
@@ -123,6 +130,22 @@ func (p *Predictor) CopyStateFrom(src *Predictor) {
 	copy(p.ras, src.ras)
 	p.rasTop = src.rasTop
 	p.Stats = src.Stats
+}
+
+// Reset returns the predictor to the state New(cfg) builds: untrained
+// direction tables, an empty BTB and RAS, and zero statistics. It clears
+// the tables in place when cfg is the predictor's configuration and
+// replaces them otherwise, so a reused core can switch predictors.
+func (p *Predictor) Reset(cfg Config) {
+	if cfg = cfg.normalize(); cfg != p.cfg {
+		*p = *New(cfg)
+		return
+	}
+	p.dir.Reset()
+	clear(p.btb)
+	clear(p.ras)
+	p.rasTop = 0
+	p.Stats = Stats{}
 }
 
 func ceilPow2(n int) int {

@@ -25,10 +25,18 @@ type Domain struct {
 
 // NewDomain creates a domain whose first edge falls at start+period.
 func NewDomain(name string, periodPS, start int64) *Domain {
+	d := &Domain{name: name}
+	d.Reset(periodPS, start)
+	return d
+}
+
+// Reset returns the domain to the state NewDomain(name, periodPS, start)
+// builds, keeping its name.
+func (d *Domain) Reset(periodPS, start int64) {
 	if periodPS <= 0 {
-		panic(fmt.Sprintf("clock: domain %q: period %d must be positive", name, periodPS))
+		panic(fmt.Sprintf("clock: domain %q: period %d must be positive", d.name, periodPS))
 	}
-	return &Domain{name: name, period: periodPS, next: start + periodPS}
+	*d = Domain{name: d.name, period: periodPS, next: start + periodPS}
 }
 
 // Period returns the current period in picoseconds.
@@ -81,6 +89,10 @@ type System struct {
 func NewSystem(domains ...*Domain) *System {
 	return &System{domains: domains}
 }
+
+// Reset moves the timeline back to zero. Its domains are reset by their
+// owner.
+func (s *System) Reset() { s.now = 0 }
 
 // Now returns the current simulation time in picoseconds.
 func (s *System) Now() int64 { return s.now }

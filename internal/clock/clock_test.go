@@ -190,3 +190,59 @@ func TestQueueFIFOUnderLoadProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestQueueRingWrapAround drives the ring's head and tail around the end of
+// its storage several times: FIFO order, visibility gating, Full/Free and
+// Flush must not depend on where in the ring the entries sit.
+func TestQueueRingWrapAround(t *testing.T) {
+	const capacity = 3
+	q := NewQueue[int](capacity)
+	next, want := 0, 0 // next value to push, next value expected out
+	for round := 0; round < 4*capacity; round++ {
+		// Fill to capacity; each entry becomes visible at its own value.
+		for !q.Full() {
+			if !q.Push(next, int64(next)) {
+				t.Fatalf("round %d: push %d failed below capacity", round, next)
+			}
+			next++
+		}
+		if q.Free() != 0 || q.Len() != capacity || q.Push(-1, 0) {
+			t.Fatalf("round %d: full queue reports Len %d Free %d", round, q.Len(), q.Free())
+		}
+		// The head is not visible before its readyAt, and entries behind it
+		// wait even when they would be visible.
+		if want > 0 {
+			if _, ok := q.Peek(int64(want) - 1); ok {
+				t.Fatalf("round %d: head %d visible before its readyAt", round, want)
+			}
+		}
+		// Pop two of three: the remaining entry carries the ring's head
+		// across the end of the storage on the next round.
+		for k := 0; k < 2; k++ {
+			v, ok := q.Pop(int64(want))
+			if !ok || v != want {
+				t.Fatalf("round %d: pop = %d, %v, want %d", round, v, ok, want)
+			}
+			want++
+		}
+		if q.Len() != 1 || q.Free() != capacity-1 || q.Full() {
+			t.Fatalf("round %d: after two pops Len %d Free %d", round, q.Len(), q.Free())
+		}
+	}
+	q.Flush()
+	if q.Len() != 0 || q.Free() != capacity {
+		t.Fatalf("flush left Len %d Free %d", q.Len(), q.Free())
+	}
+	if _, ok := q.Pop(1 << 40); ok {
+		t.Fatal("pop after flush succeeded")
+	}
+	// A flushed ring fills from its start again, in order.
+	for v := 0; v < capacity; v++ {
+		q.Push(v, 0)
+	}
+	for v := 0; v < capacity; v++ {
+		if got, ok := q.Pop(0); !ok || got != v {
+			t.Fatalf("after flush: pop = %d, %v, want %d", got, ok, v)
+		}
+	}
+}

@@ -8,9 +8,14 @@ package clock
 //
 // Within one domain it degenerates to an ordinary pipeline latch queue by
 // pushing with readyAt = now.
+//
+// The queue is a fixed-capacity ring: items[head] is the oldest entry and
+// the n entries after it (modulo the capacity) follow in push order, so
+// Push and Pop are O(1) and never move entries.
 type Queue[T any] struct {
 	items []item[T]
-	cap   int
+	head  int
+	n     int
 }
 
 type item[T any] struct {
@@ -23,17 +28,17 @@ func NewQueue[T any](capacity int) *Queue[T] {
 	if capacity <= 0 {
 		panic("clock: queue capacity must be positive")
 	}
-	return &Queue[T]{cap: capacity}
+	return &Queue[T]{items: make([]item[T], capacity)}
 }
 
 // Len returns the number of queued items (visible or not).
-func (q *Queue[T]) Len() int { return len(q.items) }
+func (q *Queue[T]) Len() int { return q.n }
 
 // Full reports whether the queue is at capacity.
-func (q *Queue[T]) Full() bool { return len(q.items) >= q.cap }
+func (q *Queue[T]) Full() bool { return q.n == len(q.items) }
 
 // Free returns the remaining capacity.
-func (q *Queue[T]) Free() int { return q.cap - len(q.items) }
+func (q *Queue[T]) Free() int { return len(q.items) - q.n }
 
 // Push enqueues v, visible to consumers at readyAt. It reports false when
 // the queue is full (producer must stall).
@@ -41,28 +46,40 @@ func (q *Queue[T]) Push(v T, readyAt int64) bool {
 	if q.Full() {
 		return false
 	}
-	q.items = append(q.items, item[T]{v, readyAt})
+	tail := q.head + q.n
+	if tail >= len(q.items) {
+		tail -= len(q.items)
+	}
+	q.items[tail] = item[T]{v, readyAt}
+	q.n++
 	return true
 }
 
 // Peek returns the head item if it is visible at time now.
 func (q *Queue[T]) Peek(now int64) (T, bool) {
-	if len(q.items) == 0 || q.items[0].readyAt > now {
+	if q.n == 0 || q.items[q.head].readyAt > now {
 		var zero T
 		return zero, false
 	}
-	return q.items[0].v, true
+	return q.items[q.head].v, true
 }
 
 // Pop removes and returns the head item if it is visible at time now.
 func (q *Queue[T]) Pop(now int64) (T, bool) {
 	v, ok := q.Peek(now)
 	if ok {
-		copy(q.items, q.items[1:])
-		q.items = q.items[:len(q.items)-1]
+		q.items[q.head] = item[T]{} // drop the reference
+		q.head++
+		if q.head == len(q.items) {
+			q.head = 0
+		}
+		q.n--
 	}
 	return v, ok
 }
 
-// Flush discards all items (pipeline squash).
-func (q *Queue[T]) Flush() { q.items = q.items[:0] }
+// Flush discards all items (pipeline squash, or a reused core's reset).
+func (q *Queue[T]) Flush() {
+	clear(q.items)
+	q.head, q.n = 0, 0
+}

@@ -123,11 +123,13 @@ func New(cfg Config, stream pipe.InstSource) *Core {
 	hier := mem.NewHierarchy(cfg.Mem)
 	window := newOracleWindow(stream)
 	arena := pipe.NewArena(pipe.ArenaCapacity(cfg.ROBSize, cfg.FrontQueueCap, cfg.FetchWidth))
+	fe := clock.NewDomain("front-end", cfg.FEPeriodPS(), 0)
+	be := clock.NewDomain("back-end", cfg.BasePeriodPS, 0)
 	c := &Core{
-		cfg:     cfg,
 		window:  window,
-		fe:      clock.NewDomain("front-end", cfg.FEPeriodPS(), 0),
-		be:      clock.NewDomain("back-end", cfg.BasePeriodPS, 0),
+		fe:      fe,
+		be:      be,
+		sys:     clock.NewSystem(be, fe),
 		pred:    pred,
 		hier:    hier,
 		arena:   arena,
@@ -142,11 +144,70 @@ func New(cfg Config, stream pipe.InstSource) *Core {
 		ec:      NewEC(cfg.EC),
 		runPool: make([]*traceRun, 0, 4),
 	}
-	c.sys = clock.NewSystem(c.be, c.fe)
+	c.configure(cfg)
+	return c
+}
+
+// Reset returns c to the state New(cfg, stream) builds and reports true.
+// Every structure is reset in place, so a reused core allocates nothing
+// unless cfg selects another predictor or prefetcher: the Execution Cache
+// keeps the block storage of earlier runs, and the trace-run pool and
+// scratch buffers keep theirs. It reports false, and leaves c untouched,
+// when cfg needs structures of another shape than c's (sameShape); build a
+// new core then.
+func (c *Core) Reset(cfg Config, stream pipe.InstSource) bool {
+	if !sameShape(c.cfg, cfg) {
+		return false
+	}
+	c.pred.Reset(cfg.Branch)
+	c.hier.Reset(cfg.Mem)
+	c.arena.Reset()
+	c.window.reset(stream)
+	c.fetcher.Reset(c.window)
+	c.front.Flush()
+	c.iw.Reset()
+	c.rob.Flush()
+	c.lsq.Reset()
+	c.fu.Reset()
+	c.rat.Reset()
+	c.ren.Reset()
+	c.ec.Reset()
+	c.fe.Reset(cfg.FEPeriodPS(), 0)
+	c.be.Reset(cfg.BasePeriodPS, 0)
+	c.sys.Reset()
+	c.releaseRun(c.cur)
+	c.releaseRun(c.next)
+	// Every other field returns to its zero value.
+	*c = Core{
+		window: c.window, fe: c.fe, be: c.be, sys: c.sys, pred: c.pred, hier: c.hier,
+		arena: c.arena, fetcher: c.fetcher, front: c.front, iw: c.iw, rob: c.rob,
+		lsq: c.lsq, fu: c.fu, rat: c.rat, ren: c.ren, ec: c.ec,
+		runPool:     c.runPool,
+		slotScratch: c.slotScratch[:0],
+		replayRecs:  c.replayRecs[:0],
+		replayInsts: c.replayInsts[:0],
+	}
+	c.configure(cfg)
+	return true
+}
+
+// configure sets the configuration and the latches whose idle value is not
+// zero; New and Reset share it.
+func (c *Core) configure(cfg Config) {
+	c.cfg = cfg
 	c.redistDeadline = cfg.RedistributionInterval
 	c.lastFailedResume = noFailedResume
 	c.divergedPC = noDivergedPC
-	return c
+}
+
+// sameShape reports whether cores built from a and b have structures of
+// the same sizes, cache geometries and Execution Cache, so one can be
+// reset to the other's configuration. The predictor, the prefetcher, clock
+// periods, latencies, boosts and every other timing knob may differ.
+func sameShape(a, b Config) bool {
+	return a.FetchWidth == b.FetchWidth && a.IWSize == b.IWSize && a.ROBSize == b.ROBSize &&
+		a.LSQSize == b.LSQSize && a.FrontQueueCap == b.FrontQueueCap && a.FU == b.FU &&
+		a.Mem.SameCaches(b.Mem) && a.EC == b.EC && a.Pools == b.Pools
 }
 
 // noFailedResume is the idle value of the failed-resume latch.

@@ -248,6 +248,15 @@ func (e *EC) InvalidateAll() {
 	e.Stats.Invalidations++
 }
 
+// Reset empties the cache and clears its statistics, leaving it as NewEC
+// builds it but keeping every block's slot storage (and the spare
+// builder): a reused core does not reallocate the blocks writeBlock
+// filled in its earlier runs.
+func (e *EC) Reset() {
+	e.InvalidateAll()
+	e.clock, e.nextTID, e.Stats = 0, 1, pipe.ECStats{}
+}
+
 // Reader streams the blocks of one trace out of the data array. The next
 // block of a trace always lives in the following set with the same trace id
 // and the next sequence number, so no tag lookup is needed per block.

@@ -75,14 +75,21 @@ type Renamer struct {
 // NewRenamer builds a renamer with pools split evenly.
 func NewRenamer(cfg PoolConfig) *Renamer {
 	r := &Renamer{cfg: cfg}
-	per := cfg.TotalRegs / isa.NumArchRegs
-	if per < cfg.MinPool {
-		per = cfg.MinPool
+	r.Reset()
+	return r
+}
+
+// Reset restores the even pool split and clears every table, counter and
+// statistic: the state NewRenamer builds.
+func (r *Renamer) Reset() {
+	*r = Renamer{cfg: r.cfg}
+	per := r.cfg.TotalRegs / isa.NumArchRegs
+	if per < r.cfg.MinPool {
+		per = r.cfg.MinPool
 	}
 	for i := range r.size {
 		r.size[i] = per
 	}
-	return r
 }
 
 // PoolSize returns the current pool capacity of an architected register.

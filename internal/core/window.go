@@ -41,16 +41,37 @@ type oracleWindow struct {
 const windowRecords = 1024
 
 func newOracleWindow(stream pipe.InstSource) *oracleWindow {
-	w := &oracleWindow{
-		stream:   stream,
-		entries:  make([]emu.Trace, 0, windowRecords),
-		consumed: make([]bool, 0, windowRecords),
+	w := &oracleWindow{}
+	w.reset(stream)
+	return w
+}
+
+// maxKeptRecords caps the window a reused core keeps. A run whose replay
+// leaves an early record unconsumed buffers every record after it (at 40k
+// instructions turb3d's window reaches 38,400 records, 1.8 MB); keeping
+// that buffer spares the next such run the regrowth, but a window grown by
+// a much longer run is dropped, so an idle core never holds more than
+// 3 MB of it.
+const maxKeptRecords = 64 * windowRecords
+
+// reset empties the window and binds it to stream: the state
+// newOracleWindow(stream) builds. A reused core's window keeps its buffers
+// up to maxKeptRecords.
+func (w *oracleWindow) reset(stream pipe.InstSource) {
+	entries, consumed := w.entries[:0], w.consumed[:0]
+	if cap(entries) < windowRecords || cap(entries) > maxKeptRecords {
+		entries, consumed = make([]emu.Trace, 0, windowRecords), make([]bool, 0, windowRecords)
+	}
+	*w = oracleWindow{
+		stream: stream, fbuf: w.fbuf,
+		entries: entries, consumed: consumed, requeue: w.requeue[:0],
 	}
 	if f, ok := stream.(pipe.Filler); ok {
 		w.filler = f
-		w.fbuf = make([]emu.Trace, 64)
+		if w.fbuf == nil {
+			w.fbuf = make([]emu.Trace, 64)
+		}
 	}
-	return w
 }
 
 // pull buffers at least one more record from the stream, batched when the

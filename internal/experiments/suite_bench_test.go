@@ -17,22 +17,33 @@ import (
 	"runtime"
 	"testing"
 
+	"flywheel/internal/cacti"
 	"flywheel/internal/lab"
+	"flywheel/internal/sim"
+	"flywheel/internal/workload"
 )
 
 func benchSuite(b *testing.B, workers int, cache *lab.Cache) {
-	opt := tinyOptions()
-	jobs := SuiteJobs(opt)
+	jobs := SuiteJobs(tinyOptions())
+	benchPasses(b, func() error {
+		c := cache
+		if c == nil {
+			c = lab.NewCache()
+		}
+		_, err := lab.Run(jobs, lab.Options{Workers: workers, Cache: c})
+		return err
+	})
+}
+
+// benchPasses times b.N calls of pass and reports B/op, allocs/op and the
+// garbage collections per pass (gc/op).
+func benchPasses(b *testing.B, pass func() error) {
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := cache
-		if c == nil {
-			c = lab.NewCache()
-		}
-		if _, err := lab.Run(jobs, lab.Options{Workers: workers, Cache: c}); err != nil {
+		if err := pass(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -53,4 +64,34 @@ func BenchmarkSuiteWarmCache(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchSuite(b, runtime.GOMAXPROCS(0), cache)
+}
+
+// BenchmarkPaperPass is one pass of the repository benchmark's paper-exact
+// workload (perfbench): Figures 2, 11, 12-14 (the sweep) and 15 at 40k
+// instructions through the lab with 2 workers and a fresh memo cache, so
+// every pass simulates every distinct timing again. Each workload's trace
+// is recorded before the timer starts, as in perfbench's set-up, so the
+// passes replay traces through the exact timing cores.
+func BenchmarkPaperPass(b *testing.B) {
+	opt := Options{Instructions: 40_000, Node: cacti.Node130, Parallel: 2}
+	for _, name := range workload.Names() {
+		cfg := sim.RunConfig{Workload: name, Arch: sim.ArchBaseline, Node: opt.Node, MaxInstructions: opt.Instructions}
+		if _, err := sim.Run(cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+	benchPasses(b, func() error {
+		opt.Cache = lab.NewCache()
+		if _, err := Figure2(opt); err != nil {
+			return err
+		}
+		if _, err := Figure11(opt); err != nil {
+			return err
+		}
+		if _, err := Sweep(opt); err != nil {
+			return err
+		}
+		_, err := Figure15(opt)
+		return err
+	})
 }

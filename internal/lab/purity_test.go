@@ -32,14 +32,17 @@ func purityJobs() []Job {
 		{Workload: "gcc", Arch: sim.ArchFlywheel, MaxInstructions: 130_000, Sampling: samp},
 		{Workload: "vpr", Arch: sim.ArchBaseline, MaxInstructions: 20_000},
 		{Workload: "gcc", Arch: sim.ArchFlywheel, FEBoostPct: 50, BEBoostPct: 50, MaxInstructions: 20_000},
+		{Workload: "vpr", Arch: sim.ArchRegAlloc, MaxInstructions: 20_000},
 	}
 }
 
 // TestResultIsPureFunctionOfJob requires every job's Result to be
 // byte-identical JSON however it was produced: on a cold, warm, disabled
 // or cap-blacklisted trace cache, from warm templates another node built,
-// through a 2-worker batch where a run overlaps an in-flight recording,
-// from the result store, and at any worker count and job order.
+// on a timing machine reused from other jobs, through a 2-worker batch
+// where a run overlaps an in-flight recording, from the result store, and
+// at any worker count and job order. The reference runs each job on a
+// newly built machine.
 func TestResultIsPureFunctionOfJob(t *testing.T) {
 	jobs := purityJobs()
 	prev := sim.TraceCachePolicy()
@@ -74,8 +77,25 @@ func TestResultIsPureFunctionOfJob(t *testing.T) {
 		return encode(res)
 	}
 
+	// one runs job j alone through a fresh memo cache.
+	one := func(j Job) []byte {
+		t.Helper()
+		res, err := NewCache().Do(j)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return encode([]sim.Result{res})[0]
+	}
+
+	// The reference: a cold trace cache, and every job on a new machine.
 	sim.ResetWarmTemplates()
-	want := sequential(trace.Policy{}, true)
+	sim.SetTraceCachePolicy(trace.Policy{})
+	sim.ResetTraceCache()
+	want := make([][]byte, len(jobs))
+	for i, j := range jobs {
+		sim.ResetMachinePool()
+		want[i] = one(j)
+	}
 	if s := sim.TraceCacheStats(); s.Misses == 0 || s.Hits == 0 {
 		t.Fatalf("cold pass did not both record and replay: %s", s)
 	}
@@ -90,6 +110,26 @@ func TestResultIsPureFunctionOfJob(t *testing.T) {
 
 	cold := sim.TraceCacheStats()
 	check("warm trace cache", sequential(trace.Policy{}, false))
+
+	// One reused machine: with no idle machine left, job A builds one, then
+	// B (another job of the same machine shape: a baseline, or a Flywheel
+	// or RegAlloc core) and A again each reset and reuse it. Every pair
+	// mixes workloads and exact and sampled runs.
+	for i, a := range jobs {
+		b := -1
+		for k := 1; k < len(jobs) && b < 0; k++ {
+			if c := (i + k) % len(jobs); (jobs[c].Arch == sim.ArchBaseline) == (a.Arch == sim.ArchBaseline) {
+				b = c
+			}
+		}
+		sim.ResetMachinePool()
+		for _, r := range []int{i, b, i} {
+			if got := one(jobs[r]); !bytes.Equal(got, want[r]) {
+				t.Errorf("reused machine (%s, then %s, then %s): job %d (%s) differs from a new machine:\n got  %s\n want %s",
+					a.Key(), jobs[b].Key(), a.Key(), r, jobs[r].Key(), got, want[r])
+			}
+		}
+	}
 	if s := sim.TraceCacheStats(); s.Misses != cold.Misses {
 		t.Errorf("warm pass recorded again: %s", s)
 	}

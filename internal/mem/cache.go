@@ -119,18 +119,59 @@ func log2(n int) uint {
 // Config returns the cache configuration.
 func (c *Cache) Config() CacheConfig { return c.cfg }
 
-// CopyStateFrom copies the tag/LRU state and statistics of a cache of the
-// same geometry into this one; timing fields may differ. It lets a warmed
-// cache be cloned into a fresh core for the cost of a memcpy instead of
-// replaying the warm access stream. It panics on a geometry mismatch
-// (caller bug).
-func (c *Cache) CopyStateFrom(src *Cache) {
-	if c.cfg.Geometry() != src.cfg.Geometry() {
-		panic(fmt.Sprintf("mem: %s: CopyStateFrom with mismatched geometry", c.cfg.Name))
+// cacheImage is a cache's tag/LRU state and statistics, stored sparsely:
+// the lines that are not empty, with their positions. A warmed template
+// cache holds a few thousand of its tens of thousands of lines, so an
+// image is a fraction of the cache's size and restores for less than a
+// copy of the whole line array.
+type cacheImage struct {
+	geom  CacheConfig // Geometry()
+	at    []uint32    // positions in lines of the non-empty lines
+	lines []cacheLine
+	clock uint64
+	stats CacheStats
+}
+
+// image returns c's state.
+func (c *Cache) image() cacheImage {
+	img := cacheImage{geom: c.cfg.Geometry(), clock: c.clock, stats: c.Stats}
+	for i, l := range c.lines {
+		if l != (cacheLine{}) {
+			img.at = append(img.at, uint32(i))
+			img.lines = append(img.lines, l)
+		}
 	}
-	copy(c.lines, src.lines)
-	c.clock = src.clock
-	c.Stats = src.Stats
+	return img
+}
+
+// restore replaces c's state with img's: afterwards c holds the lines,
+// LRU clock and statistics of the cache img was taken from. The timing
+// fields of the two caches may differ; a geometry mismatch panics (caller
+// bug).
+func (c *Cache) restore(img *cacheImage) {
+	if c.cfg.Geometry() != img.geom {
+		panic(fmt.Sprintf("mem: %s: restore of an image of another geometry", c.cfg.Name))
+	}
+	clear(c.lines)
+	for k, i := range img.at {
+		c.lines[i] = img.lines[k]
+	}
+	c.clock = img.clock
+	c.Stats = img.stats
+}
+
+// Reset empties the cache and clears its statistics, leaving it as
+// NewCache(cfg) builds it but keeping its line storage. cfg must have the
+// cache's geometry; its timing fields may differ. It panics on a geometry
+// mismatch (caller bug).
+func (c *Cache) Reset(cfg CacheConfig) {
+	if c.cfg.Geometry() != cfg.Geometry() {
+		panic(fmt.Sprintf("mem: %s: Reset with mismatched geometry", c.cfg.Name))
+	}
+	c.cfg = cfg
+	clear(c.lines)
+	c.clock = 0
+	c.Stats = CacheStats{}
 }
 
 // set returns the lines of one set.

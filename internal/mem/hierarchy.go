@@ -1,5 +1,7 @@
 package mem
 
+import "slices"
+
 // HierarchyConfig describes the full memory system of the simulated machine.
 // Defaults mirror the paper's Table 2.
 type HierarchyConfig struct {
@@ -50,6 +52,13 @@ func (c HierarchyConfig) Geometry() HierarchyConfig {
 	c.L1I, c.L1D, c.L2 = c.L1I.Geometry(), c.L1D.Geometry(), c.L2.Geometry()
 	c.L2Latency, c.MemLatencyPS = 0, 0
 	return c
+}
+
+// SameCaches reports whether c and o have caches of equal geometry, so a
+// hierarchy built from one can be reset to the other (see Reset).
+func (c HierarchyConfig) SameCaches(o HierarchyConfig) bool {
+	return c.L1I.Geometry() == o.L1I.Geometry() && c.L1D.Geometry() == o.L1D.Geometry() &&
+		c.L2.Geometry() == o.L2.Geometry()
 }
 
 // DemandStats aggregates the demand data-access stream (loads and stores
@@ -145,11 +154,17 @@ func NewHierarchy(cfg HierarchyConfig) *Hierarchy {
 		L2:  NewCache(cfg.L2),
 		cfg: cfg,
 	}
-	if cfg.Prefetch.Kind != "" && cfg.Prefetch.Kind != PFNone {
-		h.pf = newPrefetcher(cfg.Prefetch)
+	h.setPrefetcher(cfg.Prefetch)
+	return h
+}
+
+// setPrefetcher builds the prefetcher pc selects, or none.
+func (h *Hierarchy) setPrefetcher(pc PrefetchConfig) {
+	h.pf, h.pfResident = nil, nil
+	if pc.Kind != "" && pc.Kind != PFNone {
+		h.pf = newPrefetcher(pc)
 		h.pfResident = make(map[uint64]struct{})
 	}
-	return h
 }
 
 // PrefetchStats returns the prefetch counters (zero when no prefetcher).
@@ -158,23 +173,82 @@ func (h *Hierarchy) PrefetchStats() PrefetchStats { return h.pfStats }
 // DemandStats returns the demand data-access counters.
 func (h *Hierarchy) DemandStats() DemandStats { return h.demand }
 
-// CopyStateFrom copies the cache state (tags, LRU, statistics) and the
-// prefetcher's training and in-flight state of a hierarchy of the same
-// geometry into this one.
-func (h *Hierarchy) CopyStateFrom(src *Hierarchy) {
-	h.L1I.CopyStateFrom(src.L1I)
-	h.L1D.CopyStateFrom(src.L1D)
-	h.L2.CopyStateFrom(src.L2)
+// Image is a hierarchy's state: its caches' tags, LRU state and
+// statistics, stored sparsely, and the prefetcher's training and in-flight
+// state. A warm template keeps an image instead of a whole hierarchy, and
+// Restore copies it into each run's hierarchy.
+type Image struct {
+	geom       HierarchyConfig // Geometry()
+	caches     [3]cacheImage   // L1I, L1D, L2
+	pf         Prefetcher      // a copy; nil without a prefetcher
+	pending    []pendingPrefetch
+	pfResident []uint64
+	demand     DemandStats
+	pfStats    PrefetchStats
+}
+
+// Image returns h's state. Later accesses to h do not change it.
+func (h *Hierarchy) Image() *Image {
+	img := &Image{
+		geom:    h.cfg.Geometry(),
+		caches:  [3]cacheImage{h.L1I.image(), h.L1D.image(), h.L2.image()},
+		pending: slices.Clone(h.pending),
+		demand:  h.demand,
+		pfStats: h.pfStats,
+	}
 	if h.pf != nil {
-		h.pf.CopyStateFrom(src.pf)
-		h.pending = append(h.pending[:0], src.pending...)
+		img.pf = newPrefetcher(h.cfg.Prefetch)
+		img.pf.CopyStateFrom(h.pf)
+		for line := range h.pfResident {
+			img.pfResident = append(img.pfResident, line)
+		}
+	}
+	return img
+}
+
+// Restore replaces h's state with img's, taken from a hierarchy of the
+// same geometry (its latencies may differ): afterwards h continues exactly
+// like that hierarchy would have. It panics on a geometry mismatch (caller
+// bug).
+func (h *Hierarchy) Restore(img *Image) {
+	if h.cfg.Geometry() != img.geom {
+		panic("mem: hierarchy Restore of an image of another geometry")
+	}
+	h.L1I.restore(&img.caches[0])
+	h.L1D.restore(&img.caches[1])
+	h.L2.restore(&img.caches[2])
+	if h.pf != nil {
+		h.pf.CopyStateFrom(img.pf)
+		h.pending = append(h.pending[:0], img.pending...)
 		clear(h.pfResident)
-		for line := range src.pfResident {
+		for _, line := range img.pfResident {
 			h.pfResident[line] = struct{}{}
 		}
 	}
-	h.demand = src.demand
-	h.pfStats = src.pfStats
+	h.demand = img.demand
+	h.pfStats = img.pfStats
+}
+
+// Reset returns the hierarchy to the state NewHierarchy(cfg) builds, with
+// empty caches, an untrained prefetcher and zero statistics. The caches
+// keep their storage: cfg's caches must have the geometry of h's (their
+// latencies may differ), or Reset panics (caller bug). The prefetcher is
+// cleared in place, or replaced when cfg selects another one.
+func (h *Hierarchy) Reset(cfg HierarchyConfig) {
+	h.L1I.Reset(cfg.L1I)
+	h.L1D.Reset(cfg.L1D)
+	h.L2.Reset(cfg.L2)
+	if cfg.Prefetch != h.cfg.Prefetch {
+		h.setPrefetcher(cfg.Prefetch)
+	} else if h.pf != nil {
+		h.pf.Reset()
+	}
+	h.cfg = cfg
+	h.pending = h.pending[:0]
+	clear(h.pfResident)
+	h.pfBuf = h.pfBuf[:0]
+	h.demand = DemandStats{}
+	h.pfStats = PrefetchStats{}
 }
 
 // AccessKind selects the L1 cache used for an access.

@@ -240,23 +240,31 @@ func TestCacheMatchesReferenceLRU(t *testing.T) {
 	}
 }
 
-// TestCacheCopyStateFromGeometry: state copies between caches that differ
-// only in timing, and a geometry mismatch is a caller bug.
-func TestCacheCopyStateFromGeometry(t *testing.T) {
+// TestCacheRestoreGeometry: an image restores into a cache that differs
+// only in timing, replacing whatever that cache held, and continues
+// exactly like the source; a geometry mismatch is a caller bug.
+func TestCacheRestoreGeometry(t *testing.T) {
 	src := NewCache(CacheConfig{Name: "t", SizeBytes: 256, Ways: 2, LineBytes: 32, HitLatency: 2, Ports: 1})
 	src.Access(0, true)
 	src.Access(64, false)
+	img := src.image()
 	dst := NewCache(CacheConfig{Name: "t", SizeBytes: 256, Ways: 2, LineBytes: 32, HitLatency: 5, Ports: 2})
-	dst.CopyStateFrom(src)
+	dst.Access(128, false) // replaced by the restore
+	dst.restore(&img)
 	if !dst.Probe(0) || !dst.Probe(64) || dst.Probe(128) || dst.Stats != src.Stats {
-		t.Fatal("copied state differs from the source")
+		t.Fatal("restored state differs from the source")
+	}
+	for i, addr := range []uint64{128, 256, 0, 384, 64, 512} {
+		if got, want := dst.Access(addr, i%2 == 0), src.Access(addr, i%2 == 0); got != want {
+			t.Fatalf("access %d (%#x): restored cache %+v, source %+v", i, addr, got, want)
+		}
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CopyStateFrom across geometries did not panic")
+			t.Fatal("restore across geometries did not panic")
 		}
 	}()
-	NewCache(CacheConfig{Name: "t", SizeBytes: 256, Ways: 4, LineBytes: 32}).CopyStateFrom(src)
+	NewCache(CacheConfig{Name: "t", SizeBytes: 256, Ways: 4, LineBytes: 32}).restore(&img)
 }
 
 func TestCacheMissRate(t *testing.T) {
@@ -365,5 +373,57 @@ func TestHierarchyResetStats(t *testing.T) {
 	h.ResetStats()
 	if h.L1D.Stats.Accesses() != 0 || h.L2.Stats.Accesses() != 0 {
 		t.Error("stats survived reset")
+	}
+}
+
+// TestHierarchyRestoreContinuesLikeSource: a hierarchy restored from an
+// image, after a reset and whatever it held before, continues exactly like
+// the hierarchy the image was taken from — caches, prefetcher training,
+// in-flight prefetches and statistics — and the image does not follow
+// later accesses to its source.
+func TestHierarchyRestoreContinuesLikeSource(t *testing.T) {
+	cfg := DefaultHierarchyConfig(1000)
+	cfg.Prefetch = DefaultPrefetchConfig(PFDelta)
+	// Accesses from, from+1, …: twelve PCs load with a fixed stride each,
+	// which trains the delta prefetcher, and four access random addresses.
+	access := func(h *Hierarchy, from, n int, r *rand.Rand) []Latency {
+		var out []Latency
+		for i := from; i < from+n; i++ {
+			pc := uint64(i%16) * 4
+			kind, addr := AccessLoad, 1<<24+pc<<16+uint64(i/16)*64
+			if pc >= 48 {
+				kind, addr = AccessKind(r.Intn(3)), uint64(r.Intn(1<<20))&^7
+			}
+			out = append(out, h.Access(kind, pc, addr, 1000))
+		}
+		return out
+	}
+	src := NewHierarchy(cfg)
+	access(src, 0, 20_000, rand.New(rand.NewSource(11)))
+	img := src.Image()
+
+	dst := NewHierarchy(cfg)
+	access(dst, 0, 5_000, rand.New(rand.NewSource(99)))
+	dst.Reset(cfg)
+	dst.Restore(img)
+	want := access(src, 20_000, 20_000, rand.New(rand.NewSource(12)))
+	got := access(dst, 20_000, 20_000, rand.New(rand.NewSource(12)))
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("access %d after restore: %+v, source %+v", i, got[i], want[i])
+		}
+	}
+	if dst.DemandStats() != src.DemandStats() || dst.PrefetchStats() != src.PrefetchStats() ||
+		dst.L2.Stats != src.L2.Stats || dst.PrefetchStats().Issued == 0 {
+		t.Fatalf("statistics after restore: demand %+v/%+v prefetch %+v/%+v",
+			dst.DemandStats(), src.DemandStats(), dst.PrefetchStats(), src.PrefetchStats())
+	}
+
+	// The image is a copy: restoring it again gives the state at the time
+	// it was taken, not the source's current state.
+	again := NewHierarchy(cfg)
+	again.Restore(img)
+	if again.L1D.Stats == src.L1D.Stats {
+		t.Fatal("the image followed its source's later accesses")
 	}
 }

@@ -28,6 +28,7 @@ type Core struct {
 	rat     *pipe.RAT
 
 	renameInFlight  int
+	renameCap       int // cfg.RenameCapacity(), kept so dispatch does not copy cfg
 	fetchStallUntil int64
 	unblockAt       int64
 	unblockInst     *pipe.DynInst
@@ -52,9 +53,10 @@ func New(cfg Config, stream pipe.InstSource) *Core {
 	pred := branch.New(cfg.Branch)
 	hier := mem.NewHierarchy(cfg.Mem)
 	arena := pipe.NewArena(pipe.ArenaCapacity(cfg.ROBSize, cfg.FrontQueueCap, cfg.FetchWidth))
+	domain := clock.NewDomain("core", cfg.PeriodPS, 0)
 	c := &Core{
-		cfg:     cfg,
-		domain:  clock.NewDomain("core", cfg.PeriodPS, 0),
+		domain:  domain,
+		sys:     clock.NewSystem(domain),
 		pred:    pred,
 		hier:    hier,
 		arena:   arena,
@@ -66,11 +68,58 @@ func New(cfg Config, stream pipe.InstSource) *Core {
 		fu:      pipe.NewFUPool(cfg.FU),
 		rat:     pipe.NewRAT(arena),
 	}
-	c.sys = clock.NewSystem(c.domain)
+	c.configure(cfg)
+	return c
+}
+
+// Reset returns c to the state New(cfg, stream) builds and reports true.
+// Every structure is reset in place, so a reused core allocates nothing
+// unless cfg selects another predictor or prefetcher. It reports false,
+// and leaves c untouched, when cfg needs structures of another shape than
+// c's (sameShape); build a new core then.
+func (c *Core) Reset(cfg Config, stream pipe.InstSource) bool {
+	if !sameShape(c.cfg, cfg) {
+		return false
+	}
+	c.pred.Reset(cfg.Branch)
+	c.hier.Reset(cfg.Mem)
+	c.arena.Reset()
+	c.fetcher.Reset(stream)
+	c.front.Flush()
+	c.iw.Reset()
+	c.rob.Flush()
+	c.lsq.Reset()
+	c.fu.Reset()
+	c.rat.Reset()
+	c.domain.Reset(cfg.PeriodPS, 0)
+	c.sys.Reset()
+	// Every other field returns to its zero value.
+	*c = Core{
+		domain: c.domain, sys: c.sys, pred: c.pred, hier: c.hier, arena: c.arena,
+		fetcher: c.fetcher, front: c.front, iw: c.iw, rob: c.rob, lsq: c.lsq, fu: c.fu, rat: c.rat,
+	}
+	c.configure(cfg)
+	return true
+}
+
+// configure sets the configuration and what it decides beyond the
+// structure sizes; New and Reset share it.
+func (c *Core) configure(cfg Config) {
+	c.cfg = cfg
+	c.renameCap = cfg.RenameCapacity()
 	if cfg.PipelinedWakeupSelect {
 		c.iw.ExtraWakeupDelayPS = cfg.PeriodPS
 	}
-	return c
+}
+
+// sameShape reports whether cores built from a and b have structures of
+// the same sizes and cache geometries, so one can be reset to the other's
+// configuration. The predictor, the prefetcher, clock periods, latencies,
+// pipeline depths and the wake-up/select variant may differ.
+func sameShape(a, b Config) bool {
+	return a.FetchWidth == b.FetchWidth && a.IWSize == b.IWSize && a.ROBSize == b.ROBSize &&
+		a.LSQSize == b.LSQSize && a.FrontQueueCap == b.FrontQueueCap && a.FU == b.FU &&
+		a.Mem.SameCaches(b.Mem)
 }
 
 // Run simulates until the program halts (or the stream ends) and returns
@@ -265,7 +314,7 @@ func (c *Core) dispatch(now int64) {
 			c.stats.DispatchStallResource++
 			return
 		}
-		if d.Inst().HasDest() && c.renameInFlight >= c.cfg.RenameCapacity() {
+		if d.Inst().HasDest() && c.renameInFlight >= c.renameCap {
 			c.stats.RenameStalls++
 			return
 		}

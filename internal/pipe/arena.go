@@ -72,6 +72,24 @@ func NewArena(capacity int) *Arena {
 	return a
 }
 
+// Reset frees every slot, leaving the arena as NewArena(a.Cap()) builds
+// it: the same LIFO free list, which hands out low slots first. Each
+// slot's generation advances instead of restarting, so no Ref taken before
+// the reset resolves after it. A core reused for another run resets its
+// arena instead of building a new one.
+func (a *Arena) Reset() {
+	n := len(a.slots)
+	if cap(a.free) < n {
+		a.free = make([]uint32, n)
+	}
+	a.free = a.free[:n]
+	for i, d := range a.slots {
+		d.gen++
+		a.free[i] = uint32(n - 1 - i)
+	}
+	a.Allocs, a.Frees = 0, 0
+}
+
 // Cap returns the current slot count.
 func (a *Arena) Cap() int { return len(a.slots) }
 
@@ -90,19 +108,18 @@ func (a *Arena) Alloc(tr emu.Trace) *DynInst {
 	}
 	idx := a.free[len(a.free)-1]
 	a.free = a.free[:len(a.free)-1]
+	// Reset the slot in place: clearing it and setting the few non-zero
+	// fields avoids building a whole DynInst and copying it over the slot.
 	d := a.slots[idx]
-	*d = DynInst{
-		Trace:     tr,
-		ResultAt:  FarFuture,
-		DoneAt:    FarFuture,
-		IssueUnit: -1,
-		arena:     a,
-		slot:      d.slot,
-		gen:       d.gen,
-		class:     tr.Inst.Class(),
-		srcReady:  -1,
-		iwSlot:    -1,
-	}
+	gen := d.gen
+	*d = DynInst{}
+	d.Trace = tr
+	d.ResultAt, d.DoneAt = FarFuture, FarFuture
+	d.IssueUnit = -1
+	d.arena, d.slot, d.gen = a, idx, gen
+	d.class = tr.Inst.Class()
+	d.srcReady = -1
+	d.iwSlot = -1
 	a.Allocs++
 	return d
 }

@@ -119,3 +119,52 @@ func BenchmarkArenaLifecycle(b *testing.B) {
 		a.Free(d)
 	}
 }
+
+// TestArenaResetMatchesFresh: a reset arena hands out slots in the order a
+// fresh arena of the same capacity does, with freshly initialized
+// instructions, and no Ref taken before the reset resolves after it.
+func TestArenaResetMatchesFresh(t *testing.T) {
+	const capacity = 6
+	used := NewArena(capacity)
+	var refs []Ref
+	var live []*DynInst
+	for i := 0; i < capacity; i++ {
+		d := used.Alloc(aluTrace(uint64(i)))
+		d.State, d.ResultAt, d.Mispredicted, d.LID = StateIssued, 77, true, [3]uint16{1, 2, 3}
+		d.Src[0] = Ref(99)
+		refs = append(refs, d.Ref())
+		live = append(live, d)
+	}
+	// Free out of order, so the free list is scrambled, and leave two live.
+	used.Free(live[3])
+	used.Free(live[0])
+	used.Free(live[5])
+	used.Free(live[1])
+
+	used.Reset()
+	fresh := NewArena(capacity)
+	if used.Cap() != fresh.Cap() || used.Live() != 0 || used.Allocs != 0 || used.Frees != 0 {
+		t.Fatalf("reset arena: cap %d live %d allocs %d frees %d", used.Cap(), used.Live(), used.Allocs, used.Frees)
+	}
+	for _, r := range refs {
+		if used.Get(r) != nil {
+			t.Fatalf("ref %#x from before the reset still resolves", r)
+		}
+	}
+	for i := 0; i < capacity; i++ {
+		tr := aluTrace(uint64(100 + i))
+		a, b := used.Alloc(tr), fresh.Alloc(tr)
+		if a.slot != b.slot {
+			t.Fatalf("alloc %d: reset arena gave slot %d, a fresh one slot %d", i, a.slot, b.slot)
+		}
+		// Equal apart from the generation, which keeps advancing.
+		ca, cb := *a, *b
+		ca.arena, cb.arena, ca.gen, cb.gen = nil, nil, 0, 0
+		if ca != cb {
+			t.Fatalf("alloc %d: reset arena's instruction %+v differs from a fresh one's %+v", i, ca, cb)
+		}
+		if used.Get(a.Ref()) != a {
+			t.Fatalf("alloc %d: new ref does not resolve", i)
+		}
+	}
+}

@@ -65,15 +65,25 @@ type Fetcher struct {
 // NewFetcher builds a fetch stage of the given width, drawing in-flight
 // instruction storage from the arena.
 func NewFetcher(stream InstSource, pred *branch.Predictor, hier *mem.Hierarchy, width int, arena *Arena) *Fetcher {
-	f := &Fetcher{
-		stream: stream, pred: pred, hier: hier, width: width, arena: arena,
-		group: make([]*DynInst, 0, width),
+	f := &Fetcher{pred: pred, hier: hier, width: width, arena: arena, group: make([]*DynInst, 0, width)}
+	f.Reset(stream)
+	return f
+}
+
+// Reset returns the fetcher to the state NewFetcher leaves it in over
+// stream, keeping its predictor, hierarchy, arena and buffers (a reused
+// core resets those itself).
+func (f *Fetcher) Reset(stream InstSource) {
+	*f = Fetcher{
+		stream: stream, pred: f.pred, hier: f.hier, width: f.width, arena: f.arena,
+		group: f.group[:0], buf: f.buf,
 	}
 	if filler, ok := stream.(Filler); ok {
 		f.filler = filler
-		f.buf = make([]emu.Trace, fetchBatch)
+		if f.buf == nil {
+			f.buf = make([]emu.Trace, fetchBatch)
+		}
 	}
-	return f
 }
 
 // TakePending removes and returns the lookahead instruction, if any; the

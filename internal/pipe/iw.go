@@ -376,23 +376,15 @@ func (w *IssueWindow) remove(idx int, d *DynInst) {
 	w.count--
 }
 
-// Flush empties the window (pipeline squash).
-func (w *IssueWindow) Flush() {
-	for wi, word := range w.occ {
-		for word != 0 {
-			idx := wi*64 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if d := w.slots[idx].inst; d != nil {
-				d.iwSlot = -1
-				d.iwReady = false
-				d.wNext = NoRef
-				w.slots[idx].inst = nil
-			}
-		}
-		w.occ[wi] = 0
-		w.act[wi] = 0
+// Reset empties the window and clears its statistics and wake-up delay,
+// leaving it as NewIssueWindow builds it (a reused core's reset). The
+// instructions it held belong to the core's arena, which resets them.
+func (w *IssueWindow) Reset() {
+	clear(w.slots)
+	clear(w.occ)
+	clear(w.act)
+	*w = IssueWindow{
+		slots: w.slots, occ: w.occ, act: w.act,
+		timers: w.timers[:0], ready: w.ready[:0], picked: w.picked[:0],
 	}
-	w.timers = w.timers[:0]
-	w.ready = w.ready[:0]
-	w.count = 0
 }

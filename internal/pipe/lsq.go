@@ -88,5 +88,10 @@ func (q *LSQ) Remove(d *DynInst) {
 	}
 }
 
-// Flush empties the queue.
-func (q *LSQ) Flush() { q.entries = q.entries[:0] }
+// Reset empties the queue and clears its statistics (a reused core's
+// reset).
+func (q *LSQ) Reset() {
+	clear(q.entries)
+	q.entries = q.entries[:0]
+	q.Forwards = 0
+}

@@ -53,8 +53,8 @@ func (r *ROB) PopHead() *DynInst {
 	return d
 }
 
-// Flush discards everything (used only by tests; the timing cores never
-// hold wrong-path instructions).
+// Flush discards everything. The timing cores never hold wrong-path
+// instructions; they flush only to reset a reused core.
 func (r *ROB) Flush() {
 	for i := range r.buf {
 		r.buf[i] = nil

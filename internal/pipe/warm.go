@@ -27,9 +27,9 @@ func NewWarmer(pred *branch.Predictor, hier *mem.Hierarchy) *Warmer {
 // warmer's structures: the O(state-size) equivalent of replaying the whole
 // warm observation stream. Source and destination configurations must
 // match.
-func (w *Warmer) SeedFrom(pred *branch.Predictor, hier *mem.Hierarchy) {
+func (w *Warmer) SeedFrom(pred *branch.Predictor, hier *mem.Image) {
 	w.pred.CopyStateFrom(pred)
-	w.hier.CopyStateFrom(hier)
+	w.hier.Restore(hier)
 }
 
 // Observe feeds one architectural record into the caches and predictor.

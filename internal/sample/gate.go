@@ -1,6 +1,8 @@
 package sample
 
 import (
+	"sync"
+
 	"flywheel/internal/emu"
 	"flywheel/internal/pipe"
 )
@@ -109,12 +111,18 @@ func FastForward(src pipe.InstSource, warm *pipe.Warmer, n uint64) uint64 {
 	return done + drain(src, n-done, warm)
 }
 
+// drainBufs recycles drain's fill buffers: a buffer handed to Fill through
+// an interface escapes, so a local array would cost a 24 KB allocation per
+// fast-forward.
+var drainBufs = sync.Pool{New: func() any { return new([512]emu.Trace) }}
+
 // drain consumes up to n records from src, feeding each into warm unless
 // warm is nil, and returns how many it consumed.
 func drain(src pipe.InstSource, n uint64, warm *pipe.Warmer) uint64 {
 	var done uint64
 	if filler, ok := src.(pipe.Filler); ok {
-		var buf [512]emu.Trace
+		buf := drainBufs.Get().(*[512]emu.Trace)
+		defer drainBufs.Put(buf)
 		for done < n {
 			b := buf[:min(uint64(len(buf)), n-done)]
 			m := filler.Fill(b)

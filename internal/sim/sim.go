@@ -224,13 +224,17 @@ type machine interface {
 }
 
 // design is one core's configuration, built but not yet instantiated: its
-// clock plan is known before any simulation state is allocated.
+// clock plan is known before any simulation state is allocated. build
+// makes a new core over src; reset turns an idle core of the same key into
+// the one build would make, or reports false (see pool.go).
 type design struct {
 	plan   clockPlan
 	shape  power.MachineShape
 	mem    mem.HierarchyConfig
 	branch branch.Config
+	key    poolKey
 	build  func(src pipe.InstSource) machine
+	reset  func(m machine, src pipe.InstSource) bool
 }
 
 // newDesign builds the configuration of the core cfg.Arch selects, clocked
@@ -240,25 +244,25 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 	case ArchBaseline:
 		bc := baselineConfig(cfg, period)
 		return design{plan: planOf(bc), shape: power.BaselineShape(), mem: bc.Mem, branch: bc.Branch,
-			build: func(src pipe.InstSource) machine { return ooo.New(bc, src) }}, nil
+			key: poolKey{core: "ooo", l1i: bc.Mem.L1I.Geometry(), l1d: bc.Mem.L1D.Geometry(), l2: bc.Mem.L2.Geometry(),
+				arena: pipe.ArenaCapacity(bc.ROBSize, bc.FrontQueueCap, bc.FetchWidth)},
+			build: func(src pipe.InstSource) machine { return ooo.New(bc, src) },
+			reset: func(m machine, src pipe.InstSource) bool {
+				c, ok := m.(*ooo.Core)
+				return ok && c.Reset(bc, src)
+			}}, nil
 	case ArchFlywheel, ArchRegAlloc:
 		fc := flywheelConfig(cfg, period)
 		return design{plan: planOf(fc), shape: power.FlywheelShape(), mem: fc.Mem, branch: fc.Branch,
-			build: func(src pipe.InstSource) machine { return core.New(fc, src) }}, nil
+			key: poolKey{core: "core", l1i: fc.Mem.L1I.Geometry(), l1d: fc.Mem.L1D.Geometry(), l2: fc.Mem.L2.Geometry(),
+				ec: fc.EC, arena: pipe.ArenaCapacity(fc.ROBSize, fc.FrontQueueCap, fc.FetchWidth)},
+			build: func(src pipe.InstSource) machine { return core.New(fc, src) },
+			reset: func(m machine, src pipe.InstSource) bool {
+				c, ok := m.(*core.Core)
+				return ok && c.Reset(fc, src)
+			}}, nil
 	}
 	return design{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
-}
-
-// warmed builds the core over src and functionally warms it: the core's
-// caches and branch predictor are seeded with the state the initialization
-// phase leaves them in, so measurement starts from realistic state (the
-// paper fast-forwards 500M instructions).
-func (d design) warmed(src pipe.InstSource, w *workload.Workload) (machine, error) {
-	m := d.build(src)
-	if err := warm(m.Warmer(), w, d.mem, d.branch); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // runExact runs m to the end of its source and returns its final
@@ -323,7 +327,11 @@ func RunSource(name, source string, cfg RunConfig) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	c, err := runExact(d.build(emu.NewStream(emu.New(prog), cfg.MaxInstructions)), name, cfg.Arch)
+	var c pipe.Counters
+	err = d.use(emu.NewStream(emu.New(prog), cfg.MaxInstructions), nil, func(m machine) error {
+		c, err = runExact(m, name, cfg.Arch)
+		return err
+	})
 	if err != nil {
 		return Result{}, err
 	}

@@ -97,22 +97,19 @@ func Simulate(cfg RunConfig) (Timing, error) {
 	t := Timing{id: id, grain: d.plan.grain, shape: d.shape}
 	err = replay(cfg, func(w *workload.Workload, stream pipe.InstSource) error {
 		if !cfg.Sampling.Enabled() {
-			m, err := d.warmed(stream, w)
-			if err != nil {
+			return d.use(stream, w, func(m machine) error {
+				var err error
+				t.c, err = runExact(m, cfg.Workload, cfg.Arch)
 				return err
-			}
-			t.c, err = runExact(m, cfg.Workload, cfg.Arch)
-			return err
+			})
 		}
 		gate := sample.NewGate(stream)
-		m, err := d.warmed(gate, w)
-		if err != nil {
-			return err
-		}
-		if err := sampleLoop(cfg.Sampling, stream, gate, m, &t); err != nil {
-			return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
-		}
-		return nil
+		return d.use(gate, w, func(m machine) error {
+			if err := sampleLoop(cfg.Sampling, stream, gate, m, &t); err != nil {
+				return fmt.Errorf("sim %s/%s: %w", cfg.Workload, cfg.Arch, err)
+			}
+			return nil
+		})
 	})
 	if err != nil {
 		return Timing{}, err

@@ -15,13 +15,13 @@ import (
 // branch predictor are seeded from a template that re-executes the
 // initialization phase functionally once per cache geometry and predictor.
 
-// warmState is a fully warmed predictor + cache hierarchy, built once per
-// (workload, hierarchy geometry, predictor config) by observing the
-// initialization phase, then copied into each run's core as a pair of
-// memcpys.
+// warmState is a fully warmed predictor and the image of a fully warmed
+// cache hierarchy, built once per (workload, hierarchy geometry, predictor
+// config) by observing the initialization phase, then copied into each
+// run's core.
 type warmState struct {
 	pred *branch.Predictor
-	hier *mem.Hierarchy
+	hier *mem.Image
 }
 
 // warmStateKey keys a template on the hierarchy's geometry, not its full
@@ -51,11 +51,11 @@ func template(w *workload.Workload, hierCfg mem.HierarchyConfig, branchCfg branc
 	e, _ := warmStates.LoadOrStore(key, &warmStateEntry{})
 	entry := e.(*warmStateEntry)
 	entry.once.Do(func() {
-		st := &warmState{pred: branch.New(branchCfg), hier: mem.NewHierarchy(key.hier)}
-		warmer := pipe.NewWarmer(st.pred, st.hier)
+		pred, hier := branch.New(branchCfg), mem.NewHierarchy(key.hier)
+		warmer := pipe.NewWarmer(pred, hier)
 		if _, entry.err = w.RunInit(warmer.Observe); entry.err == nil {
 			warmer.Finish()
-			entry.st = st
+			entry.st = &warmState{pred: pred, hier: hier.Image()}
 		}
 	})
 	return entry.st, entry.err
