@@ -27,7 +27,7 @@ func TestDebugIjpegProgress(t *testing.T) {
 	if err != nil {
 		t.Logf("run error: %v", err)
 		t.Logf("oracle retired=%d fetched=%d dispatched=%d window(base=%d len=%d drained=%v)",
-			m.Retired, c.fetcher.Fetched, c.stats.Dispatched, c.window.base, len(c.window.entries), c.window.drained)
+			m.Retired, c.fetcher.Fetched, c.stats.Dispatched, c.window.base, len(c.window.dense), c.window.drained)
 		t.Logf("retired=%d cycles=%d mode=%v switches=%d", stats.Retired, c.be.Cycles, c.mode, stats.ModeSwitches)
 		t.Logf("built=%d replayed=%d divergences=%d changes=%d broken=%d",
 			c.ec.Stats.TracesBuilt, c.ec.Stats.TracesReplayed, stats.Divergences, stats.TraceChanges, stats.BrokenReplays)

@@ -1,6 +1,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"flywheel/internal/emu"
 	"flywheel/internal/pipe"
 )
@@ -12,33 +15,59 @@ import (
 // unconsumed record. When a replay aborts mid-trace, the already-executed
 // (consumed) records stay consumed and the skipped ones are delivered to
 // the restarted front-end in order.
+//
+// The window holds the records from its logical base on. Every record
+// below the base is consumed; a record handed back from below it goes to
+// the requeue. The base trails the oldest unconsumed record (see
+// compact), so one record a replay leaves unconsumed would pin every later
+// record in memory. The window therefore stores its records in two parts:
+// a dense region, every record from dbase to the newest one pulled with a
+// consumed flag each, which is cut margin records behind the newest
+// consumed record; and the stranded list, the unconsumed records a cut
+// left behind, in sequence order. A record between the base and dbase
+// that is not on the stranded list is consumed.
 type oracleWindow struct {
 	stream pipe.InstSource
 	// filler batches stream pulls when the source supports it (both
 	// *emu.Stream and the trace cache's recorder/reader do), amortizing
 	// the per-record call overhead of the one-at-a-time pull path.
-	filler   pipe.Filler
-	fbuf     []emu.Trace
-	base     uint64 // sequence number of entries[0]
-	entries  []emu.Trace
+	filler pipe.Filler
+	fbuf   []emu.Trace
+	base   uint64 // logical base: every record below it is consumed
+	// dense holds every buffered record from sequence number dbase on.
+	dbase    uint64
+	dense    []emu.Trace
 	consumed []bool
-	// prefix counts the leading fully consumed entries, maintained
+	// prefix counts dense's leading consumed records, maintained
 	// incrementally so consuming and compacting stay O(1) amortized per
 	// record instead of rescanning the prefix on every consume.
-	prefix  int
-	drained bool
-	// requeue holds records handed back by a front-end squash after their
-	// window slots were compacted away (divergences can scatter consumed
-	// holes across a wide range). Served oldest-first before the window.
+	prefix int
+	hi     uint64 // one past the newest consumed record of the dense region
+	// stranded[sh:] holds the unconsumed records below dbase in ascending
+	// sequence order. The front-end drains them oldest first, which only
+	// advances sh.
+	stranded []emu.Trace
+	sh       int
+	drained  bool
+	// requeue holds records handed back by a front-end squash after the
+	// base passed them (divergences can scatter consumed holes across a
+	// wide range). Served oldest-first before the window.
 	requeue []emu.Trace
 }
 
-// windowRecords is the window's initial capacity. It covers the
-// compaction bound (compact keeps the window below 4*margin consumed
-// records plus what is buffered past them; the paper kernels peak near
-// 700), so a run does not regrow the window by doubling from empty.
-// append still grows past it when a run needs more.
+// windowRecords is the dense region's capacity. compact keeps the region
+// below 4*margin records up to the newest consumed one, plus what is
+// buffered past it (the paper kernels peak near 700), so the region does
+// not grow past it. append still grows it when a run needs more.
 const windowRecords = 1024
+
+// maxKeptStranded caps the stranded list a reused core keeps: a list grown
+// past it by a long run is dropped on reset.
+const maxKeptStranded = windowRecords
+
+// debugWindow, when set by a test, is called whenever the dense region or
+// the stranded list grows.
+var debugWindow func(w *oracleWindow)
 
 func newOracleWindow(stream pipe.InstSource) *oracleWindow {
 	w := &oracleWindow{}
@@ -46,25 +75,21 @@ func newOracleWindow(stream pipe.InstSource) *oracleWindow {
 	return w
 }
 
-// maxKeptRecords caps the window a reused core keeps. A run whose replay
-// leaves an early record unconsumed buffers every record after it (at 40k
-// instructions turb3d's window reaches 38,400 records, 1.8 MB); keeping
-// that buffer spares the next such run the regrowth, but a window grown by
-// a much longer run is dropped, so an idle core never holds more than
-// 3 MB of it.
-const maxKeptRecords = 64 * windowRecords
-
 // reset empties the window and binds it to stream: the state
-// newOracleWindow(stream) builds. A reused core's window keeps its buffers
-// up to maxKeptRecords.
+// newOracleWindow(stream) builds. A reused core's window keeps its
+// buffers, the stranded list up to maxKeptStranded.
 func (w *oracleWindow) reset(stream pipe.InstSource) {
-	entries, consumed := w.entries[:0], w.consumed[:0]
-	if cap(entries) < windowRecords || cap(entries) > maxKeptRecords {
-		entries, consumed = make([]emu.Trace, 0, windowRecords), make([]bool, 0, windowRecords)
+	dense, consumed := w.dense[:0], w.consumed[:0]
+	if cap(dense) < windowRecords {
+		dense, consumed = make([]emu.Trace, 0, windowRecords), make([]bool, 0, windowRecords)
+	}
+	stranded := w.stranded[:0]
+	if cap(stranded) > maxKeptStranded {
+		stranded = nil
 	}
 	*w = oracleWindow{
 		stream: stream, fbuf: w.fbuf,
-		entries: entries, consumed: consumed, requeue: w.requeue[:0],
+		dense: dense, consumed: consumed, stranded: stranded, requeue: w.requeue[:0],
 	}
 	if f, ok := stream.(pipe.Filler); ok {
 		w.filler = f
@@ -87,14 +112,17 @@ func (w *oracleWindow) pull() bool {
 		for _, tr := range w.fbuf[:n] {
 			w.appendRecord(tr)
 		}
-		return true
+	} else {
+		tr, ok := w.stream.Next()
+		if !ok {
+			w.drained = true
+			return false
+		}
+		w.appendRecord(tr)
 	}
-	tr, ok := w.stream.Next()
-	if !ok {
-		w.drained = true
-		return false
+	if debugWindow != nil {
+		debugWindow(w)
 	}
-	w.appendRecord(tr)
 	return true
 }
 
@@ -102,17 +130,22 @@ func (w *oracleWindow) pull() bool {
 // first record's sequence number — warm-up fast-forwarding means dynamic
 // streams rarely start at zero.
 func (w *oracleWindow) appendRecord(tr emu.Trace) {
-	if len(w.entries) == 0 {
-		w.base = tr.Seq
+	if len(w.dense) == 0 {
+		w.base, w.dbase = tr.Seq, tr.Seq
 	}
-	w.entries = append(w.entries, tr)
+	w.dense = append(w.dense, tr)
 	w.consumed = append(w.consumed, false)
 }
 
 // fillTo extends the window so that seq is buffered; it reports false when
 // the stream ends first.
 func (w *oracleWindow) fillTo(seq uint64) bool {
-	for len(w.entries) == 0 || w.base+uint64(len(w.entries)) <= seq {
+	for len(w.dense) == 0 || w.dbase+uint64(len(w.dense)) <= seq {
+		if len(w.dense)+len(w.fbuf) >= windowRecords && w.hi > w.dbase+margin {
+			// Make room rather than grow: a replay can pair far ahead of
+			// the newest consumed record, past where compact cuts.
+			w.cut(w.hi - margin)
+		}
 		if !w.pull() {
 			return false
 		}
@@ -120,16 +153,33 @@ func (w *oracleWindow) fillTo(seq uint64) bool {
 	return true
 }
 
+// findStranded returns the index of seq in the stranded list, or where it
+// would be inserted, and whether it is there.
+func (w *oracleWindow) findStranded(seq uint64) (int, bool) {
+	i, ok := slices.BinarySearchFunc(w.stranded[w.sh:], seq, func(tr emu.Trace, seq uint64) int {
+		return cmp.Compare(tr.Seq, seq)
+	})
+	return w.sh + i, ok
+}
+
 // At returns the record with the given sequence number, extending the
-// window as needed. ok is false past the end of the program.
+// window as needed. ok is false past the end of the program. A consumed
+// record below the dense region is no longer stored: At reports it with
+// only its sequence number set (the core never pairs a consumed record).
 func (w *oracleWindow) At(seq uint64) (emu.Trace, bool) {
 	if seq < w.base {
 		return emu.Trace{}, false // already compacted away: caller bug
 	}
+	if seq < w.dbase {
+		if i, ok := w.findStranded(seq); ok {
+			return w.stranded[i], true
+		}
+		return emu.Trace{Seq: seq}, true
+	}
 	if !w.fillTo(seq) {
 		return emu.Trace{}, false
 	}
-	return w.entries[seq-w.base], true
+	return w.dense[seq-w.dbase], true
 }
 
 // Consumed reports whether seq has been consumed already.
@@ -137,7 +187,11 @@ func (w *oracleWindow) Consumed(seq uint64) bool {
 	if seq < w.base {
 		return true
 	}
-	i := seq - w.base
+	if seq < w.dbase {
+		_, stranded := w.findStranded(seq)
+		return !stranded
+	}
+	i := seq - w.dbase
 	return i < uint64(len(w.consumed)) && w.consumed[i]
 }
 
@@ -146,23 +200,28 @@ func (w *oracleWindow) Consume(seq uint64) {
 	if seq < w.base {
 		return
 	}
-	i := seq - w.base
-	if i < uint64(len(w.consumed)) {
+	if seq < w.dbase {
+		if i, ok := w.findStranded(seq); ok {
+			w.removeStranded(i)
+		}
+	} else if i := seq - w.dbase; i < uint64(len(w.consumed)) {
 		w.consumed[i] = true
 		if int(i) == w.prefix {
 			for w.prefix < len(w.consumed) && w.consumed[w.prefix] {
 				w.prefix++
 			}
 		}
+		w.hi = max(w.hi, seq+1)
 	}
 	w.compact()
 }
 
 // Unconsume returns a record to the window (front-end squash on a mode
-// switch). Records whose slots were already compacted away go onto the
-// requeue list and are served back, oldest first, before the main window.
+// switch). Records below the base go onto the requeue list and are served
+// back, oldest first, before the window.
 func (w *oracleWindow) Unconsume(tr emu.Trace) {
-	if tr.Seq < w.base {
+	switch {
+	case tr.Seq < w.base:
 		// Insert in ascending sequence order (the list stays tiny: at most
 		// one front queue of entries).
 		at := len(w.requeue)
@@ -172,12 +231,16 @@ func (w *oracleWindow) Unconsume(tr emu.Trace) {
 		w.requeue = append(w.requeue, emu.Trace{})
 		copy(w.requeue[at+1:], w.requeue[at:])
 		w.requeue[at] = tr
-		return
-	}
-	if i := tr.Seq - w.base; i < uint64(len(w.consumed)) {
-		w.consumed[i] = false
-		if int(i) < w.prefix {
-			w.prefix = int(i)
+	case tr.Seq < w.dbase:
+		if i, ok := w.findStranded(tr.Seq); !ok {
+			w.insertStranded(i, tr)
+		}
+	default:
+		if i := tr.Seq - w.dbase; i < uint64(len(w.consumed)) {
+			w.consumed[i] = false
+			if int(i) < w.prefix {
+				w.prefix = int(i)
+			}
 		}
 	}
 }
@@ -187,19 +250,22 @@ func (w *oracleWindow) NextUnconsumed() (emu.Trace, bool) {
 	if len(w.requeue) > 0 {
 		return w.requeue[0], true
 	}
+	if w.sh < len(w.stranded) {
+		return w.stranded[w.sh], true
+	}
 	// Entries below the consumed prefix need no scan.
-	for i := w.prefix; i < len(w.entries); i++ {
+	for i := w.prefix; i < len(w.dense); i++ {
 		if !w.consumed[i] {
-			return w.entries[i], true
+			return w.dense[i], true
 		}
 	}
 	// Everything buffered was consumed: pull fresh records. A batched pull
 	// may append several; the oldest fresh record is the next to deliver.
-	oldLen := len(w.entries)
+	oldLen := len(w.dense)
 	if !w.pull() {
 		return emu.Trace{}, false
 	}
-	return w.entries[oldLen], true
+	return w.dense[oldLen], true
 }
 
 // Next implements the pipe.InstSource contract for the front-end fetcher:
@@ -229,22 +295,93 @@ func (w *oracleWindow) Drained() bool { return w.drained }
 // old window (the fast-forward gap), so the buffer must re-anchor at it.
 func (w *oracleWindow) reopen() {
 	w.drained = false
-	w.entries = w.entries[:0]
+	w.dense = w.dense[:0]
 	w.consumed = w.consumed[:0]
-	w.base = 0
-	w.prefix = 0
+	w.stranded = w.stranded[:0]
+	w.base, w.dbase, w.hi = 0, 0, 0
+	w.prefix, w.sh = 0, 0
 }
 
-// compact drops the fully consumed prefix to bound memory. The retained
-// margin must exceed everything a mode switch can hand back to the window:
-// the front queue, the fetcher lookahead and one fetch group.
+// margin is how many consumed records the window keeps before the oldest
+// unconsumed record (for the base) and before the newest consumed record
+// (for the dense region). It must exceed everything a mode switch can
+// hand back to the window: the front queue, the fetcher lookahead and one
+// fetch group.
+const margin = 128
+
+// compact bounds the window. The base moves margin records behind the
+// oldest unconsumed record once that record is 4*margin past it; the
+// dense region is cut the same way behind its newest consumed record, so
+// its length stays bounded however old the oldest unconsumed record is.
 func (w *oracleWindow) compact() {
-	const margin = 128
-	if w.prefix > 4*margin {
-		drop := w.prefix - margin
-		w.base += uint64(drop)
-		w.prefix -= drop
-		w.entries = append(w.entries[:0], w.entries[drop:]...)
-		w.consumed = append(w.consumed[:0], w.consumed[drop:]...)
+	if w.hi > w.dbase+4*margin {
+		w.cut(w.hi - margin)
+	}
+	oldest := w.dbase + uint64(w.prefix)
+	if w.sh < len(w.stranded) {
+		oldest = w.stranded[w.sh].Seq
+	}
+	if oldest-w.base > 4*margin {
+		w.base = oldest - margin
+	}
+}
+
+// cut moves the dense region's start to seq: the unconsumed records below
+// it join the stranded list, and the consumed ones are dropped.
+func (w *oracleWindow) cut(seq uint64) {
+	n := int(seq - w.dbase)
+	if w.prefix < n {
+		if w.sh > 0 && 2*w.sh >= len(w.stranded) {
+			w.stranded = w.stranded[:copy(w.stranded, w.stranded[w.sh:])]
+			w.sh = 0
+		}
+		for i := w.prefix; i < n; i++ {
+			if !w.consumed[i] {
+				w.stranded = append(w.stranded, w.dense[i])
+			}
+		}
+		if debugWindow != nil {
+			debugWindow(w)
+		}
+	}
+	w.dense = append(w.dense[:0], w.dense[n:]...)
+	w.consumed = append(w.consumed[:0], w.consumed[n:]...)
+	w.dbase = seq
+	if w.prefix >= n {
+		w.prefix -= n
+	} else {
+		w.prefix = 0
+		for w.prefix < len(w.consumed) && w.consumed[w.prefix] {
+			w.prefix++
+		}
+	}
+}
+
+// removeStranded drops the stranded record at index i (it was consumed),
+// moving whichever side of it is shorter.
+func (w *oracleWindow) removeStranded(i int) {
+	if i-w.sh < len(w.stranded)-1-i {
+		copy(w.stranded[w.sh+1:i+1], w.stranded[w.sh:i])
+		w.sh++
+	} else {
+		w.stranded = slices.Delete(w.stranded, i, i+1)
+	}
+	if w.sh == len(w.stranded) {
+		w.stranded, w.sh = w.stranded[:0], 0
+	}
+}
+
+// insertStranded puts tr, a consumed record handed back from below the
+// dense region, into the stranded list at index i.
+func (w *oracleWindow) insertStranded(i int, tr emu.Trace) {
+	if w.sh > 0 {
+		copy(w.stranded[w.sh-1:i-1], w.stranded[w.sh:i])
+		w.sh--
+		w.stranded[i-1] = tr
+	} else {
+		w.stranded = slices.Insert(w.stranded, i, tr)
+	}
+	if debugWindow != nil {
+		debugWindow(w)
 	}
 }

@@ -74,23 +74,18 @@ func DefaultFUConfig() FUConfig {
 	c.Count[GFPAdd] = 2
 	c.Count[GFPMulDiv] = 1
 
-	lat := map[isa.Class]int{
-		isa.ClassNop:    1,
-		isa.ClassIntALU: 1,
-		isa.ClassIntMul: 3,
-		isa.ClassIntDiv: 12,
-		isa.ClassLoad:   1, // address generation; cache latency added by the core
-		isa.ClassStore:  1,
-		isa.ClassBranch: 1,
-		isa.ClassJump:   1,
-		isa.ClassFPAdd:  2,
-		isa.ClassFPMul:  4,
-		isa.ClassFPDiv:  12,
-		isa.ClassHalt:   1,
-	}
-	for cl, l := range lat {
-		c.Latency[cl] = l
-	}
+	c.Latency[isa.ClassNop] = 1
+	c.Latency[isa.ClassIntALU] = 1
+	c.Latency[isa.ClassIntMul] = 3
+	c.Latency[isa.ClassIntDiv] = 12
+	c.Latency[isa.ClassLoad] = 1 // address generation; cache latency added by the core
+	c.Latency[isa.ClassStore] = 1
+	c.Latency[isa.ClassBranch] = 1
+	c.Latency[isa.ClassJump] = 1
+	c.Latency[isa.ClassFPAdd] = 2
+	c.Latency[isa.ClassFPMul] = 4
+	c.Latency[isa.ClassFPDiv] = 12
+	c.Latency[isa.ClassHalt] = 1
 	c.Unpipelined[isa.ClassIntDiv] = true
 	c.Unpipelined[isa.ClassFPDiv] = true
 	return c

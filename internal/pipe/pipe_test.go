@@ -1,6 +1,7 @@
 package pipe
 
 import (
+	"slices"
 	"testing"
 
 	"flywheel/internal/emu"
@@ -338,6 +339,51 @@ func TestLSQRemove(t *testing.T) {
 	}
 	if q.CanIssueLoad(b) != true {
 		t.Error("removed store still blocks load")
+	}
+}
+
+// TestLSQRetireWraps retires through many times the queue's capacity, with
+// the head sliding back to the start of its array, and checks the queue
+// against a plain slice: occupancy, the load barrier from the oldest entry
+// and a removal that is not at the head.
+func TestLSQRetireWraps(t *testing.T) {
+	q := NewLSQ(4)
+	var model []*DynInst
+	seq := uint64(0)
+	for round := 0; round < 40; round++ {
+		for !q.Full() {
+			var d *DynInst
+			if seq%3 == 0 {
+				d = store(seq, 8*seq)
+			} else {
+				d = load(seq, 3, 8*seq)
+			}
+			seq++
+			q.Insert(d)
+			model = append(model, d)
+		}
+		if round%5 == 4 {
+			// Out of order: drop the second entry.
+			q.Remove(model[1])
+			model = slices.Delete(model, 1, 2)
+		}
+		for range 1 + round%3 {
+			q.Remove(model[0])
+			model = model[1:]
+		}
+		want := ^uint64(0)
+		for _, e := range model {
+			if e.IsStore() && e.State < StateIssued {
+				want = e.Seq()
+				break
+			}
+		}
+		if q.Len() != len(model) || q.LoadBarrier() != want {
+			t.Fatalf("round %d: len %d, barrier %d; want %d, %d", round, q.Len(), q.LoadBarrier(), len(model), want)
+		}
+		if len(model) > 0 && model[0].IsStore() {
+			model[0].State = StateIssued
+		}
 	}
 }
 

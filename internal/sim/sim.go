@@ -8,6 +8,7 @@ package sim
 
 import (
 	"fmt"
+	"sync"
 
 	"flywheel/internal/asm"
 	"flywheel/internal/branch"
@@ -226,43 +227,96 @@ type machine interface {
 // design is one core's configuration, built but not yet instantiated: its
 // clock plan is known before any simulation state is allocated. build
 // makes a new core over src; reset turns an idle core of the same key into
-// the one build would make, or reports false (see pool.go).
+// the one build would make, or reports false (see pool.go). A design holds
+// its core configuration by value and builds nothing on the heap: every
+// lab job makes its design two or three times (TimingOf, Simulate, Price).
 type design struct {
+	arch   Arch
 	plan   clockPlan
 	shape  power.MachineShape
 	mem    mem.HierarchyConfig
 	branch branch.Config
 	key    poolKey
-	build  func(src pipe.InstSource) machine
-	reset  func(m machine, src pipe.InstSource) bool
+	ooo    ooo.Config  // ArchBaseline
+	core   core.Config // ArchFlywheel and ArchRegAlloc
 }
 
 // newDesign builds the configuration of the core cfg.Arch selects, clocked
-// from period. It is the only place that dispatches on the architecture.
+// from period. With build and reset it is the only code that dispatches on
+// the architecture.
 func newDesign(cfg RunConfig, period int64) (design, error) {
 	switch cfg.Arch {
 	case ArchBaseline:
 		bc := baselineConfig(cfg, period)
-		return design{plan: planOf(bc), shape: power.BaselineShape(), mem: bc.Mem, branch: bc.Branch,
+		return design{arch: cfg.Arch, plan: planFor(cfg, period, &bc), shape: power.BaselineShape(), mem: bc.Mem, branch: bc.Branch,
 			key: poolKey{core: "ooo", l1i: bc.Mem.L1I.Geometry(), l1d: bc.Mem.L1D.Geometry(), l2: bc.Mem.L2.Geometry(),
 				arena: pipe.ArenaCapacity(bc.ROBSize, bc.FrontQueueCap, bc.FetchWidth)},
-			build: func(src pipe.InstSource) machine { return ooo.New(bc, src) },
-			reset: func(m machine, src pipe.InstSource) bool {
-				c, ok := m.(*ooo.Core)
-				return ok && c.Reset(bc, src)
-			}}, nil
+			ooo: bc}, nil
 	case ArchFlywheel, ArchRegAlloc:
 		fc := flywheelConfig(cfg, period)
-		return design{plan: planOf(fc), shape: power.FlywheelShape(), mem: fc.Mem, branch: fc.Branch,
+		return design{arch: cfg.Arch, plan: planFor(cfg, period, &fc), shape: power.FlywheelShape(), mem: fc.Mem, branch: fc.Branch,
 			key: poolKey{core: "core", l1i: fc.Mem.L1I.Geometry(), l1d: fc.Mem.L1D.Geometry(), l2: fc.Mem.L2.Geometry(),
 				ec: fc.EC, arena: pipe.ArenaCapacity(fc.ROBSize, fc.FrontQueueCap, fc.FetchWidth)},
-			build: func(src pipe.InstSource) machine { return core.New(fc, src) },
-			reset: func(m machine, src pipe.InstSource) bool {
-				c, ok := m.(*core.Core)
-				return ok && c.Reset(fc, src)
-			}}, nil
+			core: fc}, nil
 	}
 	return design{}, fmt.Errorf("sim: unknown architecture %d", cfg.Arch)
+}
+
+// build makes a new core of d's configuration over src.
+func (d *design) build(src pipe.InstSource) machine {
+	if d.arch == ArchBaseline {
+		return ooo.New(d.ooo, src)
+	}
+	return core.New(d.core, src)
+}
+
+// reset turns m into the core build would make over src, or reports false
+// when m is of another kind or shape.
+func (d *design) reset(m machine, src pipe.InstSource) bool {
+	switch c := m.(type) {
+	case *ooo.Core:
+		return d.arch == ArchBaseline && c.Reset(d.ooo, src)
+	case *core.Core:
+		return d.arch != ArchBaseline && c.Reset(d.core, src)
+	}
+	return false
+}
+
+// plans caches the clock plans newDesign reads, by what a core
+// configuration is built from: the run configuration without the fields
+// no configuration reads, and the base period (the node enters only
+// through it). planOf reads a configuration by reflection, which copied it
+// to the heap on every call. A paper pass has a few dozen plans; the cache
+// starts over when it reaches maxPlans, so a grid of many boosts cannot
+// grow it without bound.
+var plans struct {
+	sync.Mutex
+	m map[planKey]clockPlan
+}
+
+const maxPlans = 256
+
+type planKey struct {
+	cfg    RunConfig
+	period int64
+}
+
+// planFor returns planOf(*coreCfg), the configuration newDesign built
+// from cfg and period.
+func planFor[C any](cfg RunConfig, period int64, coreCfg *C) clockPlan {
+	cfg.Workload, cfg.MaxInstructions, cfg.Node, cfg.Sampling = "", 0, 0, Sampling{}
+	key := planKey{cfg, period}
+	plans.Lock()
+	defer plans.Unlock()
+	if p, ok := plans.m[key]; ok {
+		return p
+	}
+	p := planOf(*coreCfg)
+	if len(plans.m) >= maxPlans || plans.m == nil {
+		plans.m = make(map[planKey]clockPlan)
+	}
+	plans.m[key] = p
+	return p
 }
 
 // runExact runs m to the end of its source and returns its final
