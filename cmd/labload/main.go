@@ -39,6 +39,7 @@ import (
 	"flywheel/internal/lab"
 	"flywheel/internal/labd"
 	"flywheel/internal/sim"
+	"flywheel/internal/stats"
 	"flywheel/internal/workload"
 )
 
@@ -157,7 +158,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "labload: final stats: %v\n", err)
 		return 1
 	}
-	report(stdout, samples, elapsed, shed.Load(), before.Cache, after.Cache)
+	report(stdout, samples, elapsed, shed.Load(), stats.Diff(after.Cache, before.Cache))
 	if injector != nil {
 		fmt.Fprintf(stdout, "chaos: %s; client resumed %d truncated streams\n", injector.Counts(), client.Resumes())
 	}
@@ -226,7 +227,9 @@ func oneRequest(client *labd.Client, rng *rand.Rand, pick func() lab.Job, batch 
 	}
 }
 
-func report(w io.Writer, samples []sample, elapsed time.Duration, shed uint64, before, after lab.Stats) {
+// report prints the request outcomes and the cache tiers' share of the
+// lookups the run made, from d, the cache counters it moved.
+func report(w io.Writer, samples []sample, elapsed time.Duration, shed uint64, d lab.Stats) {
 	var lats []time.Duration
 	var errs, jobs int
 	for _, s := range samples {
@@ -246,14 +249,10 @@ func report(w io.Writer, samples []sample, elapsed time.Duration, shed uint64, b
 			pct(lats, 50), pct(lats, 95), pct(lats, 99), lats[0].Round(time.Microsecond), lats[len(lats)-1].Round(time.Microsecond))
 	}
 
-	hits := after.Hits - before.Hits
-	disk := after.DiskHits - before.DiskHits
-	miss := after.Misses - before.Misses
-	repriced := after.Repriced - before.Repriced
-	if tot := hits + disk + miss + repriced; tot > 0 {
+	if tot := d.Hits + d.DiskHits + d.Misses + d.Repriced; tot > 0 {
 		fmt.Fprintf(w, "cache tiers: memory %.1f%%  disk %.1f%%  sim %.1f%%  repriced %.1f%%  (%d lookups)\n",
-			100*float64(hits)/float64(tot), 100*float64(disk)/float64(tot), 100*float64(miss)/float64(tot),
-			100*float64(repriced)/float64(tot), tot)
+			100*float64(d.Hits)/float64(tot), 100*float64(d.DiskHits)/float64(tot), 100*float64(d.Misses)/float64(tot),
+			100*float64(d.Repriced)/float64(tot), tot)
 	}
 }
 

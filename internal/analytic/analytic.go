@@ -27,6 +27,7 @@ import (
 	"flywheel/internal/lab"
 	"flywheel/internal/mem"
 	"flywheel/internal/sim"
+	"flywheel/internal/splitmix"
 	"flywheel/internal/workload"
 	"flywheel/internal/workload/synth"
 )
@@ -345,37 +346,23 @@ func DefaultTrainingProfiles(seed uint64) []synth.Profile {
 		{ILP: 4, MemFootprintKB: 128, StrideFrac: 1, CodeFootprintKB: 1, Passes: 1, Seed: seed},
 		{ILP: 4, MemFootprintKB: 128, CodeFootprintKB: 16, RegReuse: 1, Passes: 1, Seed: seed},
 	}
-	r := rng{state: seed*0x9E3779B97F4A7C15 + 0x123456789}
-	quarters := func() float64 { return float64(r.intn(5)) / 4 }
+	r := splitmix.Rand(seed*splitmix.Gamma + 0x123456789)
+	quarters := func() float64 { return float64(r.Intn(5)) / 4 }
 	for i := 0; i < 10; i++ {
 		profiles = append(profiles, synth.Profile{
-			ILP:             1 + r.intn(synth.MaxILP),
+			ILP:             1 + r.Intn(synth.MaxILP),
 			BranchEntropy:   quarters(),
 			FPMix:           quarters(),
-			MemFootprintKB:  4 << r.intn(6), // 4..128 KiB
+			MemFootprintKB:  4 << r.Intn(6), // 4..128 KiB
 			StrideFrac:      quarters(),
 			RegReuse:        quarters(),
-			CodeFootprintKB: 1 << r.intn(5), // 1..16 KiB
+			CodeFootprintKB: 1 << r.Intn(5), // 1..16 KiB
 			Passes:          1,
 			Seed:            seed + uint64(i) + 1,
 		})
 	}
 	return profiles
 }
-
-// rng is a splitmix64 generator, matching the synth package's convention so
-// profile selection is deterministic and portable.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
 
 // Calibrate runs the training grid through the lab and fits the model. The
 // baseline architecture ignores clock boosts, so it contributes one cell

@@ -7,6 +7,7 @@ import (
 	"flywheel/internal/cacti"
 	"flywheel/internal/lab"
 	"flywheel/internal/sim"
+	"flywheel/internal/splitmix"
 	"flywheel/internal/workload/synth"
 )
 
@@ -109,12 +110,12 @@ func TestCalibrateMemoizes(t *testing.T) {
 	if _, err := Calibrate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	misses := cfg.Cache.Misses()
+	misses := cfg.Cache.Stats().Misses
 	if _, err := Calibrate(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Cache.Misses() != misses {
-		t.Errorf("re-calibration simulated %d new cells", cfg.Cache.Misses()-misses)
+	if cfg.Cache.Stats().Misses != misses {
+		t.Errorf("re-calibration simulated %d new cells", cfg.Cache.Stats().Misses-misses)
 	}
 }
 
@@ -146,10 +147,10 @@ func TestSolveRidgeRecoversLinear(t *testing.T) {
 	// coefficients to ridge precision.
 	var X [][]float64
 	var y []float64
-	r := rng{state: 42}
+	r := splitmix.Rand(42)
 	for i := 0; i < 40; i++ {
-		x1 := float64(r.intn(100)) / 10
-		x2 := float64(r.intn(100)) / 10
+		x1 := float64(r.Intn(100)) / 10
+		x2 := float64(r.Intn(100)) / 10
 		X = append(X, []float64{1, x1, x2})
 		y = append(y, 3-2*x1+0.5*x2)
 	}

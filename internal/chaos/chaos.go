@@ -35,6 +35,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"flywheel/internal/splitmix"
 )
 
 // Plan is a seeded fault schedule. Probabilities are per matching
@@ -169,11 +171,11 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	delay := r.below(t.plan.Delay)
 	err5 := r.below(t.plan.Err5xx)
 	trunc := r.below(t.plan.Truncate)
-	cut := 1 + int(r.next()%512) // truncation prefix length in bytes
+	cut := 1 + int(r.Next()%512) // truncation prefix length in bytes
 
 	if delay && t.plan.MaxDelay > 0 {
 		t.delays.Add(1)
-		d := t.plan.MaxDelay/2 + time.Duration(r.next()%uint64(t.plan.MaxDelay/2+1))
+		d := t.plan.MaxDelay/2 + time.Duration(r.Next()%uint64(t.plan.MaxDelay/2+1))
 		timer := time.NewTimer(d)
 		select {
 		case <-timer.C:
@@ -185,7 +187,7 @@ func (t *RoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
 	if err5 {
 		t.errs5xx.Add(1)
 		code := http.StatusInternalServerError
-		if r.next()%2 == 0 {
+		if r.Next()%2 == 0 {
 			code = http.StatusServiceUnavailable
 		}
 		return synthesized(req, code), nil
@@ -258,29 +260,17 @@ func (b *truncatedBody) Close() error { return b.inner.Close() }
 
 // rolls is a deterministic per-event decision stream: splitmix64 seeded
 // by (seed, scope, occurrence).
-type rolls struct{ state uint64 }
+type rolls struct{ splitmix.Rand }
 
 func newRolls(seed uint64, scope string, n uint64) *rolls {
 	h := seed
 	for _, b := range []byte(scope) {
 		h = (h ^ uint64(b)) * 0x100000001b3
 	}
-	return &rolls{state: h ^ (n * 0x9e3779b97f4a7c15)}
-}
-
-// next advances the splitmix64 stream.
-func (r *rolls) next() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return &rolls{splitmix.Rand(h ^ (n * splitmix.Gamma))}
 }
 
 // below draws one roll and reports whether it lands under probability p.
 func (r *rolls) below(p float64) bool {
-	if p <= 0 {
-		return false
-	}
-	return float64(r.next()>>11)/float64(1<<53) < p
+	return p > 0 && r.Float() < p
 }

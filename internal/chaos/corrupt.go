@@ -57,7 +57,7 @@ func CorruptTree(root string, seed uint64, frac float64) ([]Corruption, error) {
 			return err
 		}
 		r := newRolls(seed, filepath.ToSlash(rel), 0)
-		cands = append(cands, candidate{path: path, roll: float64(r.next()>>11) / float64(1<<53), r: r})
+		cands = append(cands, candidate{path: path, roll: r.Float(), r: r})
 		return nil
 	})
 	if err != nil {
@@ -94,15 +94,15 @@ func corruptFile(path string, r *rolls) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if r.next()%2 == 0 || len(data) < 2 {
+	if r.Next()%2 == 0 || len(data) < 2 {
 		// Flip one bit somewhere in the payload.
-		pos := int(r.next() % uint64(len(data)))
-		bit := byte(1) << (r.next() % 8)
+		pos := int(r.Next() % uint64(len(data)))
+		bit := byte(1) << (r.Next() % 8)
 		data[pos] ^= bit
 		// Preserve the original mode; these are plain 0o644 artifacts.
 		return "bitflip", os.WriteFile(path, data, 0o644)
 	}
 	// Truncate somewhere strictly inside the file (never to full length).
-	keep := 1 + int(r.next()%uint64(len(data)-1))
+	keep := 1 + int(r.Next()%uint64(len(data)-1))
 	return "truncate", os.Truncate(path, int64(keep))
 }

@@ -209,7 +209,7 @@ func TestSuiteSharesBaselinesThroughCache(t *testing.T) {
 	if got := st.Misses + st.Repriced; got != uint64(len(distinct)) {
 		t.Errorf("misses + repriced = %d, want %d distinct configurations", got, len(distinct))
 	}
-	if got := opt.Cache.Hits(); got != uint64(len(jobs)-len(distinct)) {
+	if got := opt.Cache.Stats().Hits; got != uint64(len(jobs)-len(distinct)) {
 		t.Errorf("hits = %d, want %d duplicate submissions", got, len(jobs)-len(distinct))
 	}
 	if len(jobs)-len(distinct) < 20 {

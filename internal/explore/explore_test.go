@@ -116,12 +116,12 @@ func TestSharedCacheDeduplicates(t *testing.T) {
 	if _, err := Explore(testSpace(), Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	misses := cache.Misses()
+	misses := cache.Stats().Misses
 	if _, err := Explore(testSpace(), Options{Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Misses() != misses {
-		t.Errorf("second identical exploration simulated %d new configurations", cache.Misses()-misses)
+	if cache.Stats().Misses != misses {
+		t.Errorf("second identical exploration simulated %d new configurations", cache.Stats().Misses-misses)
 	}
 }
 
@@ -167,7 +167,7 @@ func TestDuplicateBaselineGrid(t *testing.T) {
 	}
 	// Jobs submitted: 1 baseline + 1 baseline grid cell (identical config) +
 	// 2 flywheel cells. Distinct configurations: 3.
-	if got := cache.Misses(); got != 3 {
+	if got := cache.Stats().Misses; got != 3 {
 		t.Errorf("simulated %d distinct configurations, want 3 (baseline deduplicated)", got)
 	}
 	var baselineCells int

@@ -5,6 +5,8 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"flywheel/internal/splitmix"
 )
 
 // markFrontierQuadratic is the seed's all-pairs dominance scan, kept as the
@@ -34,12 +36,12 @@ func markFrontierQuadratic(points []Point) {
 
 // randomPoints draws metric pairs from a small discrete set so duplicates,
 // speedup ties, and energy ties all occur, plus occasional NaNs.
-func randomPoints(r *rng, n int) []Point {
+func randomPoints(r *splitmix.Rand, n int) []Point {
 	points := make([]Point, n)
 	for i := range points {
-		points[i].Speedup = float64(1+r.intn(8)) / 4
-		points[i].EnergyRatio = float64(1+r.intn(8)) / 4
-		switch r.intn(20) {
+		points[i].Speedup = float64(1+r.Intn(8)) / 4
+		points[i].EnergyRatio = float64(1+r.Intn(8)) / 4
+		switch r.Intn(20) {
 		case 0:
 			points[i].Speedup = math.NaN()
 		case 1:
@@ -49,16 +51,14 @@ func randomPoints(r *rng, n int) []Point {
 	return points
 }
 
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
 // TestMarkFrontierMatchesQuadraticReference is the property test for the
 // sorted single-pass frontier: on randomized point sets — with duplicates,
 // ties in one or both metrics, and NaN metrics — it must agree with the
 // all-pairs definition point for point.
 func TestMarkFrontierMatchesQuadraticReference(t *testing.T) {
-	r := &rng{state: 7}
+	r := splitmix.Rand(7)
 	for trial := 0; trial < 200; trial++ {
-		points := randomPoints(r, 1+r.intn(60))
+		points := randomPoints(&r, 1+r.Intn(60))
 		ref := append([]Point(nil), points...)
 		markFrontierQuadratic(ref)
 		markFrontier(points)
@@ -124,11 +124,11 @@ func TestMarkFrontierNaNRegression(t *testing.T) {
 // scale the analytic tier screens at. The old all-pairs scan was O(n²)
 // (~2.5 billion comparisons here); the rewrite is one sort plus one pass.
 func BenchmarkMarkFrontier(b *testing.B) {
-	r := &rng{state: 11}
+	r := splitmix.Rand(11)
 	master := make([]Point, 50_000)
 	for i := range master {
-		master[i].Speedup = 0.5 + 3*r.float()
-		master[i].EnergyRatio = 0.5 + 3*r.float()
+		master[i].Speedup = 0.5 + 3*r.Float()
+		master[i].EnergyRatio = 0.5 + 3*r.Float()
 	}
 	points := make([]Point, len(master))
 	b.ResetTimer()

@@ -18,6 +18,7 @@ import (
 	"flywheel/internal/branch"
 	"flywheel/internal/mem"
 	"flywheel/internal/sim"
+	"flywheel/internal/splitmix"
 	"flywheel/internal/stats"
 )
 
@@ -146,9 +147,9 @@ func ExploreTiered(s Space, model *analytic.Model, opt TieredOptions) (*TieredRe
 	// order: model error far from the predicted frontier is measured too,
 	// and a cell the model mispredicts badly enough to screen out still
 	// has a chance to surface.
-	r := rng{state: opt.AuditSeed*0x9E3779B97F4A7C15 + 0xA5D17}
+	r := splitmix.Rand(opt.AuditSeed*splitmix.Gamma + 0xA5D17)
 	for i := range pred {
-		if !selected[i] && r.float() < opt.Audit {
+		if !selected[i] && r.Float() < opt.Audit {
 			selected[i] = true
 			rep.AuditCells++
 		}
@@ -278,21 +279,6 @@ func anchorBoosts(list []int) []int {
 	}
 	return []int{u[0], u[len(u)/2], u[len(u)-1]}
 }
-
-// rng is a splitmix64 generator (the synth package's convention), so the
-// audit sample is deterministic in the seed.
-type rng struct{ state uint64 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
 // ConfirmedReport wraps the confirmed points as an ordinary Report, so the
 // existing tables and CSV render them.

@@ -9,6 +9,7 @@ import (
 	"flywheel/internal/analytic"
 	"flywheel/internal/lab"
 	"flywheel/internal/sim"
+	"flywheel/internal/splitmix"
 	"flywheel/internal/workload/synth"
 )
 
@@ -182,9 +183,9 @@ func TestExploreTieredAuditDisabled(t *testing.T) {
 // or below the point counts against itself.
 func TestMarginSelectProperties(t *testing.T) {
 	for _, margin := range []float64{0.15, 0, -0.1} {
-		r := &rng{state: 3}
+		r := splitmix.Rand(3)
 		for trial := 0; trial < 100; trial++ {
-			points := randomPoints(r, 1+r.intn(50))
+			points := randomPoints(&r, 1+r.Intn(50))
 			markFrontier(points)
 			got := slackSelect(points, margin)
 			for i, p := range points {
@@ -217,8 +218,8 @@ func TestMarginSelectProperties(t *testing.T) {
 }
 
 func TestMarginSelectZeroMarginIsFrontier(t *testing.T) {
-	r := &rng{state: 5}
-	points := randomPoints(r, 40)
+	r := splitmix.Rand(5)
+	points := randomPoints(&r, 40)
 	markFrontier(points)
 	got := slackSelect(points, 0)
 	for i := range points {

@@ -84,7 +84,7 @@ func TestChaosSweepExactUnderFaults(t *testing.T) {
 	if workerChaos.Counts().OutageFailures == 0 {
 		t.Fatal("outage window never fired — worker hop untested")
 	}
-	if tc.coord.retries.Load() == 0 {
+	if tc.coord.snapshot().Retries == 0 {
 		t.Fatal("no coordinator retries under an outage")
 	}
 	if client.Resumes() == 0 {

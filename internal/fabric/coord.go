@@ -109,30 +109,42 @@ func (o *Options) fill() error {
 const latWindow = 128
 
 // shard is the coordinator's view of one worker: its client, its global
-// in-flight bound, and a window of recent request latencies for the
-// hedging trigger.
+// in-flight bound, its request counters, and a window of recent request
+// latencies for the hedging trigger.
 type shard struct {
 	url    string
 	client *labd.Client
 	sem    chan struct{}
 
-	requests atomic.Uint64
-	failures atomic.Uint64
-
-	mu   sync.Mutex
-	lats [latWindow]time.Duration
-	n    int // filled entries
-	next int // ring-buffer cursor
+	mu    sync.Mutex
+	stats WorkerStats // URL, Requests and Failures
+	lats  [latWindow]time.Duration
+	n     int // filled entries
+	next  int // ring-buffer cursor
 }
 
-func (s *shard) observe(d time.Duration) {
+// observe records one request that took d and failed or not.
+func (s *shard) observe(d time.Duration, failed bool) {
 	s.mu.Lock()
 	s.lats[s.next] = d
 	s.next = (s.next + 1) % len(s.lats)
 	if s.n < len(s.lats) {
 		s.n++
 	}
+	s.stats.Requests++
+	if failed {
+		s.stats.Failures++
+	}
 	s.mu.Unlock()
+}
+
+// snapshot returns the shard's counters and current latency p99.
+func (s *shard) snapshot() WorkerStats {
+	s.mu.Lock()
+	ws := s.stats
+	s.mu.Unlock()
+	ws.P99Ms = float64(s.p99()) / float64(time.Millisecond)
+	return ws
 }
 
 // p99 returns the 99th-percentile latency of the recent window, or zero
@@ -160,15 +172,12 @@ type Coordinator struct {
 	shards map[string]*shard
 	start  time.Time
 
+	// pending is read on every admission, so it stays atomic; the other
+	// counters live in stats.
 	pending atomic.Int64
 
-	requests atomic.Uint64
-	jobs     atomic.Uint64
-	retries  atomic.Uint64
-	hedges   atomic.Uint64
-	steals   atomic.Uint64
-	rejected atomic.Uint64
-	dropped  atomic.Uint64
+	mu    sync.Mutex
+	stats CoordStats // every counter but Pending
 }
 
 // New builds a coordinator over the given workers. It does not contact
@@ -195,6 +204,7 @@ func New(opt Options) (*Coordinator, error) {
 			url:    url,
 			client: cl,
 			sem:    make(chan struct{}, opt.MaxInFlightPerShard),
+			stats:  WorkerStats{URL: url},
 		}
 	}
 	return c, nil
@@ -206,6 +216,22 @@ func (c *Coordinator) Owner(key string) string { return c.ring.Owner(key) }
 
 // Pending reports the coordinator's admitted-but-unfinished job count.
 func (c *Coordinator) Pending() int64 { return c.pending.Load() }
+
+// count applies f to the coordinator's counters under their lock.
+func (c *Coordinator) count(f func(*CoordStats)) {
+	c.mu.Lock()
+	f(&c.stats)
+	c.mu.Unlock()
+}
+
+// snapshot returns the coordinator's counters, Pending included.
+func (c *Coordinator) snapshot() CoordStats {
+	c.mu.Lock()
+	s := c.stats
+	c.mu.Unlock()
+	s.Pending = c.pending.Load()
+	return s
+}
 
 // CheckWorkers probes every worker's /v1/health and returns an error
 // naming the unreachable ones — the cluster's registration gate.
@@ -301,8 +327,10 @@ func (c *Coordinator) Sweep(ctx context.Context, jobs []lab.Job, emit func(labd.
 	if !c.admit(len(jobs)) {
 		return ErrBusy
 	}
-	c.requests.Add(1)
-	c.jobs.Add(uint64(len(jobs)))
+	c.count(func(s *CoordStats) {
+		s.Requests++
+		s.Jobs += uint64(len(jobs))
+	})
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -331,7 +359,7 @@ func (c *Coordinator) Sweep(ctx context.Context, jobs []lab.Job, emit func(labd.
 						return
 					}
 					if stolen {
-						c.steals.Add(1)
+						c.count(func(s *CoordStats) { s.Steals++ })
 					}
 					line := c.runJob(runCtx, sh, jobs[i], keys[i])
 					line.Index = i
@@ -350,11 +378,11 @@ func (c *Coordinator) Sweep(ctx context.Context, jobs []lab.Job, emit func(labd.
 		select {
 		case line = <-ready[i]:
 		case <-ctx.Done():
-			c.dropped.Add(1)
+			c.count(func(s *CoordStats) { s.DroppedReplies++ })
 			return ctx.Err()
 		}
 		if err := emit(line); err != nil {
-			c.dropped.Add(1)
+			c.count(func(s *CoordStats) { s.DroppedReplies++ })
 			return err
 		}
 	}
@@ -403,12 +431,12 @@ func (c *Coordinator) runJob(ctx context.Context, execer *shard, job lab.Job, ke
 			// A pending retry already claims the next candidate: one
 			// failure must not cost both a retry and a hedge.
 			if c.opt.HedgeDelayMin > 0 && retry == nil && next < len(cands) {
-				c.hedges.Add(1)
+				c.count(func(s *CoordStats) { s.Hedges++ })
 				launch()
 			}
 		case <-retry:
 			retry = nil
-			c.retries.Add(1)
+			c.count(func(s *CoordStats) { s.Retries++ })
 			launch()
 		case a := <-results:
 			inflight--
@@ -477,8 +505,7 @@ func (c *Coordinator) oneRequest(ctx context.Context, sh *shard, job lab.Job) (l
 
 	start := time.Now()
 	lines, err := sh.client.SweepContext(jctx, labd.SweepRequest{Jobs: []lab.Job{job}})
-	sh.observe(time.Since(start))
-	sh.requests.Add(1)
+	sh.observe(time.Since(start), len(lines) != 1)
 	if len(lines) == 1 {
 		// Complete reply; a job-level error rides in the line and is
 		// terminal — the simulation is deterministic, so another shard
@@ -488,7 +515,6 @@ func (c *Coordinator) oneRequest(ctx context.Context, sh *shard, job lab.Job) (l
 	if err == nil {
 		err = fmt.Errorf("fabric: %s returned %d lines for 1 job", sh.url, len(lines))
 	}
-	sh.failures.Add(1)
 	c.opt.Logf("fabric: %s: %v", sh.url, err)
 	return labd.SweepLine{}, fmt.Errorf("fabric: %s: %w", sh.url, err)
 }
@@ -536,7 +562,7 @@ func (c *Coordinator) admit(n int) bool {
 	for {
 		cur := c.pending.Load()
 		if cur > 0 && cur+int64(n) > int64(c.opt.MaxPending) {
-			c.rejected.Add(1)
+			c.count(func(s *CoordStats) { s.Rejected++ })
 			return false
 		}
 		if c.pending.CompareAndSwap(cur, cur+int64(n)) {

@@ -28,6 +28,7 @@ import (
 	"flywheel/internal/labd"
 	"flywheel/internal/mem"
 	"flywheel/internal/sim"
+	"flywheel/internal/stats"
 )
 
 // testCluster is n in-process labd workers plus a coordinator over them.
@@ -36,6 +37,10 @@ type testCluster struct {
 	workers []*httptest.Server
 	caches  []*lab.Cache
 	urls    []string
+	// sweepHook, when set, runs inside worker i's /v1/sweep handler before
+	// the worker serves the request; returning true drops the request
+	// unanswered.
+	sweepHook atomic.Pointer[func(i int) bool]
 }
 
 func startCluster(t *testing.T, n int, tweak func(*Options)) *testCluster {
@@ -45,7 +50,13 @@ func startCluster(t *testing.T, n int, tweak func(*Options)) *testCluster {
 		cache := lab.NewCache()
 		srv := labd.NewServer(cache)
 		srv.SetLogf(func(string, ...any) {}) // worker noise is expected in kill tests
-		ts := httptest.NewServer(srv.Handler())
+		h := srv.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if hook := tc.sweepHook.Load(); hook != nil && r.URL.Path == "/v1/sweep" && (*hook)(i) {
+				return
+			}
+			h.ServeHTTP(w, r)
+		}))
 		t.Cleanup(ts.Close)
 		tc.workers = append(tc.workers, ts)
 		tc.caches = append(tc.caches, cache)
@@ -162,7 +173,7 @@ func TestClusterMatchesInProcess(t *testing.T) {
 	// The batch actually spread: more than one worker simulated.
 	busy := 0
 	for _, cache := range tc.caches {
-		if cache.Misses() > 0 {
+		if cache.Stats().Misses > 0 {
 			busy++
 		}
 	}
@@ -174,25 +185,32 @@ func TestClusterMatchesInProcess(t *testing.T) {
 // TestClusterSurvivesWorkerKill: killing one of three workers mid-sweep
 // exercises the retry/failover path; the merged stream still matches the
 // in-process run line for line. The victim is the worker that owns the
-// most jobs, and it is killed at the first merged line, so the kill meets
-// queued work whatever ports the test servers got (at the fifth line a
-// fast victim had often finished its queue).
+// most jobs, and it dies inside its own handler on its first sweep
+// request, unanswered: the kill meets queued work, and the request it was
+// serving must fail over, however fast the workers run. Hedging is off:
+// on a loaded machine the victim may take the hedge delay to reach its
+// first request, and a hedge that answers first leaves nothing to retry.
 func TestClusterSurvivesWorkerKill(t *testing.T) {
-	tc := startCluster(t, 3, nil)
+	tc := startCluster(t, 3, func(o *Options) { o.HedgeDelayMin = -1 })
 	jobs := testBatch(36)
 	victim := busiest(tc.coord.ring, tc.urls, jobs)
-	killed := false
-	lines := collectSweep(t, tc.coord, jobs, func(done int) {
-		if done == 1 && !killed {
-			killed = true
+	var killed atomic.Bool
+	die := func(i int) bool {
+		if i != victim {
+			return false
+		}
+		if killed.CompareAndSwap(false, true) {
 			tc.kill(victim)
 		}
-	})
+		return true
+	}
+	tc.sweepHook.Store(&die)
+	lines := collectSweep(t, tc.coord, jobs, nil)
 	assertMatchesInProcess(t, jobs, lines)
-	if !killed {
+	if !killed.Load() {
 		t.Fatal("kill hook never fired")
 	}
-	if tc.coord.retries.Load() == 0 {
+	if tc.coord.snapshot().Retries == 0 {
 		t.Fatal("worker death exercised no retries")
 	}
 }
@@ -228,10 +246,10 @@ func TestWorkStealing(t *testing.T) {
 	}
 	lines := collectSweep(t, tc.coord, jobs, nil)
 	assertMatchesInProcess(t, jobs, lines)
-	if tc.coord.steals.Load() == 0 {
+	if tc.coord.snapshot().Steals == 0 {
 		t.Fatal("skewed batch triggered no work stealing")
 	}
-	if tc.coord.shards[tc.urls[1]].requests.Load() == 0 {
+	if tc.coord.shards[tc.urls[1]].snapshot().Requests == 0 {
 		t.Fatal("idle worker received no stolen jobs")
 	}
 }
@@ -252,7 +270,7 @@ func TestSmallBatchStaysOnOwner(t *testing.T) {
 		t.Fatalf("could not craft a skewed batch: %d jobs", len(jobs))
 	}
 	assertMatchesInProcess(t, jobs, collectSweep(t, tc.coord, jobs, nil))
-	if n := tc.coord.steals.Load(); n != 0 {
+	if n := tc.coord.snapshot().Steals; n != 0 {
 		t.Fatalf("%d jobs stolen from an owner with idle runners", n)
 	}
 	if st := tc.caches[1].Stats(); st != (lab.Stats{}) {
@@ -333,7 +351,7 @@ func TestShardP99(t *testing.T) {
 		if got, exp := s.p99(), want(&s); got != exp {
 			t.Fatalf("after %d samples: p99 %v, want %v", i, got, exp)
 		}
-		s.observe(time.Duration(rng.IntN(1000)) * time.Millisecond)
+		s.observe(time.Duration(rng.IntN(1000))*time.Millisecond, false)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { s.p99() }); allocs != 0 {
 		t.Fatalf("p99 allocates %v times per call", allocs)
@@ -379,7 +397,7 @@ func TestBackpressure503(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	if tc.coord.rejected.Load() == 0 {
+	if tc.coord.snapshot().Rejected == 0 {
 		t.Fatal("rejection not counted")
 	}
 	// The typed client tags it.
@@ -440,10 +458,10 @@ func TestHedging(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 1500*time.Millisecond {
 		t.Fatalf("hedging did not rescue the sweep: took %v", elapsed)
 	}
-	if coord.hedges.Load() == 0 {
+	if coord.snapshot().Hedges == 0 {
 		t.Fatal("no hedged requests fired")
 	}
-	if fastCache.Misses() == 0 {
+	if fastCache.Stats().Misses == 0 {
 		t.Fatal("replica did no rescue work")
 	}
 }
@@ -468,35 +486,35 @@ func TestClusterStatsAndHealth(t *testing.T) {
 	if _, err := labd.NewClient(ts.URL).Sweep(labd.SweepRequest{Jobs: jobs}); err != nil {
 		t.Fatal(err)
 	}
-	var stats ClusterStats
+	var cluster ClusterStats
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	if err := json.NewDecoder(resp.Body).Decode(&cluster); err != nil {
 		t.Fatal(err)
 	}
 	var wantMisses, wantRepriced uint64
 	for _, cache := range tc.caches {
-		wantMisses += cache.Misses()
+		wantMisses += cache.Stats().Misses
 		wantRepriced += cache.Stats().Repriced
 	}
-	if stats.Cache.Misses != wantMisses {
-		t.Fatalf("aggregated misses %d, want %d", stats.Cache.Misses, wantMisses)
+	if cluster.Cache.Misses != wantMisses {
+		t.Fatalf("aggregated misses %d, want %d", cluster.Cache.Misses, wantMisses)
 	}
-	if stats.Cache.Repriced != wantRepriced || wantRepriced == 0 {
-		t.Fatalf("aggregated repriced %d, want %d (and at least 1)", stats.Cache.Repriced, wantRepriced)
+	if cluster.Cache.Repriced != wantRepriced || wantRepriced == 0 {
+		t.Fatalf("aggregated repriced %d, want %d (and at least 1)", cluster.Cache.Repriced, wantRepriced)
 	}
-	if stats.Coord.Jobs != uint64(len(jobs)) || len(stats.Workers) != 2 {
-		t.Fatalf("coord stats: %+v", stats.Coord)
+	if cluster.Coord.Jobs != uint64(len(jobs)) || len(cluster.Workers) != 2 {
+		t.Fatalf("coord stats: %+v", cluster.Coord)
 	}
 	var wantFE labd.FrontendStats
-	for _, ws := range stats.Workers {
-		wantFE.Add(ws.Stats.Frontend)
+	for _, ws := range cluster.Workers {
+		wantFE = stats.Sum(wantFE, ws.Stats.Frontend)
 	}
-	if stats.Frontend != wantFE || wantFE.Mispredicts == 0 {
-		t.Fatalf("cluster frontend sum %+v, want %+v (and mispredicts > 0)", stats.Frontend, wantFE)
+	if cluster.Frontend != wantFE || wantFE.Mispredicts == 0 {
+		t.Fatalf("cluster frontend sum %+v, want %+v (and mispredicts > 0)", cluster.Frontend, wantFE)
 	}
 
 	var health ClusterHealth

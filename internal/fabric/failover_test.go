@@ -106,10 +106,10 @@ func TestJobTimeoutFailsOverStalledWorker(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("sweep hung on the stalled worker: job deadline never fired")
 	}
-	if coord.retries.Load() == 0 {
+	if coord.snapshot().Retries == 0 {
 		t.Fatal("stall rescued without a retry — deadline path untested")
 	}
-	if goodCache.Misses() == 0 {
+	if goodCache.Stats().Misses == 0 {
 		t.Fatal("replica did no rescue work")
 	}
 }
@@ -188,10 +188,10 @@ func TestHedgeAnswersDuringRetryDelay(t *testing.T) {
 	if elapsed := time.Since(start); elapsed >= backoff/2 {
 		t.Errorf("job took %v: the hedge's answer waited out the retry delay (at least %v)", elapsed, backoff/2)
 	}
-	if coord.hedges.Load() != 1 {
-		t.Errorf("%d hedges, want 1", coord.hedges.Load())
+	if coord.snapshot().Hedges != 1 {
+		t.Errorf("%d hedges, want 1", coord.snapshot().Hedges)
 	}
-	if n := coord.retries.Load(); n != 0 {
+	if n := coord.snapshot().Retries; n != 0 {
 		t.Errorf("%d retries sent after the hedge had answered", n)
 	}
 	if n := thirdSweeps.Load(); n != 0 {

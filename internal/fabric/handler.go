@@ -11,6 +11,7 @@ import (
 
 	"flywheel/internal/lab"
 	"flywheel/internal/labd"
+	"flywheel/internal/stats"
 )
 
 // The coordinator speaks the same protocol as a single labd — /v1/sweep,
@@ -42,24 +43,18 @@ type CoordStats struct {
 	Pending        int64  `json:"pending"`
 }
 
-// ClusterStats is the coordinator's /v1/stats body. Cache sums the
-// workers' run-cache counters, so clients (labload) compute cluster-wide
-// memory/disk/sim tier hit rates the same way they would for one labd.
+// ClusterStats is the coordinator's /v1/stats body. Cache and the
+// embedded labd.Counters sum the reachable workers' records field by
+// field, so clients (labload) compute cluster-wide memory/disk/sim tier
+// hit rates the same way they would for one labd.
 type ClusterStats struct {
 	Cache lab.Stats  `json:"cache"`
 	Coord CoordStats `json:"coord"`
-	// AnalyticCells / ConfirmedCells sum the workers' two-tier frontier
-	// counters: cells screened analytically versus cells simulated
-	// cycle-accurately, cluster-wide.
-	AnalyticCells  uint64 `json:"analytic_cells"`
-	ConfirmedCells uint64 `json:"confirmed_cells"`
-	// SampledCells sums the workers' sampled-execution cell counters.
-	SampledCells uint64 `json:"sampled_cells"`
-	// Frontend sums the workers' frontend observable totals (branch and
-	// prefetch activity over delivered sweep results), cluster-wide.
-	Frontend      labd.FrontendStats `json:"frontend"`
-	Workers       []WorkerStats      `json:"workers"`
-	UptimeSeconds float64            `json:"uptime_seconds"`
+	// Counters sums the workers' service counters; the coordinator's own
+	// dropped replies are Coord.DroppedReplies.
+	labd.Counters
+	Workers       []WorkerStats `json:"workers"`
+	UptimeSeconds float64       `json:"uptime_seconds"`
 }
 
 // ClusterHealth is the coordinator's /v1/health body.
@@ -130,47 +125,21 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleStats(w http.ResponseWriter, r *http.Request) {
-	reply := ClusterStats{
-		Coord: CoordStats{
-			Requests:       c.requests.Load(),
-			Jobs:           c.jobs.Load(),
-			Retries:        c.retries.Load(),
-			Hedges:         c.hedges.Load(),
-			Steals:         c.steals.Load(),
-			Rejected:       c.rejected.Load(),
-			DroppedReplies: c.dropped.Load(),
-			Pending:        c.pending.Load(),
-		},
-		UptimeSeconds: time.Since(c.start).Seconds(),
-	}
-	stats := make([]labd.StatsReply, len(c.order))
+	reply := ClusterStats{Coord: c.snapshot(), UptimeSeconds: time.Since(c.start).Seconds()}
+	replies := make([]labd.StatsReply, len(c.order))
 	errs := make([]error, len(c.order))
 	c.eachWorker(r.Context(), c.order, func(ctx context.Context, i int, sh *shard) {
-		stats[i], errs[i] = sh.client.StatsContext(ctx)
+		replies[i], errs[i] = sh.client.StatsContext(ctx)
 	})
 	for i, url := range c.order {
-		sh := c.shards[url]
-		ws := WorkerStats{
-			URL:      url,
-			Requests: sh.requests.Load(),
-			Failures: sh.failures.Load(),
-			P99Ms:    float64(sh.p99()) / float64(time.Millisecond),
-		}
+		ws := c.shards[url].snapshot()
 		if err := errs[i]; err != nil {
 			ws.Error = err.Error()
 		} else {
-			st := stats[i]
+			st := replies[i]
 			ws.Stats = &st
-			reply.Cache.Hits += st.Cache.Hits
-			reply.Cache.DiskHits += st.Cache.DiskHits
-			reply.Cache.Misses += st.Cache.Misses
-			reply.Cache.Repriced += st.Cache.Repriced
-			reply.Cache.InFlight += st.Cache.InFlight
-			reply.Cache.Entries += st.Cache.Entries
-			reply.AnalyticCells += st.AnalyticCells
-			reply.ConfirmedCells += st.ConfirmedCells
-			reply.SampledCells += st.SampledCells
-			reply.Frontend.Add(st.Frontend)
+			reply.Cache = stats.Sum(reply.Cache, st.Cache)
+			reply.Counters = stats.Sum(reply.Counters, st.Counters)
 		}
 		reply.Workers = append(reply.Workers, ws)
 	}
@@ -258,7 +227,7 @@ func (c *Coordinator) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		resp, err := c.opt.HTTPClient.Do(req)
 		if err != nil {
 			lastErr = err
-			c.retries.Add(1)
+			c.count(func(s *CoordStats) { s.Retries++ })
 			continue
 		}
 		defer resp.Body.Close()
@@ -267,7 +236,7 @@ func (c *Coordinator) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 		w.WriteHeader(resp.StatusCode)
 		if _, err := io.Copy(w, resp.Body); err != nil {
-			c.dropped.Add(1)
+			c.count(func(s *CoordStats) { s.DroppedReplies++ })
 		}
 		return
 	}
@@ -279,7 +248,7 @@ func (c *Coordinator) writeJSON(w http.ResponseWriter, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		c.dropped.Add(1)
+		c.count(func(s *CoordStats) { s.DroppedReplies++ })
 		c.opt.Logf("fabric: reply dropped: %v", err)
 	}
 }

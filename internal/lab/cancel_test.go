@@ -84,7 +84,7 @@ func TestDoContextWaiterCancelLeavesFlightIntact(t *testing.T) {
 	if err != nil || res.Retired != 42 {
 		t.Fatalf("cached result lost: %v %+v", err, res)
 	}
-	if got := c.Misses(); got != 1 {
+	if got := c.Stats().Misses; got != 1 {
 		t.Fatalf("misses = %d, want exactly 1 simulation", got)
 	}
 }

@@ -98,7 +98,7 @@ func TestErrorNotPoisoned(t *testing.T) {
 	if _, err := c.Do(j); err == nil {
 		t.Fatal("first request: got nil error, want the transient failure")
 	}
-	if n := c.Len(); n != 0 {
+	if n := c.Stats().Entries; n != 0 {
 		t.Fatalf("failed entry still cached: Len() = %d, want 0", n)
 	}
 	res, err := c.Do(j)
@@ -143,9 +143,9 @@ func TestErrorDeliveredToInFlightWaiters(t *testing.T) {
 	// joined it (each join counts a hit) — otherwise a late waiter could
 	// arrive after the eviction and trigger a fresh, successful run.
 	deadline := time.Now().Add(5 * time.Second)
-	for calls.Load() == 0 || c.Hits() < uint64(waiters-1) {
+	for calls.Load() == 0 || c.Stats().Hits < uint64(waiters-1) {
 		if time.Now().After(deadline) {
-			t.Fatalf("flight never fully formed: %d calls, %d hits", calls.Load(), c.Hits())
+			t.Fatalf("flight never fully formed: %d calls, %d hits", calls.Load(), c.Stats().Hits)
 		}
 		time.Sleep(time.Millisecond)
 	}

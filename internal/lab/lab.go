@@ -337,9 +337,6 @@ func (t *flights[K, V]) run(f *flight[V], key K, fill func() (V, error)) {
 	f.val, f.err = fill()
 }
 
-// do is the internal spelling kept for the package's call sites.
-func (c *Cache) do(j Job) (sim.Result, error) { return c.Do(j) }
-
 // Stats is a snapshot of the cache counters.
 type Stats struct {
 	// Hits counts requests served from memory, including waits on
@@ -396,18 +393,6 @@ func (c *Cache) StatsLine() string {
 	return line
 }
 
-// Hits counts requests served from memory (including waits on in-flight
-// runs).
-func (c *Cache) Hits() uint64 { return c.Stats().Hits }
-
-// Misses counts simulations started. Requests served by the persistent
-// store count as DiskHits, and requests priced from a shared timing
-// record as Repriced, not misses.
-func (c *Cache) Misses() uint64 { return c.Stats().Misses }
-
-// Len reports the number of cached configurations.
-func (c *Cache) Len() int { return c.Stats().Entries }
-
 // Options configures a batch run.
 type Options struct {
 	// Workers sets the worker-pool size; zero or negative uses
@@ -457,7 +442,7 @@ func Run(jobs []Job, opt Options) ([]sim.Result, error) {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i], errs[i] = cache.do(jobs[i])
+				results[i], errs[i] = cache.Do(jobs[i])
 				if opt.Progress != nil {
 					progressMu.Lock()
 					done++

@@ -77,23 +77,23 @@ func TestCacheAccounting(t *testing.T) {
 	if _, err := Run(jobs, Options{Workers: 8, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cache.Misses(), uint64(6); got != want {
+	if got, want := cache.Stats().Misses, uint64(6); got != want {
 		t.Errorf("misses = %d, want %d", got, want)
 	}
-	if got, want := cache.Hits(), uint64(3); got != want {
+	if got, want := cache.Stats().Hits, uint64(3); got != want {
 		t.Errorf("hits = %d, want %d", got, want)
 	}
-	if got, want := cache.Len(), 6; got != want {
+	if got, want := cache.Stats().Entries, 6; got != want {
 		t.Errorf("cache len = %d, want %d", got, want)
 	}
 	// A second batch against the same cache is all hits.
 	if _, err := Run(jobs, Options{Workers: 8, Cache: cache}); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cache.Misses(), uint64(6); got != want {
+	if got, want := cache.Stats().Misses, uint64(6); got != want {
 		t.Errorf("misses after rerun = %d, want %d", got, want)
 	}
-	if got, want := cache.Hits(), uint64(12); got != want {
+	if got, want := cache.Stats().Hits, uint64(12); got != want {
 		t.Errorf("hits after rerun = %d, want %d", got, want)
 	}
 }

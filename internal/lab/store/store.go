@@ -79,10 +79,10 @@ type Stats struct {
 	// Hits / Misses count Get outcomes; BadEntries counts reads that found
 	// a file but rejected it (corrupt, wrong version, wrong key) — those
 	// are also misses. Puts counts successful writes.
-	Hits       uint64
-	Misses     uint64
-	BadEntries uint64
-	Puts       uint64
+	Hits       uint64 `json:"hits"`
+	Misses     uint64 `json:"misses"`
+	BadEntries uint64 `json:"bad_entries"`
+	Puts       uint64 `json:"puts"`
 }
 
 // Store is an on-disk result cache. It is safe for concurrent use within a

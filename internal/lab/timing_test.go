@@ -237,8 +237,8 @@ func TestPanickingTimingRunReleasesWaiters(t *testing.T) {
 			t.Fatalf("job %d: got %v, want the panic-converted error", i, err)
 		}
 	}
-	if n := len(c.timings.m); n != 0 || c.Len() != 0 {
-		t.Fatalf("panicked flight left %d timing records and %d results", n, c.Len())
+	if n := len(c.timings.m); n != 0 || c.Stats().Entries != 0 {
+		t.Fatalf("panicked flight left %d timing records and %d results", n, c.Stats().Entries)
 	}
 	if _, err := Run(jobs, Options{Workers: 2, Cache: c}); err != nil {
 		t.Fatalf("retry after the panic: %v", err)

@@ -88,13 +88,10 @@ type SweepLine struct {
 
 // StoreStats reports the persistent tier in /v1/stats.
 type StoreStats struct {
-	Dir        string `json:"dir"`
-	Entries    int    `json:"entries"`
-	Bytes      int64  `json:"bytes"`
-	Hits       uint64 `json:"hits"`
-	Misses     uint64 `json:"misses"`
-	BadEntries uint64 `json:"bad_entries"`
-	Puts       uint64 `json:"puts"`
+	Dir     string `json:"dir"`
+	Entries int    `json:"entries"`
+	Bytes   int64  `json:"bytes"`
+	store.Stats
 }
 
 // StatsReply is the /v1/stats body.
@@ -106,6 +103,13 @@ type StatsReply struct {
 	TraceCache    trace.Stats `json:"trace_cache"`
 	Version       string      `json:"version"`
 	UptimeSeconds float64     `json:"uptime_seconds"`
+	Counters
+}
+
+// Counters are the worker's own service counters, each declared only
+// here: StatsReply embeds the record, and a fabric coordinator sums its
+// workers' records field by field (stats.Sum) into the cluster's.
+type Counters struct {
 	// DroppedReplies counts responses the service could not deliver — the
 	// client vanished mid-reply or mid-NDJSON-stream. Before this counter
 	// existed those failures were silently discarded.
@@ -128,8 +132,7 @@ type StatsReply struct {
 	QuarantinedFiles uint64 `json:"quarantined_files"`
 	// Frontend aggregates the frontend observables of every sweep result
 	// this worker delivered (cache and store hits included — the counters
-	// describe delivered results, not simulation effort). A fabric
-	// coordinator sums them cluster-wide.
+	// describe delivered results, not simulation effort).
 	Frontend FrontendStats `json:"frontend"`
 }
 
@@ -141,16 +144,6 @@ type FrontendStats struct {
 	PrefetchIssued uint64 `json:"prefetch_issued"`
 	PrefetchUseful uint64 `json:"prefetch_useful"`
 	PrefetchLate   uint64 `json:"prefetch_late"`
-}
-
-// Add accumulates another stats block (used by the fabric coordinator's
-// cluster-wide sum).
-func (f *FrontendStats) Add(o FrontendStats) {
-	f.CondBranches += o.CondBranches
-	f.Mispredicts += o.Mispredicts
-	f.PrefetchIssued += o.PrefetchIssued
-	f.PrefetchUseful += o.PrefetchUseful
-	f.PrefetchLate += o.PrefetchLate
 }
 
 // ScrubReply is the /v1/scrub body: one worker's store-integrity report.
@@ -232,20 +225,8 @@ type Server struct {
 
 	logf func(format string, args ...any)
 
-	droppedReplies atomic.Uint64
-	canceledJobs   atomic.Uint64
-	analyticCells  atomic.Uint64
-	confirmedCells atomic.Uint64
-	sampledCells   atomic.Uint64
-	scrubs         atomic.Uint64
-	quarantined    atomic.Uint64
-
-	// Frontend observable totals over delivered sweep results.
-	condBranches atomic.Uint64
-	mispredicts  atomic.Uint64
-	pfIssued     atomic.Uint64
-	pfUseful     atomic.Uint64
-	pfLate       atomic.Uint64
+	mu       sync.Mutex // guards counters
+	counters Counters
 
 	// scrubMu serializes scrub passes: concurrent scrubs are safe but
 	// would double-count each other's quarantine races.
@@ -260,6 +241,13 @@ func NewServer(cache *lab.Cache) *Server {
 		sem:   make(chan struct{}, runtime.GOMAXPROCS(0)),
 		logf:  log.Printf,
 	}
+}
+
+// count applies f to the service counters under their lock.
+func (s *Server) count(f func(*Counters)) {
+	s.mu.Lock()
+	f(&s.counters)
+	s.mu.Unlock()
 }
 
 // SetLogf redirects the service's operational log lines (dropped replies,
@@ -306,8 +294,10 @@ func (s *Server) Scrub() (ScrubReply, error) {
 	if err != nil {
 		return reply, err
 	}
-	s.scrubs.Add(1)
-	s.quarantined.Add(uint64(len(rep.Quarantined)))
+	s.count(func(c *Counters) {
+		c.Scrubs++
+		c.QuarantinedFiles += uint64(len(rep.Quarantined))
+	})
 	if n := len(rep.Quarantined); n > 0 {
 		s.logf("labd: scrub quarantined %d corrupt files under %s", n, st.QuarantineDir())
 	}
@@ -380,7 +370,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			case <-ctx.Done():
 			}
 		}
-		s.canceledJobs.Add(1)
+		s.count(func(c *Counters) { c.CanceledJobs++ })
 		return outcome{err: ctx.Err()}
 	}
 	var next atomic.Int64
@@ -405,7 +395,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		select {
 		case o = <-ready[i]:
 		case <-ctx.Done():
-			s.droppedReplies.Add(1)
+			s.count(func(c *Counters) { c.DroppedReplies++ })
 			s.logf("labd: sweep stream aborted at line %d/%d: %v", i, len(req.Jobs), ctx.Err())
 			return
 		}
@@ -414,15 +404,17 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 			line.Error = o.err.Error()
 		} else {
 			line.Result = &o.res
-			s.condBranches.Add(o.res.CondBranches)
-			s.mispredicts.Add(o.res.Mispredicts)
-			s.pfIssued.Add(o.res.PrefetchIssued)
-			s.pfUseful.Add(o.res.PrefetchUseful)
-			s.pfLate.Add(o.res.PrefetchLate)
+			s.count(func(c *Counters) {
+				c.Frontend.CondBranches += o.res.CondBranches
+				c.Frontend.Mispredicts += o.res.Mispredicts
+				c.Frontend.PrefetchIssued += o.res.PrefetchIssued
+				c.Frontend.PrefetchUseful += o.res.PrefetchUseful
+				c.Frontend.PrefetchLate += o.res.PrefetchLate
+			})
 		}
 		if err := enc.Encode(line); err != nil {
 			// Client went away mid-stream; the cache keeps the finished work.
-			s.droppedReplies.Add(1)
+			s.count(func(c *Counters) { c.DroppedReplies++ })
 			s.logf("labd: sweep stream dropped at line %d/%d: %v", i, len(req.Jobs), err)
 			return
 		}
@@ -457,8 +449,6 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		reply.ConfirmedCells = len(rep.Confirmed)
 		reply.Margin = rep.Margin
 		reply.PredictionErr = &rep.Err
-		s.analyticCells.Add(uint64(reply.ScreenedCells))
-		s.confirmedCells.Add(uint64(reply.ConfirmedCells))
 		frontier = rep.Frontier()
 	} else {
 		reply.GridPoints = len(out.Report.Points)
@@ -467,7 +457,11 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		}
 		frontier = out.Report.Frontier()
 	}
-	s.sampledCells.Add(uint64(reply.SampledCells))
+	s.count(func(c *Counters) {
+		c.AnalyticCells += uint64(reply.ScreenedCells)
+		c.ConfirmedCells += uint64(reply.ConfirmedCells)
+		c.SampledCells += uint64(reply.SampledCells)
+	})
 	for _, p := range frontier {
 		reply.Frontier = append(reply.Frontier, frontierPoint(p))
 	}
@@ -532,32 +526,17 @@ func frontierPoint(p explore.Point) FrontierPoint {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	reply := StatsReply{
-		Cache:            s.cache.Stats(),
-		TraceCache:       sim.TraceCacheStats(),
-		Version:          store.Version(),
-		UptimeSeconds:    time.Since(s.start).Seconds(),
-		DroppedReplies:   s.droppedReplies.Load(),
-		CanceledJobs:     s.canceledJobs.Load(),
-		AnalyticCells:    s.analyticCells.Load(),
-		ConfirmedCells:   s.confirmedCells.Load(),
-		SampledCells:     s.sampledCells.Load(),
-		Scrubs:           s.scrubs.Load(),
-		QuarantinedFiles: s.quarantined.Load(),
-		Frontend: FrontendStats{
-			CondBranches:   s.condBranches.Load(),
-			Mispredicts:    s.mispredicts.Load(),
-			PrefetchIssued: s.pfIssued.Load(),
-			PrefetchUseful: s.pfUseful.Load(),
-			PrefetchLate:   s.pfLate.Load(),
-		},
+		Cache:         s.cache.Stats(),
+		TraceCache:    sim.TraceCacheStats(),
+		Version:       store.Version(),
+		UptimeSeconds: time.Since(s.start).Seconds(),
 	}
+	s.mu.Lock()
+	reply.Counters = s.counters
+	s.mu.Unlock()
 	if st := s.cache.Store(); st != nil {
 		entries, bytes := st.Size()
-		ss := st.Stats()
-		reply.Store = &StoreStats{
-			Dir: st.Dir(), Entries: entries, Bytes: bytes,
-			Hits: ss.Hits, Misses: ss.Misses, BadEntries: ss.BadEntries, Puts: ss.Puts,
-		}
+		reply.Store = &StoreStats{Dir: st.Dir(), Entries: entries, Bytes: bytes, Stats: st.Stats()}
 	}
 	s.writeJSON(w, r, reply)
 }
@@ -579,7 +558,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, r *http.Request, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(v); err != nil {
-		s.droppedReplies.Add(1)
+		s.count(func(c *Counters) { c.DroppedReplies++ })
 		s.logf("labd: %s %s reply dropped: %v", r.Method, r.URL.Path, err)
 	}
 }

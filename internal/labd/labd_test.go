@@ -84,15 +84,15 @@ func TestSweepDedupesAcrossRequests(t *testing.T) {
 	if _, err := client.Sweep(labd.SweepRequest{Jobs: jobs}); err != nil {
 		t.Fatal(err)
 	}
-	misses := cache.Misses()
+	misses := cache.Stats().Misses
 	if misses != 3 { // 3 distinct keys in testJobs
 		t.Fatalf("first batch simulated %d, want 3 distinct", misses)
 	}
 	if _, err := client.Sweep(labd.SweepRequest{Jobs: jobs}); err != nil {
 		t.Fatal(err)
 	}
-	if cache.Misses() != misses {
-		t.Fatalf("second batch re-simulated: %d total misses", cache.Misses())
+	if cache.Stats().Misses != misses {
+		t.Fatalf("second batch re-simulated: %d total misses", cache.Stats().Misses)
 	}
 }
 
@@ -292,8 +292,8 @@ func TestNodeDefaultNormalizedOverWire(t *testing.T) {
 	if lines[0].Key != lines[1].Key {
 		t.Fatalf("normalized keys differ: %q vs %q", lines[0].Key, lines[1].Key)
 	}
-	if cache.Misses() != 1 {
-		t.Fatalf("defaulted duplicate simulated twice: %d misses", cache.Misses())
+	if cache.Stats().Misses != 1 {
+		t.Fatalf("defaulted duplicate simulated twice: %d misses", cache.Stats().Misses)
 	}
 }
 
@@ -354,7 +354,7 @@ func TestFrontierTierAnalytic(t *testing.T) {
 
 	// A repeat of the same query is deterministic and served from the warm
 	// cache — no new simulations — while the tier counters keep accruing.
-	misses := cache.Misses()
+	misses := cache.Stats().Misses
 	again, err := client.Frontier(params)
 	if err != nil {
 		t.Fatal(err)
@@ -364,8 +364,8 @@ func TestFrontierTierAnalytic(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("tiered frontier not deterministic:\n%s\n%s", a, b)
 	}
-	if cache.Misses() != misses {
-		t.Fatalf("repeat query simulated %d new cells", cache.Misses()-misses)
+	if cache.Stats().Misses != misses {
+		t.Fatalf("repeat query simulated %d new cells", cache.Stats().Misses-misses)
 	}
 	st2, err := client.Stats()
 	if err != nil {
@@ -442,7 +442,7 @@ func TestFrontierTierSampled(t *testing.T) {
 	}
 
 	// Identical query → identical reply from the warm cache.
-	misses := cache.Misses()
+	misses := cache.Stats().Misses
 	again, err := client.Frontier(params)
 	if err != nil {
 		t.Fatal(err)
@@ -452,8 +452,8 @@ func TestFrontierTierSampled(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("sampled frontier not deterministic:\n%s\n%s", a, b)
 	}
-	if cache.Misses() != misses {
-		t.Fatalf("repeat query simulated %d new cells", cache.Misses()-misses)
+	if cache.Stats().Misses != misses {
+		t.Fatalf("repeat query simulated %d new cells", cache.Stats().Misses-misses)
 	}
 }
 

@@ -75,7 +75,7 @@ func TestSweepClientDisconnectStopsSimulations(t *testing.T) {
 	// the semaphore just before the cancellation propagated may legally
 	// finish one more job; what must NOT happen is the batch grinding on.)
 	deadline := time.Now().Add(10 * time.Second)
-	settled := cache.Misses()
+	settled := cache.Stats().Misses
 	stableSince := time.Now()
 	for {
 		st := cache.Stats()

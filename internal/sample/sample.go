@@ -9,7 +9,11 @@
 // cells still need an exact run.
 package sample
 
-import "fmt"
+import (
+	"fmt"
+
+	"flywheel/internal/splitmix"
+)
 
 // Defaults and structural constants of the sampling schedule.
 const (
@@ -129,17 +133,6 @@ func (c Config) Validate() error {
 // schedule cannot alias with a workload's own periodicity the same way
 // for every seed.
 func (c Config) Offset() uint64 {
-	return splitmix64(c.Seed) % (c.Period - c.Span() + 1)
-}
-
-// splitmix64 is the standard 64-bit finalizing mixer; one application
-// turns a counter-like seed into a well-distributed value.
-func splitmix64(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+	r := splitmix.Rand(c.Seed)
+	return r.Next() % (c.Period - c.Span() + 1)
 }

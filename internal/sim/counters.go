@@ -1,9 +1,6 @@
 package sim
 
 import (
-	"fmt"
-	"reflect"
-
 	"flywheel/internal/pipe"
 	"flywheel/internal/power"
 )
@@ -70,48 +67,5 @@ func activity(c pipe.Counters) power.Activity {
 		ECBlockWrites: c.EC.BlockWrites,
 		UpdateOps:     c.UpdateOps,
 		Checkpoints:   c.Checkpoints + c.SRTSwaps,
-	}
-}
-
-// diff returns the fieldwise difference a - b.
-func diff(a, b pipe.Counters) pipe.Counters { return combine(a, b, false) }
-
-// sum returns the fieldwise sum a + b.
-func sum(a, b pipe.Counters) pipe.Counters { return combine(a, b, true) }
-
-// combine adds or subtracts every integer field of two records, through
-// nested structs and arrays. It uses reflection so that a counter added to
-// any block of the record needs no edit here; it runs only at sampling
-// window marks, never per instruction.
-func combine(a, b pipe.Counters, add bool) pipe.Counters {
-	var out pipe.Counters
-	combineValue(reflect.ValueOf(&out).Elem(), reflect.ValueOf(a), reflect.ValueOf(b), add)
-	return out
-}
-
-func combineValue(out, a, b reflect.Value, add bool) {
-	switch out.Kind() {
-	case reflect.Struct:
-		for i := range out.NumField() {
-			combineValue(out.Field(i), a.Field(i), b.Field(i), add)
-		}
-	case reflect.Array:
-		for i := range out.Len() {
-			combineValue(out.Index(i), a.Index(i), b.Index(i), add)
-		}
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if add {
-			out.SetInt(a.Int() + b.Int())
-		} else {
-			out.SetInt(a.Int() - b.Int())
-		}
-	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		if add {
-			out.SetUint(a.Uint() + b.Uint())
-		} else {
-			out.SetUint(a.Uint() - b.Uint())
-		}
-	default:
-		panic(fmt.Sprintf("sim: counter record holds a non-counter field of type %s", out.Type()))
 	}
 }

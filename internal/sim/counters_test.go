@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"flywheel/internal/pipe"
+	"flywheel/internal/stats"
 )
 
 // counterFields calls fn with the path and value of every field of v that
@@ -64,31 +65,30 @@ func distinctCounters(first uint64) pipe.Counters {
 	return c
 }
 
-// TestCounterDiffSum checks the generic record arithmetic field by field
-// over every counter of pipe.Counters, its FUIssued array and its nested
-// blocks included: a counter added to the record is covered without an
-// edit in this package.
+// TestCounterDiffSum checks stats.Sum and stats.Diff field by field over
+// every counter of pipe.Counters, its FUIssued array and its nested blocks
+// included: a counter added to the record is covered without an edit.
 func TestCounterDiffSum(t *testing.T) {
 	a, b := distinctCounters(1), distinctCounters(1_000)
 	la, lb := leavesOf(t, a), leavesOf(t, b)
 	if len(la) < 40 {
 		t.Fatalf("only %d counters in the record; the walk is missing blocks", len(la))
 	}
-	s := sum(a, b)
+	s := stats.Sum(a, b)
 	for i, v := range leavesOf(t, s) {
 		if v != la[i]+lb[i] {
 			t.Errorf("sum: counter %d is %d, want %d+%d", i, v, la[i], lb[i])
 		}
 	}
-	if got := diff(s, b); got != a {
+	if got := stats.Diff(s, b); got != a {
 		t.Errorf("diff(sum(a, b), b) != a:\n got %+v\nwant %+v", got, a)
 	}
-	for i, v := range leavesOf(t, diff(b, a)) {
+	for i, v := range leavesOf(t, stats.Diff(b, a)) {
 		if v != lb[i]-la[i] {
 			t.Errorf("diff: counter %d is %d, want %d-%d", i, v, lb[i], la[i])
 		}
 	}
-	if got := diff(a, a); got != (pipe.Counters{}) {
-		t.Errorf("diff(a, a) = %+v, want zero", got)
+	if got := stats.Diff(a, a); got != (pipe.Counters{}) {
+		t.Errorf("stats.Diff(a, a) = %+v, want zero", got)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"flywheel/internal/pipe"
 	"flywheel/internal/power"
 	"flywheel/internal/sample"
+	"flywheel/internal/stats"
 )
 
 // Sampling configures sampled execution (see package sample): the zero
@@ -96,7 +97,7 @@ func sampleLoop(sp Sampling, stream pipe.InstSource, gate *sample.Gate, m machin
 		if !got[0] || !got[1] {
 			continue // truncated before the measurement completed: discard
 		}
-		t.windows = append(t.windows, diff(mk[1], mk[0]))
+		t.windows = append(t.windows, stats.Diff(mk[1], mk[0]))
 	}
 	if len(t.windows) == 0 {
 		return fmt.Errorf("sampling produced no complete windows (period %d, window span %d, stream ended at %d instructions)",
@@ -125,7 +126,7 @@ func (t Timing) estimate(cfg RunConfig, grain int64) (Result, error) {
 		acc.Observe(sample.Obs{Insts: d.Retired, Cycles: d.BECycles, TimePS: d.TimePS, EnergyPJ: rep.TotalPJ})
 		sumEnergyPJ += rep.TotalPJ
 		sumLeakPJ += rep.TotalPJ * rep.LeakageFrac
-		total = sum(total, d)
+		total = stats.Sum(total, d)
 	}
 
 	est := acc.Estimate()

@@ -8,7 +8,6 @@ package sim
 
 import (
 	"fmt"
-	"sync"
 
 	"flywheel/internal/asm"
 	"flywheel/internal/branch"
@@ -248,13 +247,13 @@ func newDesign(cfg RunConfig, period int64) (design, error) {
 	switch cfg.Arch {
 	case ArchBaseline:
 		bc := baselineConfig(cfg, period)
-		return design{arch: cfg.Arch, plan: planFor(cfg, period, &bc), shape: power.BaselineShape(), mem: bc.Mem, branch: bc.Branch,
+		return design{arch: cfg.Arch, plan: planOf(bc.PeriodPS, bc.Mem.MemLatencyPS), shape: power.BaselineShape(), mem: bc.Mem, branch: bc.Branch,
 			key: poolKey{core: "ooo", l1i: bc.Mem.L1I.Geometry(), l1d: bc.Mem.L1D.Geometry(), l2: bc.Mem.L2.Geometry(),
 				arena: pipe.ArenaCapacity(bc.ROBSize, bc.FrontQueueCap, bc.FetchWidth)},
 			ooo: bc}, nil
 	case ArchFlywheel, ArchRegAlloc:
 		fc := flywheelConfig(cfg, period)
-		return design{arch: cfg.Arch, plan: planFor(cfg, period, &fc), shape: power.FlywheelShape(), mem: fc.Mem, branch: fc.Branch,
+		return design{arch: cfg.Arch, plan: planOf(fc.BEFastPeriodPS(), fc.FEPeriodPS(), fc.BasePeriodPS, fc.Mem.MemLatencyPS), shape: power.FlywheelShape(), mem: fc.Mem, branch: fc.Branch,
 			key: poolKey{core: "core", l1i: fc.Mem.L1I.Geometry(), l1d: fc.Mem.L1D.Geometry(), l2: fc.Mem.L2.Geometry(),
 				ec: fc.EC, arena: pipe.ArenaCapacity(fc.ROBSize, fc.FrontQueueCap, fc.FetchWidth)},
 			core: fc}, nil
@@ -280,43 +279,6 @@ func (d *design) reset(m machine, src pipe.InstSource) bool {
 		return d.arch != ArchBaseline && c.Reset(d.core, src)
 	}
 	return false
-}
-
-// plans caches the clock plans newDesign reads, by what a core
-// configuration is built from: the run configuration without the fields
-// no configuration reads, and the base period (the node enters only
-// through it). planOf reads a configuration by reflection, which copied it
-// to the heap on every call. A paper pass has a few dozen plans; the cache
-// starts over when it reaches maxPlans, so a grid of many boosts cannot
-// grow it without bound.
-var plans struct {
-	sync.Mutex
-	m map[planKey]clockPlan
-}
-
-const maxPlans = 256
-
-type planKey struct {
-	cfg    RunConfig
-	period int64
-}
-
-// planFor returns planOf(*coreCfg), the configuration newDesign built
-// from cfg and period.
-func planFor[C any](cfg RunConfig, period int64, coreCfg *C) clockPlan {
-	cfg.Workload, cfg.MaxInstructions, cfg.Node, cfg.Sampling = "", 0, 0, Sampling{}
-	key := planKey{cfg, period}
-	plans.Lock()
-	defer plans.Unlock()
-	if p, ok := plans.m[key]; ok {
-		return p
-	}
-	p := planOf(*coreCfg)
-	if len(plans.m) >= maxPlans || plans.m == nil {
-		plans.m = make(map[planKey]clockPlan)
-	}
-	plans.m[key] = p
-	return p
 }
 
 // runExact runs m to the end of its source and returns its final

@@ -2,10 +2,7 @@ package sim
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
-	"strings"
-	"sync"
 
 	"flywheel/internal/cacti"
 	"flywheel/internal/pipe"
@@ -177,29 +174,22 @@ type clockPlan struct {
 	reduced string
 }
 
-// planOf reads the clock plan from a core configuration: by this
-// codebase's convention, every int64 field or method whose name ends in
-// "PS" (nested structs included). Reading the built configuration rather
-// than the node means a future absolute-time parameter can only make two
-// plans differ, never make two runs share a record they should not.
-func planOf(cfg any) clockPlan {
-	v := reflect.ValueOf(cfg)
-	locs := psLocsOf(v.Type())
-	ps := make([]int64, len(locs))
+// planOf reduces the clock plan of a core configuration: every period and
+// picosecond latency the configuration sets, which newDesign lists for
+// each core. TestClockPlanListsEveryPS walks both configurations by
+// reflection and fails on an int64 field or method ending in "PS" that a
+// list omits, so a new absolute-time parameter can never make two runs
+// share a record they should not.
+func planOf(ps ...int64) clockPlan {
 	var g int64
-	for i, l := range locs {
-		f := v.FieldByIndex(l.index)
-		if l.method >= 0 {
-			ps[i] = f.Method(l.method).Call(nil)[0].Int()
-		} else {
-			ps[i] = f.Int()
-		}
-		g = gcd(g, ps[i])
+	for _, p := range ps {
+		g = gcd(g, p)
 	}
 	if g == 0 {
 		g = 1
 	}
-	var reduced []byte
+	var buf [64]byte
+	reduced := buf[:0]
 	for i, p := range ps {
 		if i > 0 {
 			reduced = append(reduced, ',')
@@ -207,54 +197,6 @@ func planOf(cfg any) clockPlan {
 		reduced = strconv.AppendInt(reduced, p/g, 10)
 	}
 	return clockPlan{grain: g, reduced: string(reduced)}
-}
-
-// psLoc locates one picosecond value in a configuration type: the field at
-// index (a path through nested structs) or, when method >= 0, that
-// method of the struct at index.
-type psLoc struct {
-	index  []int
-	method int
-}
-
-// psLocs caches psLocsOf: the locations depend only on the type.
-var psLocs sync.Map // reflect.Type → []psLoc
-
-// psLocsOf returns t's picosecond values in plan order: at each struct,
-// its methods first, then its fields in declaration order.
-func psLocsOf(t reflect.Type) []psLoc {
-	if locs, ok := psLocs.Load(t); ok {
-		return locs.([]psLoc)
-	}
-	var locs []psLoc
-	findPS(t, nil, true, &locs)
-	psLocs.Store(t, locs)
-	return locs
-}
-
-// findPS appends the picosecond values of struct type t, reached at index.
-// callable is false below an unexported field, whose methods cannot be
-// called through reflection.
-func findPS(t reflect.Type, index []int, callable bool, locs *[]psLoc) {
-	for i := range t.NumMethod() {
-		if !callable {
-			break
-		}
-		m := t.Method(i)
-		if strings.HasSuffix(m.Name, "PS") && m.Type.NumIn() == 1 && m.Type.NumOut() == 1 && m.Type.Out(0).Kind() == reflect.Int64 {
-			*locs = append(*locs, psLoc{index: index, method: i})
-		}
-	}
-	for i := range t.NumField() {
-		f := t.Field(i)
-		at := append(index[:len(index):len(index)], i)
-		switch {
-		case f.Type.Kind() == reflect.Struct:
-			findPS(f.Type, at, callable && f.IsExported(), locs)
-		case f.Type.Kind() == reflect.Int64 && strings.HasSuffix(f.Name, "PS"):
-			*locs = append(*locs, psLoc{index: at, method: -1})
-		}
-	}
 }
 
 func gcd(a, b int64) int64 {

@@ -3,6 +3,8 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"strings"
 	"testing"
 
 	"flywheel/internal/cacti"
@@ -147,6 +149,68 @@ func TestTimingPlanRounding(t *testing.T) {
 		}
 		if d.plan.grain != c.grain || d.plan.reduced != c.plan {
 			t.Errorf("%v: plan %+v, want grain %d plan %s", c.node, d.plan, c.grain, c.plan)
+		}
+	}
+}
+
+// psValues returns, by reflection, every int64 field or method of v whose
+// name ends in "PS", through nested structs: at each struct its methods
+// (by name) first, then its fields in declaration order. Methods below an
+// unexported field cannot be called and are skipped.
+func psValues(v reflect.Value, out []int64) []int64 {
+	t := v.Type()
+	for i := range t.NumMethod() {
+		m := t.Method(i)
+		if v.CanInterface() && strings.HasSuffix(m.Name, "PS") && m.Type.NumIn() == 1 && m.Type.NumOut() == 1 && m.Type.Out(0).Kind() == reflect.Int64 {
+			out = append(out, v.Method(i).Call(nil)[0].Int())
+		}
+	}
+	for i := range t.NumField() {
+		f := t.Field(i)
+		switch {
+		case f.Type.Kind() == reflect.Struct:
+			out = psValues(v.Field(i), out)
+		case f.Type.Kind() == reflect.Int64 && strings.HasSuffix(f.Name, "PS"):
+			out = append(out, v.Field(i).Int())
+		}
+	}
+	return out
+}
+
+// TestClockPlanListsEveryPS guards newDesign's clock-plan lists: every
+// period and picosecond latency of a built core configuration, found by
+// reflection, must be in its plan, in the same order. A new absolute-time
+// parameter that a list omits fails here instead of letting two runs that
+// differ in it share a timing record.
+func TestClockPlanListsEveryPS(t *testing.T) {
+	for _, v := range timingVariants {
+		for _, node := range timingNodes {
+			for _, boost := range [][2]int{{0, 0}, {25, 50}, {100, 0}, {37, 100}} {
+				cfg := v.cfg
+				cfg.Workload, cfg.Node = "gcc", node
+				if cfg.Arch != ArchBaseline {
+					cfg.FEBoostPct, cfg.BEBoostPct = boost[0], boost[1]
+				}
+				cfg, err := cfg.normalize()
+				if err != nil {
+					t.Fatal(err)
+				}
+				d, err := newDesign(cfg, cacti.BaselinePeriodPS(node))
+				if err != nil {
+					t.Fatal(err)
+				}
+				coreCfg, least := any(d.core), 4
+				if d.arch == ArchBaseline {
+					coreCfg, least = d.ooo, 2
+				}
+				ps := psValues(reflect.ValueOf(coreCfg), nil)
+				if len(ps) < least {
+					t.Fatalf("%s: reflection found %d picosecond values, want at least %d", v.name, len(ps), least)
+				}
+				if want := planOf(ps...); d.plan != want {
+					t.Errorf("%s at %v, boosts %v: plan %+v, want %+v from every PS value %v", v.name, node, boost, d.plan, want, ps)
+				}
+			}
 		}
 	}
 }

@@ -82,3 +82,28 @@ func TestMean(t *testing.T) {
 		t.Error("empty mean != 0")
 	}
 }
+
+// TestSumDiff: Sum and Diff work field by field through nested structs
+// and arrays, and panic on a field that is not an integer counter rather
+// than sum it wrong.
+func TestSumDiff(t *testing.T) {
+	type block struct{ N [2]uint8 }
+	type rec struct {
+		A int64
+		B block
+		C uint32
+	}
+	a, b := rec{A: -3, B: block{[2]uint8{1, 2}}, C: 7}, rec{A: 5, B: block{[2]uint8{10, 20}}, C: 1}
+	if got, want := Sum(a, b), (rec{2, block{[2]uint8{11, 22}}, 8}); got != want {
+		t.Errorf("Sum = %+v, want %+v", got, want)
+	}
+	if got, want := Diff(a, b), (rec{-8, block{[2]uint8{247, 238}}, 6}); got != want {
+		t.Errorf("Diff = %+v, want %+v", got, want)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Sum over a float field did not panic")
+		}
+	}()
+	Sum(struct{ F float64 }{1}, struct{ F float64 }{2})
+}

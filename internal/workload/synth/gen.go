@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"strings"
 
+	"flywheel/internal/splitmix"
 	"flywheel/internal/workload"
 )
 
@@ -32,7 +33,7 @@ const WarmLabel = "measure"
 // gen carries the emit state of one generation run.
 type gen struct {
 	b      strings.Builder
-	r      *rng
+	r      *splitmix.Rand
 	p      Profile // defaulted
 	maskK  uint    // log2 of the arena size in bytes
 	instrs int     // instructions emitted so far (pseudo-expanded)
@@ -127,8 +128,8 @@ func Build(p Profile) (*workload.Workload, error) {
 // harnesses fast-forward past.
 func (g *gen) genInit() {
 	words := g.p.MemFootprintKB * 1024 / 8
-	fillSeed := int64(g.r.next()&0x0FFF_FFFF | 1)
-	runSeed := int64(g.r.next()&0x0FFF_FFFF | 1)
+	fillSeed := int64(g.r.Next()&0x0FFF_FFFF | 1)
+	runSeed := int64(g.r.Next()&0x0FFF_FFFF | 1)
 
 	g.op("la   r16, arena")
 	g.op("li   r17, %d", words)
@@ -227,7 +228,7 @@ func (g *gen) genBody(i int) {
 // flipped when the knob is set, so legacy profiles draw the exact same
 // random sequence and generate byte-identical programs.
 func (g *gen) genMemFragment(i int) {
-	if g.p.ChaseFrac > 0 && g.r.coin(g.p.ChaseFrac) {
+	if g.p.ChaseFrac > 0 && g.r.Float() < g.p.ChaseFrac {
 		// Pointer chase: fold the loaded value and the inner counter into
 		// the next address. The counter term keeps the walk from collapsing
 		// onto a short cycle of the arena's (fixed) value graph, while the
@@ -239,7 +240,7 @@ func (g *gen) genMemFragment(i int) {
 		g.op("slli r16, r16, 3")
 		g.op("add  r16, r19, r16")
 		g.op("ld   r15, 0(r16)")
-	} else if g.r.coin(g.p.StrideFrac) {
+	} else if g.r.Float() < g.p.StrideFrac {
 		// Sequential: advance the cursor and wrap it inside the arena.
 		step := 8
 		if g.p.StrideBytes > 0 {
@@ -267,7 +268,7 @@ func (g *gen) genMemFragment(i int) {
 	if i%3 == 2 {
 		// Every third body writes a chain accumulator back, keeping
 		// stores in the mix and the arena churning.
-		g.op("sd   r%d, 0(r16)", 2+g.r.intn(g.p.ILP))
+		g.op("sd   r%d, 0(r16)", 2+g.r.Intn(g.p.ILP))
 	}
 }
 
@@ -287,13 +288,13 @@ func (g *gen) genComputeFragment() {
 		if c < rem {
 			perChain++
 		}
-		if g.r.coin(g.p.FPMix) {
+		if g.r.Float() < g.p.FPMix {
 			if !fpConverted {
 				g.op("fcvtif f14, r15")
 				fpConverted = true
 			}
 			for k := 0; k < perChain; k++ {
-				switch g.r.intn(3) {
+				switch g.r.Intn(3) {
 				case 0:
 					g.op("fadd f%d, f%d, f14", 2+c, 2+c)
 				case 1:
@@ -306,7 +307,7 @@ func (g *gen) genComputeFragment() {
 			continue
 		}
 		for k := 0; k < perChain; k++ {
-			switch g.r.intn(4) {
+			switch g.r.Intn(4) {
 			case 0:
 				g.op("add  r%d, r%d, r15", 2+c, 2+c)
 			case 1:
@@ -314,7 +315,7 @@ func (g *gen) genComputeFragment() {
 			case 2:
 				g.op("sub  r%d, r%d, r15", 2+c, 2+c)
 			default:
-				g.op("addi r%d, r%d, %d", 2+c, 2+c, 1+g.r.intn(64))
+				g.op("addi r%d, r%d, %d", 2+c, 2+c, 1+g.r.Intn(64))
 			}
 			g.genReuseSink(c)
 		}
@@ -326,7 +327,7 @@ func (g *gen) genComputeFragment() {
 // it adds rename-pool pressure on one architected register without adding
 // dependencies.
 func (g *gen) genReuseSink(c int) {
-	if g.r.coin(g.p.RegReuse) {
+	if g.r.Float() < g.p.RegReuse {
 		g.op("addi r14, r%d, %d", 8+c, 1+c)
 	}
 }
@@ -340,8 +341,8 @@ func (g *gen) genReuseSink(c int) {
 // history is shorter. Both skip a short filler sequence, so taken and
 // not-taken paths differ.
 func (g *gen) genBranchFragment(i int) {
-	if g.r.coin(g.p.BranchEntropy) {
-		g.op("andi r17, r15, %d", 1<<g.r.intn(3))
+	if g.r.Float() < g.p.BranchEntropy {
+		g.op("andi r17, r15, %d", 1<<g.r.Intn(3))
 		g.op("bnez r17, y%d", i)
 	} else {
 		bit := 9
@@ -352,8 +353,8 @@ func (g *gen) genBranchFragment(i int) {
 		g.op("andi r17, r17, 1")
 		g.op("bnez r17, y%d", i)
 	}
-	for k, n := 0, 1+g.r.intn(3); k < n; k++ {
-		g.op("xor  r17, r17, r%d", 8+g.r.intn(g.p.ILP))
+	for k, n := 0, 1+g.r.Intn(3); k < n; k++ {
+		g.op("xor  r17, r17, r%d", 8+g.r.Intn(g.p.ILP))
 	}
 	g.label(fmt.Sprintf("y%d", i))
 }

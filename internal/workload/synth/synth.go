@@ -22,6 +22,8 @@ import (
 	"math/bits"
 	"strconv"
 	"strings"
+
+	"flywheel/internal/splitmix"
 )
 
 // Profile parameterizes one synthetic workload. The zero value of each
@@ -215,31 +217,12 @@ func (p Profile) Name() string {
 // String describes the profile for human-facing tables.
 func (p Profile) String() string { return strings.TrimPrefix(p.Name(), "synth/") }
 
-// rng is a splitmix64 generator: the deterministic source of every
-// structural decision the generator makes. It must not be replaced by
-// math/rand — the emitted program text is part of the cache identity.
-type rng struct{ state uint64 }
-
-func newRNG(seed uint64) *rng {
+// newRNG returns the splitmix64 stream behind every structural decision
+// the generator makes. It must not be replaced by math/rand — the emitted
+// program text is part of the cache identity.
+func newRNG(seed uint64) *splitmix.Rand {
 	// Mix the seed so 0 and 1 produce unrelated streams.
-	r := &rng{state: seed + 0x9E3779B97F4A7C15}
-	r.next()
-	return r
+	r := splitmix.Rand(seed + splitmix.Gamma)
+	r.Next()
+	return &r
 }
-
-func (r *rng) next() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return z ^ (z >> 31)
-}
-
-// float returns a uniform value in [0, 1).
-func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
-
-// intn returns a uniform value in [0, n).
-func (r *rng) intn(n int) int { return int(r.next() % uint64(n)) }
-
-// coin reports true with probability p.
-func (r *rng) coin(p float64) bool { return r.float() < p }
